@@ -1,23 +1,26 @@
-"""Exact chain editing.
+"""Exact chain editing under per-cell costs.
 
 A chain tournament is exactly a tournament whose rows are all prefixes of a
 single column ordering: nested neighbourhoods extend to a maximal chain, and
-a maximal chain of column subsets is a permutation. The solver therefore
-enumerates column orderings of the smaller side (working on the dual when
-there are more columns than rows) and, per ordering, lets every row
-independently pick a minimum-cost prefix. Every closest chain tournament
-arises from some (ordering, per-row optimal prefix) combination, so
-collecting the combinations of all optimal orderings, deduplicating and
-filtering to the global minimum yields the complete optimum set.
+a maximal chain of column subsets is a permutation. Every problem here is
+one search: each result cell has an exact-integer cost of being 0 and of
+being 1 (None where that value is not allowed), and the search enumerates
+column orderings of the smaller side, letting every row independently pick
+a least-cost prefix. On a wide matrix it searches the dual, whose cells are
+complements, so each cell's two costs swap. Every optimum arises from some
+(optimal ordering, per-row argmin prefix) combination, so expanding the
+argmins of the optimal orderings yields the complete optimum set.
 
-The same engine handles weighted cell costs (exact integers only; no floats
-ever enter an argmin) and the completion / deletion variants where edits are
-restricted to additions / removals.
+Unit costs give chain editing; forbidding removals or additions gives
+completion and deletion; cell weights give the weighted selection; zero
+costs give every chain tournament; and prob_model gets maximum likelihood
+from the cost -log P(observed | truth). No float ever enters an argmin.
 """
 
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 
 from .core import (
@@ -32,7 +35,10 @@ from .errors import AmbiguityError, InputError, ResourceCapError
 
 DEFAULT_ENUM_CAP = 8
 
-_DUAL_MODE = {"edit": "edit", "complete": "delete", "delete": "complete"}
+# cost[observed][result] of one cell
+_EDIT = ((0, 1), (1, 0))
+_COMPLETE = ((0, 1), (None, 0))
+_DELETE = ((0, None), (1, 0))
 
 
 @dataclass(frozen=True)
@@ -43,140 +49,110 @@ class MinChainSet:
     members: tuple[Tournament, ...]
 
 
-def _check_cap(side: int, cap: int | None) -> int:
+def _cell_costs(K: Tournament, cost):
+    """The cost matrices (c0, c1) of K under cost[observed][result], rows as tuples."""
+    (z0, z1), (o0, o1) = cost
+    cols = range(K.cols)
+    c0 = [tuple(o0 if mask >> b & 1 else z0 for b in cols) for mask in K.row_masks]
+    c1 = [tuple(o1 if mask >> b & 1 else z1 for b in cols) for mask in K.row_masks]
+    return c0, c1
+
+
+def _prefix_costs(r0, r1, count: int) -> list:
+    """count times a row's cost for each column subset mask as its prefix; inf if not allowed."""
+    costs = [0]
+    for z, o in zip(r0, r1):
+        z = math.inf if z is None else count * z
+        o = math.inf if o is None else count * o
+        costs = [c + z for c in costs] + [c + o for c in costs]
+    return costs
+
+
+def _search(c0, c1, cap: int | None):
+    """Least total cost of a chain tournament, and the argmins that reach it.
+
+    c0[a][b] and c1[a][b] are the costs of result cell (a, b) being 0 and 1,
+    None where that value is not allowed; rows are tuples. Returns (cost,
+    options): options lazily yields, for each optimal column ordering, every
+    row's list of argmin prefix masks on the searched side (the dual when the
+    matrix is wide). The cost is inf, and options empty, when nothing is
+    allowed.
+    """
+    if len(c0[0]) > len(c0):
+        c0, c1 = list(zip(*c1)), list(zip(*c0))
+    n = len(c0[0])
     cap = DEFAULT_ENUM_CAP if cap is None else cap
-    if side > cap:
+    if n > cap:
         raise ResourceCapError(
-            f"exact search enumerates {side}! column orderings which exceeds the "
+            f"exact search enumerates {n}! column orderings which exceeds the "
             f"cap of {cap}; raise the cap or use an interleaving operator"
         )
-    return cap
+    # identical rows pick identical prefixes: one cost table per distinct row,
+    # multiplied by its multiplicity (which keeps every argmin)
+    rows = list(zip(c0, c1))
+    counts = dict.fromkeys(rows, 0)
+    for row in rows:
+        counts[row] += 1
+    by_prefix = list(zip(*[_prefix_costs(*row, count) for row, count in counts.items()]))
+    best, optimal = math.inf, []
+    for order in itertools.permutations([1 << b for b in range(n)]):
+        prefixes = list(itertools.accumulate(order, initial=0))
+        total = sum(map(min, *map(by_prefix.__getitem__, prefixes)))
+        if total < best:
+            best, optimal = total, [prefixes]
+        elif total == best:
+            optimal.append(prefixes)
+    if best == math.inf:
+        optimal = []
+
+    def options():
+        index = {row: i for i, row in enumerate(counts)}
+        row_class = [index[row] for row in rows]
+        for prefixes in optimal:
+            argmins = []
+            for costs in zip(*map(by_prefix.__getitem__, prefixes)):
+                low = min(costs)
+                argmins.append([p for p, c in zip(prefixes, costs) if c == low])
+            yield [argmins[i] for i in row_class]
+
+    return best, options()
 
 
-def _orient(K: Tournament, weights, mode: str):
-    """Put the smaller side on the columns, flipping mode/weights for the dual."""
-    if K.cols <= K.rows:
-        return K, weights, mode, False
-    wt = None
-    if weights is not None:
-        wt = [[weights[a0][b0] for a0 in range(K.rows)] for b0 in range(K.cols)]
-    return dual(K), wt, _DUAL_MODE[mode], True
-
-
-def _feasible(mask: int, prefix: int, mode: str) -> bool:
-    if mode == "complete":
-        return not (mask & ~prefix)
-    if mode == "delete":
-        return not (prefix & ~mask)
-    return True
-
-
-def _weighted_cost(diff: int, wrow) -> int:
-    total = 0
-    while diff:
-        low = diff & -diff
-        total += wrow[low.bit_length() - 1]
-        diff ^= low
-    return total
-
-
-def _row_options(mask: int, prefixes, mode: str, wrow=None):
-    """Minimum cost and the argmin prefix masks for one row under one ordering."""
-    best = None
-    argmin: list[int] = []
-    for prefix in prefixes:
-        if not _feasible(mask, prefix, mode):
-            continue
-        diff = mask ^ prefix
-        cost = _weighted_cost(diff, wrow) if wrow is not None else diff.bit_count()
-        if best is None or cost < best:
-            best = cost
-            argmin = [prefix]
-        elif cost == best:
-            argmin.append(prefix)
-    return best, argmin
-
-
-def _search_members(K: Tournament, mode: str, weights, cap: int | None):
-    """(best cost, set of optimal row-mask tuples) for the oriented matrix."""
-    work, wt, work_mode, dualized = _orient(K, weights, mode)
-    _check_cap(work.cols, cap)
-    n = work.cols
-    best_total = None
-    members: set[tuple[int, ...]] = set()
-    for order in itertools.permutations(range(n)):
-        prefixes = [0]
-        acc = 0
-        for c in order:
-            acc |= 1 << c
-            prefixes.append(acc)
-        total = 0
-        per_row: list[list[int]] = []
-        for a0, mask in enumerate(work.row_masks):
-            wrow = wt[a0] if wt is not None else None
-            cost, argmin = _row_options(mask, prefixes, work_mode, wrow)
-            # completion keeps the full prefix feasible and deletion the empty
-            # one, so argmin is never empty
-            total += cost
-            per_row.append(argmin)
-            if best_total is not None and total > best_total:
-                break
-        else:
-            if best_total is None or total < best_total:
-                best_total = total
-                members = set(itertools.product(*per_row))
-            elif total == best_total:
-                members.update(itertools.product(*per_row))
-    return best_total, members, work, dualized
-
-
-def _to_tournaments(members, work: Tournament, dualized: bool) -> tuple[Tournament, ...]:
-    out = [Tournament(work.rows, work.cols, masks) for masks in sorted(members)]
-    if dualized:
-        out = [dual(M) for M in out]
+def _members(options, m: int, n: int) -> tuple[Tournament, ...]:
+    """The distinct m-by-n tournaments the options combine to, canonically ordered."""
+    seen: set[tuple[int, ...]] = set()
+    for per_row in options:
+        seen.update(itertools.product(*per_row))
+    if n > m:
+        out = [dual(Tournament(n, m, masks)) for masks in seen]
+    else:
+        out = [Tournament(m, n, masks) for masks in seen]
     return tuple(sorted(out, key=canonical_key))
+
+
+def _optimum(K: Tournament, cost, cap: int | None) -> MinChainSet:
+    distance, options = _search(*_cell_costs(K, cost), cap)
+    return MinChainSet(distance, _members(options, K.rows, K.cols))
 
 
 def min_chain_set(K: Tournament, cap: int | None = None) -> MinChainSet:
     """The complete set of chain tournaments closest to K in Hamming distance."""
-    distance, members, work, dualized = _search_members(K, "edit", None, cap)
-    return MinChainSet(distance, _to_tournaments(members, work, dualized))
+    return _optimum(K, _EDIT, cap)
 
 
 def min_chain_distance(K: Tournament, cap: int | None = None) -> int:
     """Minimum Hamming distance from K to any chain tournament."""
-    work, _, _, _ = _orient(K, None, "edit")
-    _check_cap(work.cols, cap)
-    n = work.cols
-    best = None
-    for order in itertools.permutations(range(n)):
-        prefixes = [0]
-        acc = 0
-        for c in order:
-            acc |= 1 << c
-            prefixes.append(acc)
-        total = 0
-        for mask in work.row_masks:
-            total += min((mask ^ p).bit_count() for p in prefixes)
-            if best is not None and total >= best:
-                break
-        else:
-            best = total
-            if best == 0:
-                return 0
-    return best
+    return _search(*_cell_costs(K, _EDIT), cap)[0]
 
 
 def chain_completion(K: Tournament, cap: int | None = None) -> MinChainSet:
     """Closest chain tournaments reachable by edge additions only."""
-    distance, members, work, dualized = _search_members(K, "complete", None, cap)
-    return MinChainSet(distance, _to_tournaments(members, work, dualized))
+    return _optimum(K, _COMPLETE, cap)
 
 
 def chain_deletion(K: Tournament, cap: int | None = None) -> MinChainSet:
     """Closest chain tournaments reachable by edge removals only."""
-    distance, members, work, dualized = _search_members(K, "delete", None, cap)
-    return MinChainSet(distance, _to_tournaments(members, work, dualized))
+    return _optimum(K, _DELETE, cap)
 
 
 def _check_weights(K: Tournament, weights) -> list[list[int]]:
@@ -198,8 +174,9 @@ def weighted_min_chain(K: Tournament, weights, cap: int | None = None) -> Tourna
     built by match_pref.weights_for can never tie.
     """
     wt = _check_weights(K, weights)
-    _, members, work, dualized = _search_members(K, "edit", wt, cap)
-    out = _to_tournaments(members, work, dualized)
+    c0 = [tuple(w * v for v, w in zip(row, ws)) for row, ws in zip(K.cells, wt)]
+    c1 = [tuple(w * (1 - v) for v, w in zip(row, ws)) for row, ws in zip(K.cells, wt)]
+    out = _members(_search(c0, c1, cap)[1], K.rows, K.cols)
     if len(out) != 1:
         listing = "; ".join(str(M.cells) for M in out)
         raise AmbiguityError(f"weighted argmin is not unique: {listing}")
@@ -260,22 +237,9 @@ def brute_force_min_chain(K: Tournament) -> MinChainSet:
 def all_chain_tournaments(m: int, n: int, cap: int | None = None) -> tuple[Tournament, ...]:
     """Every m-by-n chain tournament, canonically ordered.
 
-    Generated from column orderings and per-row prefixes on the smaller side,
-    so the cap applies to min(m, n) exactly as for the editing search.
+    Every row costs nothing whatever its prefix, so the search's optimum set
+    is every chain tournament, and the cap applies to min(m, n) exactly as
+    for editing.
     """
-    dualized = n > m
-    rows, cols = (n, m) if dualized else (m, n)
-    _check_cap(cols, cap)
-    seen: set[tuple[int, ...]] = set()
-    for order in itertools.permutations(range(cols)):
-        prefixes = [0]
-        acc = 0
-        for c in order:
-            acc |= 1 << c
-            prefixes.append(acc)
-        for combo in itertools.product(prefixes, repeat=rows):
-            seen.add(combo)
-    out = [Tournament(rows, cols, masks) for masks in seen]
-    if dualized:
-        out = [dual(M) for M in out]
-    return tuple(sorted(out, key=canonical_key))
+    zeros = [(0,) * n] * m
+    return _members(_search(zeros, zeros, cap)[1], m, n)

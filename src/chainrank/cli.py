@@ -48,10 +48,19 @@ ALL_METRICS = ("exact_match", "tie_aware_rank_correlation", "edit_cost")
 
 
 def _enum_cap(args) -> int | None:
-    if getattr(args, "cap", None) is not None:
-        return args.cap
-    env = os.environ.get("CHAINRANK_ENUM_CAP")
-    return int(env) if env else None
+    if args.cap is not None:
+        cap = args.cap
+    else:
+        env = os.environ.get("CHAINRANK_ENUM_CAP")
+        if not env:
+            return None
+        try:
+            cap = int(env)
+        except ValueError:
+            raise InputError(f"CHAINRANK_ENUM_CAP must be a whole number, not {env!r}") from None
+    if cap < 1:
+        raise InputError(f"the enumeration cap must be at least 1, not {cap}")
+    return cap
 
 
 def _print_pair(pair: RankingPair, a_labels=None, b_labels=None) -> None:

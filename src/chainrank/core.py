@@ -130,8 +130,8 @@ class Tournament:
 
 def canonical_key(K: Tournament) -> tuple:
     """Total order key over all tournaments: size first, then row-major cells."""
-    flat = tuple(v for row in K.cells for v in row)
-    return (K.rows, K.cols, flat)
+    cols = range(K.cols)
+    return (K.rows, K.cols, tuple(mask >> b & 1 for mask in K.row_masks for b in cols))
 
 
 def all_tournaments(m: int, n: int):

@@ -48,6 +48,8 @@ def to_csv(K: Tournament) -> str:
 def _check_labels(labels, count: int, side: str) -> tuple[str, ...] | None:
     if labels is None:
         return None
+    if not isinstance(labels, list):
+        raise InputError(f"{side} labels must be a list of names")
     labels = [str(x) for x in labels]
     if len(labels) != count:
         raise InputError(f"{side} labels must list exactly {count} names")
@@ -61,7 +63,12 @@ def parse_json(text: str) -> TournamentFile:
         raise InputError(f"not valid JSON: {exc}") from exc
     if not isinstance(data, dict) or "matrix" not in data:
         raise InputError('JSON tournament needs a "matrix" field')
-    K = Tournament.from_cells(data["matrix"])
+    matrix = data["matrix"]
+    if not isinstance(matrix, list) or not all(
+        isinstance(row, list) and all(type(v) is int for v in row) for row in matrix
+    ):
+        raise InputError('"matrix" must be a list of rows of integers 0 or 1')
+    K = Tournament.from_cells(matrix)
     for key, expected in (("rows", K.rows), ("cols", K.cols)):
         if key in data and data[key] != expected:
             raise InputError(f'"{key}" is {data[key]} but the matrix has {expected}')
@@ -106,6 +113,6 @@ def load_state(path: str) -> StateOfWorld:
         raise InputError(f"cannot read {path}: {exc}") from exc
     except json.JSONDecodeError as exc:
         raise InputError(f"state file is not valid JSON: {exc}") from exc
-    if not isinstance(data, dict) or "x" not in data or "y" not in data:
+    if not isinstance(data, dict) or not all(isinstance(data.get(k), list) for k in ("x", "y")):
         raise InputError('a state file needs "x" and "y" arrays')
     return StateOfWorld(tuple(data["x"]), tuple(data["y"]))

@@ -73,12 +73,17 @@ class MatchPreference:
         return {ab: i + 1 for i, ab in enumerate(self.order(m, n))}
 
 
+# the names of the built-in orders, on the command line and in operator names
+ORDER_ALIASES = {
+    **dict.fromkeys(("row-major", "row_major", "lex"), ROW_MAJOR),
+    **dict.fromkeys(("col-major", "col_major", "colex"), COL_MAJOR),
+}
+
+
 def parse_order_name(name: str) -> MatchPreference:
-    if name in ("row-major", "row_major", "lex"):
-        return MatchPreference.row_major()
-    if name in ("col-major", "col_major", "colex"):
-        return MatchPreference.col_major()
-    raise InputError(f"unknown match-preference order {name!r}")
+    if name not in ORDER_ALIASES:
+        raise InputError(f"unknown match-preference order {name!r}")
+    return MatchPreference(ORDER_ALIASES[name])
 
 
 def vectorize(K: Tournament, pref: MatchPreference) -> tuple[int, ...]:

@@ -191,10 +191,8 @@ def resolve_operator(name: str, cap: int | None = None) -> OperatorSpec:
         return ci_operator()
     if name.startswith("match-pref:"):
         rest = name.split(":", 1)[1]
-        if rest in ("row-major", "row_major", "lex"):
-            pref = mp.MatchPreference.row_major()
-        elif rest in ("col-major", "col_major", "colex"):
-            pref = mp.MatchPreference.col_major()
+        if rest in mp.ORDER_ALIASES:
+            pref = mp.parse_order_name(rest)
         else:
             pref = _load_explicit_pref(rest)
         return match_pref_operator(pref, cap, label=name)

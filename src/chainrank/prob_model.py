@@ -8,19 +8,23 @@ such tournaments are exactly the chain tournaments, and every chain tournament
 is reproduced by its canonical state built from neighbourhood counts.
 
 Observed tournaments flip each true outcome independently: a false positive
-with rate alpha_plus, a false negative with rate alpha_minus. Likelihood
-comparisons run in log space; zero rates short-circuit to feasibility filters
-rather than evaluating log 0.
+with rate alpha_plus, a false negative with rate alpha_minus. The
+log-likelihood is a sum of per-cell terms, so maximum likelihood is chain
+editing with the per-cell cost -log P(observed | truth), taken as exact
+integers; a cell value of probability zero is simply not allowed. Symmetric
+noise below one half therefore gives the closest chain tournaments, and a
+zero rate gives completion or deletion.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 import random
 from dataclasses import dataclass
 
-from .chain_edit import all_chain_tournaments
-from .core import Tournament, canonical_key, chain_rankings, has_chain_property
+from .chain_edit import _cell_costs, _members, _search
+from .core import Tournament, chain_rankings, has_chain_property
 from .errors import InputError, NotChainError
 
 _MASK64 = (1 << 64) - 1
@@ -170,27 +174,38 @@ def log_likelihood(K: Tournament, theta: StateOfWorld, alpha: NoiseParams) -> fl
     return total
 
 
+def _cell_cost_table(alpha: NoiseParams):
+    """cost[observed][truth] = -log P(observed | truth) in exact integers; None where P = 0.
+
+    Every float logarithm is num / 2^k, so scaling all of them by the largest
+    2^k is exact.
+    """
+    ap, am = alpha.alpha_plus, alpha.alpha_minus
+    if ap + am == 1.0:
+        # the observation says nothing about the truth, but 1 - am may differ
+        # from ap in the last bit: give both truths the same cost
+        prob = ((am, am), (ap, ap))
+    else:
+        prob = ((1.0 - ap, am), (ap, 1.0 - am))
+    ratios = [[(-math.log(p)).as_integer_ratio() if p else None for p in row] for row in prob]
+    scale = max(r[1] for row in ratios for r in row if r is not None)
+    return [[None if r is None else r[0] * (scale // r[1]) for r in row] for row in ratios]
+
+
 def mle_search(K: Tournament, alpha: NoiseParams, cap: int | None = None) -> tuple[Tournament, ...]:
     """Deterministic tournaments of the states maximising the likelihood of K.
 
-    Every chain tournament is scored through its canonical state; states with
-    the same deterministic tournament have the same likelihood, so this scan
-    covers the whole state space.
+    States with the same deterministic tournament have the same likelihood,
+    and those tournaments are the chain tournaments, so the answer is the
+    chain tournaments of least total cost -log P(observed | truth). The
+    search and its cap are those of chain editing.
     """
-    best = -math.inf
-    members: list[Tournament] = []
-    for cand in all_chain_tournaments(K.rows, K.cols, cap):
-        ll = log_likelihood(K, canonical_state(cand), alpha)
-        if ll > best:
-            best = ll
-            members = [cand]
-        elif ll == best and ll > -math.inf:
-            members.append(cand)
-    if not members:
+    cost, options = _search(*_cell_costs(K, _cell_cost_table(alpha)), cap)
+    if cost == math.inf:
         raise InputError(
             "noise rates assign probability zero to this observation under every state"
         )
-    return tuple(sorted(members, key=canonical_key))
+    return _members(options, K.rows, K.cols)
 
 
 def mle_rankings(K: Tournament, alpha: NoiseParams, cap: int | None = None):
@@ -229,12 +244,8 @@ def sample_state(m: int, n: int, seed: int) -> StateOfWorld:
     if m < 1 or n < 1:
         raise InputError("state dimensions must be at least 1x1")
     rng = random.Random(seed)
-    order = list(range(n))
+    order = [1 << c for c in range(n)]
     rng.shuffle(order)
-    prefixes = [0]
-    acc = 0
-    for c in order:
-        acc |= 1 << c
-        prefixes.append(acc)
+    prefixes = list(itertools.accumulate(order, initial=0))
     masks = tuple(prefixes[rng.randint(0, n)] for _ in range(m))
     return canonical_state(Tournament(m, n, masks))

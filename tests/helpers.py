@@ -1,6 +1,19 @@
 """Shared fixtures: reference example matrices, ranking shorthand, independent oracles."""
 
-from chainrank import RankingPair, TotalPreorder, Tournament, all_tournaments, hamming, has_chain_property
+import functools
+import math
+
+from chainrank import (
+    InputError,
+    RankingPair,
+    TotalPreorder,
+    Tournament,
+    all_tournaments,
+    canonical_state,
+    hamming,
+    has_chain_property,
+    log_likelihood,
+)
 
 # running example with the chain property and its non-chain variant
 EX1 = Tournament.from_cells([[1, 0, 0, 0], [1, 1, 0, 0], [1, 1, 1, 1]])
@@ -67,6 +80,37 @@ def brute_force_members(K, feasible=None):
         elif d == best:
             members.append(cand)
     return best, tuple(members)
+
+
+@functools.lru_cache(maxsize=None)
+def chain_states(m, n):
+    """Every m-by-n chain tournament, by full scan, with its canonical state."""
+    return tuple(
+        (C, canonical_state(C)) for C in all_tournaments(m, n) if has_chain_property(C)
+    )
+
+
+def brute_force_mle(K, alpha):
+    """Scan oracle for MLE: score every chain tournament through its canonical state.
+
+    States with the same deterministic tournament have the same likelihood,
+    so this covers the whole state space; ties are exact float equality of
+    the rate-aggregated log-likelihood.
+    """
+    best = -math.inf
+    members = []
+    for cand, theta in chain_states(K.rows, K.cols):
+        ll = log_likelihood(K, theta, alpha)
+        if ll > best:
+            best = ll
+            members = [cand]
+        elif ll == best and ll > -math.inf:
+            members.append(cand)
+    if not members:
+        raise InputError(
+            "noise rates assign probability zero to this observation under every state"
+        )
+    return tuple(members)
 
 
 def superset_of(K):

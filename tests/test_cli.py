@@ -266,6 +266,23 @@ class TestExitCodes:
         monkeypatch.setenv("CHAINRANK_ENUM_CAP", "4")
         assert main(["rank", str(path), "-o", "chain-min-lex"]) == 0
 
+    def test_cap_env_not_an_integer(self, ex2_file, capsys, monkeypatch):
+        monkeypatch.setenv("CHAINRANK_ENUM_CAP", "abc")
+        assert main(["edit", ex2_file]) == 2
+        assert capsys.readouterr().err.count("\n") == 1
+
+    def test_cap_below_one(self, ex2_file, capsys):
+        for cap in ("-1", "0"):
+            assert main(["--cap", cap, "edit", ex2_file]) == 2
+            assert capsys.readouterr().err.count("\n") == 1
+
+    def test_json_matrix_not_binary_integers(self, tmp_path, capsys):
+        path = tmp_path / "bad.json"
+        for matrix in ("5", "[[true, 0]]", "[[0.0, 1]]", "[1, 0]"):
+            path.write_text('{"matrix": %s}' % matrix)
+            assert main(["edit", str(path)]) == 2
+            assert capsys.readouterr().err.count("\n") == 1
+
     def test_console_entry_point(self, table1_file):
         proc = subprocess.run(
             [sys.executable, "-m", "chainrank", "rank", table1_file, "-o", "ci"],

@@ -24,9 +24,24 @@ from chainrank import (
     sample_tournament,
 )
 from chainrank.chain_edit import all_chain_tournaments
+from chainrank.core import canonical_key
 from chainrank.prob_model import derive_seed
 
-from helpers import EX1, EX2, cellwise_likelihood, random_tournament
+from helpers import EX1, EX2, brute_force_mle, cellwise_likelihood, random_tournament
+
+# the oracle grid of noise rates; pairs summing to one carry no information
+# and are covered separately
+ORACLE_RATES = (0.0, 0.05, 0.1, 0.2, 0.3, 0.45, 0.49, 0.5, 0.51, 0.7, 0.9, 1.0)
+ORACLE_NOISE = tuple(
+    NoiseParams(ap, am) for ap in ORACLE_RATES for am in ORACLE_RATES if ap + am != 1.0
+)
+
+
+def _mle_or_error(search, K, alpha):
+    try:
+        return tuple(sorted(search(K, alpha), key=canonical_key))
+    except InputError:
+        return "no feasible state"
 
 
 class TestKTheta:
@@ -172,6 +187,35 @@ class TestMleSearch:
     def test_degenerate_rates_rejected(self):
         with pytest.raises(InputError):
             mle_search(Tournament.from_cells([[1]]), NoiseParams(0.0, 1.0))
+
+
+class TestMleOracle:
+    @pytest.mark.parametrize("shape", [(1, 1), (1, 2), (1, 3), (1, 4), (2, 2), (2, 3), (3, 2)])
+    def test_every_small_input_matches_scan(self, shape):
+        for K in all_tournaments(*shape):
+            for alpha in ORACLE_NOISE:
+                assert _mle_or_error(mle_search, K, alpha) == _mle_or_error(brute_force_mle, K, alpha)
+
+    def test_random_inputs_match_scan(self):
+        rng = random.Random(20210107)
+        for _ in range(16):
+            K = random_tournament(rng, rng.randint(1, 4), rng.randint(1, 4))
+            for alpha in rng.sample(ORACLE_NOISE, 8):
+                assert _mle_or_error(mle_search, K, alpha) == _mle_or_error(brute_force_mle, K, alpha)
+
+    def test_uninformative_channel_keeps_every_chain(self):
+        # 1 - 0.7 is not 0.3 in floating point; the channel still carries no information
+        K = Tournament.from_cells([[0, 0, 0]])
+        assert mle_search(K, NoiseParams(0.7, 0.3)) == all_chain_tournaments(1, 3)
+        assert mle_search(EX2, NoiseParams.symmetric(0.5)) == all_chain_tournaments(3, 4)
+        assert mle_search(Tournament.from_cells([[1]]), NoiseParams(1.0, 0.0)) == all_chain_tournaments(1, 1)
+        with pytest.raises(InputError):
+            mle_search(Tournament.from_cells([[0]]), NoiseParams(1.0, 0.0))
+
+    def test_tall_input_uses_editing_search(self):
+        # the scan over every 20x2 chain tournament would need about 7e9 tuples
+        K = random_tournament(random.Random(2020), 20, 2)
+        assert mle_search(K, NoiseParams.symmetric(0.1)) == min_chain_set(K).members
 
 
 class TestSampling:
