@@ -10,7 +10,6 @@ from .chain_edit import (
     DEFAULT_ENUM_CAP,
     MinChainSet,
     all_chain_tournaments,
-    brute_force_min_chain,
     chain_completion,
     chain_deletion,
     min_chain_distance,

@@ -4,12 +4,15 @@ A chain tournament is exactly a tournament whose rows are all prefixes of a
 single column ordering: nested neighbourhoods extend to a maximal chain, and
 a maximal chain of column subsets is a permutation. Every problem here is
 one search: each result cell has an exact-integer cost of being 0 and of
-being 1 (None where that value is not allowed), and the search enumerates
+being 1 (None where that value is not allowed), and the search ranges over
 column orderings of the smaller side, letting every row independently pick
 a least-cost prefix. On a wide matrix it searches the dual, whose cells are
-complements, so each cell's two costs swap. Every optimum arises from some
-(optimal ordering, per-row argmin prefix) combination, so expanding the
-argmins of the optimal orderings yields the complete optimum set.
+complements, so each cell's two costs swap. The orderings are walked depth
+first over their prefixes with a branch-and-bound cut that never drops a
+tied optimum (see _search). Every optimum arises from some (optimal
+ordering, per-row argmin prefix) combination, so expanding the argmins of
+the optimal orderings yields the complete optimum set; MEMBER_CAP bounds
+that expansion.
 
 Unit costs give chain editing; forbidding removals or additions gives
 completion and deletion; cell weights give the weighted selection; zero
@@ -23,17 +26,12 @@ import itertools
 import math
 from dataclasses import dataclass
 
-from .core import (
-    Tournament,
-    all_tournaments,
-    canonical_key,
-    dual,
-    hamming,
-    has_chain_property,
-)
+from .core import Tournament, canonical_key, dual
 from .errors import AmbiguityError, InputError, ResourceCapError
 
 DEFAULT_ENUM_CAP = 8
+# most (ordering, argmin) combinations _members expands before it refuses
+MEMBER_CAP = 1 << 16
 
 # cost[observed][result] of one cell
 _EDIT = ((0, 1), (1, 0))
@@ -58,14 +56,18 @@ def _cell_costs(K: Tournament, cost):
     return c0, c1
 
 
-def _prefix_costs(r0, r1, count: int) -> list:
-    """count times a row's cost for each column subset mask as its prefix; inf if not allowed."""
-    costs = [0]
+def _prefix_costs(r0, r1, count: int) -> tuple[list, list]:
+    """count times a row's cost for each column subset mask as its prefix, and
+    a lower bound on its cost for every superset of that mask; inf if not allowed.
+    """
+    costs, lower = [0], [0]
     for z, o in zip(r0, r1):
         z = math.inf if z is None else count * z
         o = math.inf if o is None else count * o
+        low = min(z, o)
         costs = [c + z for c in costs] + [c + o for c in costs]
-    return costs
+        lower = [c + low for c in lower] + [c + o for c in lower]
+    return costs, lower
 
 
 def _search(c0, c1, cap: int | None):
@@ -77,6 +79,18 @@ def _search(c0, c1, cap: int | None):
     row's list of argmin prefix masks on the searched side (the dual when the
     matrix is wide). The cost is inf, and options empty, when nothing is
     allowed.
+
+    The orderings are searched depth first over their prefixes, so orderings
+    that share a prefix share its work. A node with prefix Q holds each row's
+    least cost over the prefixes on its path. Every later prefix contains Q,
+    so it costs a row at least the cost of the row's cells in Q being 1 plus
+    the cheaper value of each other cell (for unit costs, the number of
+    columns in Q that the row lacks). The sum over rows of the smaller of
+    these two is a lower bound on every ordering below the node. Children
+    are tried in ascending bound order. A node is cut only when its bound
+    exceeds the best total found so far, or is inf: a node whose bound
+    equals the best may still hold a tied optimal ordering, and every tied
+    ordering's argmins belong to the complete optimum set.
     """
     if len(c0[0]) > len(c0):
         c0, c1 = list(zip(*c1)), list(zip(*c0))
@@ -84,7 +98,7 @@ def _search(c0, c1, cap: int | None):
     cap = DEFAULT_ENUM_CAP if cap is None else cap
     if n > cap:
         raise ResourceCapError(
-            f"exact search enumerates {n}! column orderings which exceeds the "
+            f"exact search ranges over {n}! column orderings which exceeds the "
             f"cap of {cap}; raise the cap or use an interleaving operator"
         )
     # identical rows pick identical prefixes: one cost table per distinct row,
@@ -93,15 +107,42 @@ def _search(c0, c1, cap: int | None):
     counts = dict.fromkeys(rows, 0)
     for row in rows:
         counts[row] += 1
-    by_prefix = list(zip(*[_prefix_costs(*row, count) for row, count in counts.items()]))
+    tables = [_prefix_costs(*row, count) for row, count in counts.items()]
+    by_prefix = list(zip(*[costs for costs, _ in tables]))
+    lower = list(zip(*[low for _, low in tables]))
+    full = (1 << n) - 1
     best, optimal = math.inf, []
-    for order in itertools.permutations([1 << b for b in range(n)]):
-        prefixes = list(itertools.accumulate(order, initial=0))
-        total = sum(map(min, *map(by_prefix.__getitem__, prefixes)))
-        if total < best:
-            best, optimal = total, [prefixes]
-        elif total == best:
-            optimal.append(prefixes)
+
+    def visit(path, run):
+        # run already holds the empty and the full prefix, which every ordering
+        # has, so a child with one column left is scored exactly
+        nonlocal best, optimal
+        rest = full ^ path[-1]
+        leaves = rest.bit_count() == 2
+        children = []
+        while rest:
+            prefix = path[-1] | (rest & -rest)
+            rest &= rest - 1
+            child = list(map(min, run, by_prefix[prefix]))
+            if leaves:
+                total = sum(child)
+                if total < best:
+                    best, optimal = total, [path + (prefix, full)]
+                elif total == best:
+                    optimal.append(path + (prefix, full))
+            else:
+                children.append((sum(map(min, child, lower[prefix])), prefix, child))
+        children.sort()  # prefixes differ, so the run lists are never compared
+        for bound, prefix, child in children:
+            if bound > best or bound == math.inf:
+                break
+            visit(path + (prefix,), child)
+
+    run = list(map(min, by_prefix[0], by_prefix[full]))
+    if n == 1:
+        best, optimal = sum(run), [(0, full)]
+    else:
+        visit((0,), run)
     if best == math.inf:
         optimal = []
 
@@ -119,7 +160,19 @@ def _search(c0, c1, cap: int | None):
 
 
 def _members(options, m: int, n: int) -> tuple[Tournament, ...]:
-    """The distinct m-by-n tournaments the options combine to, canonically ordered."""
+    """The distinct m-by-n tournaments the options combine to, canonically ordered.
+
+    Raises ResourceCapError, before expanding anything, when the options
+    combine to more than MEMBER_CAP tuples (an upper bound on the members,
+    as different options may give the same tournament).
+    """
+    options = list(options)
+    count = sum(math.prod(map(len, per_row)) for per_row in options)
+    if count > MEMBER_CAP:
+        raise ResourceCapError(
+            f"the optimum set has up to {count} members which exceeds the member "
+            f"cap of {MEMBER_CAP}"
+        )
     seen: set[tuple[int, ...]] = set()
     for per_row in options:
         seen.update(itertools.product(*per_row))
@@ -214,24 +267,6 @@ def monotone_min_chain(K: Tournament, cap: int | None = None) -> Tournament:
     if not qualifying:
         raise AssertionError("no order-extending optimum exists; solver invariant broken")
     return qualifying[0]
-
-
-def brute_force_min_chain(K: Tournament) -> MinChainSet:
-    """Independent oracle: scan all 2^(mn) matrices for the closest chains."""
-    if K.rows * K.cols > 16:
-        raise ResourceCapError("brute force is limited to 16 cells")
-    best = None
-    members: list[Tournament] = []
-    for cand in all_tournaments(K.rows, K.cols):
-        if not has_chain_property(cand):
-            continue
-        d = hamming(K, cand)
-        if best is None or d < best:
-            best = d
-            members = [cand]
-        elif d == best:
-            members.append(cand)
-    return MinChainSet(best, tuple(sorted(members, key=canonical_key)))
 
 
 def all_chain_tournaments(m: int, n: int, cap: int | None = None) -> tuple[Tournament, ...]:

@@ -14,7 +14,7 @@ import json
 import math
 import os
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 from . import axiom_lab, fileio
 from .chain_edit import (
@@ -166,6 +166,8 @@ def cmd_axioms(args) -> int:
             return 4
         return 0
     spec = resolve_operator(args.operator, cap)
+    # the checks revisit the same tournaments: solve each one once across all seven
+    spec = replace(spec, evaluate=axiom_lab._memo_eval(spec))
     scope = _parse_scope(args.scope)
     verdicts = [
         axiom_lab.check_anon(spec, scope),

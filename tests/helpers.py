@@ -1,19 +1,24 @@
 """Shared fixtures: reference example matrices, ranking shorthand, independent oracles."""
 
 import functools
+import itertools
 import math
 
 from chainrank import (
     InputError,
+    MinChainSet,
     RankingPair,
+    ResourceCapError,
     TotalPreorder,
     Tournament,
     all_tournaments,
+    canonical_key,
     canonical_state,
     hamming,
     has_chain_property,
     log_likelihood,
 )
+from chainrank.chain_edit import MEMBER_CAP
 
 # running example with the chain property and its non-chain variant
 EX1 = Tournament.from_cells([[1, 0, 0, 0], [1, 1, 0, 0], [1, 1, 1, 1]])
@@ -65,8 +70,10 @@ def pair(a_short: str, b_short: str) -> RankingPair:
     return RankingPair(preorder(a_short), preorder(b_short))
 
 
-def brute_force_members(K, feasible=None):
-    """Full-scan oracle: (distance, members) over all chains passing `feasible`."""
+def brute_force_min_chain(K, feasible=None):
+    """Full-scan oracle: the closest chain tournaments to K among those passing `feasible`."""
+    if K.rows * K.cols > 16:
+        raise ResourceCapError("brute force is limited to 16 cells")
     best = None
     members = []
     for cand in all_tournaments(K.rows, K.cols):
@@ -79,7 +86,63 @@ def brute_force_members(K, feasible=None):
             best, members = d, [cand]
         elif d == best:
             members.append(cand)
-    return best, tuple(members)
+    return MinChainSet(best, tuple(sorted(members, key=canonical_key)))
+
+
+def permutation_search(c0, c1):
+    """Reference for chain_edit._search: score every column ordering of every row.
+
+    Returns (cost, count, members): the least total cost (inf when nothing is
+    allowed), the number of (optimal ordering, per-row argmin) combinations,
+    and, when that is at most MEMBER_CAP, the set of optimal tournaments as
+    row-mask tuples of the input orientation (else None).
+    """
+    m, n = len(c0), len(c0[0])
+    if n > m:
+        # the transpose of a chain tournament is one: scan orderings of the rows
+        c0, c1 = list(zip(*c0)), list(zip(*c1))
+    rows, cols = len(c0), len(c0[0])
+
+    @functools.lru_cache(maxsize=None)
+    def prefix_cost(a, mask):
+        total = 0
+        for b in range(cols):
+            c = c1[a][b] if mask >> b & 1 else c0[a][b]
+            if c is None:
+                return math.inf
+            total += c
+        return total
+
+    best, optimal = math.inf, []
+    for order in itertools.permutations(range(cols)):
+        prefixes = [0]
+        for b in order:
+            prefixes.append(prefixes[-1] | 1 << b)
+        per_row = []
+        total = 0
+        for a in range(rows):
+            costs = [prefix_cost(a, p) for p in prefixes]
+            low = min(costs)
+            total += low
+            per_row.append([p for p, c in zip(prefixes, costs) if c == low])
+        if total < best:
+            best, optimal = total, [per_row]
+        elif total == best:
+            optimal.append(per_row)
+    if best == math.inf:
+        return best, 0, set()
+    count = sum(math.prod(len(options) for options in per_row) for per_row in optimal)
+    if count > MEMBER_CAP:
+        return best, count, None
+    members = set()
+    for per_row in optimal:
+        for masks in itertools.product(*per_row):
+            if n > m:
+                masks = tuple(
+                    sum(1 << a for a in range(rows) if masks[a] >> b & 1) for b in range(cols)
+                )
+            members.add(masks)
+    return best, count, members
 
 
 @functools.lru_cache(maxsize=None)

@@ -16,7 +16,6 @@ from chainrank import (
     NoiseParams,
     Tournament,
     all_tournaments,
-    brute_force_min_chain,
     canonical_state,
     chain_rankings,
     ci_selection,
@@ -49,6 +48,7 @@ from helpers import (
     EX2,
     EX2_MINCH,
     TABLE1,
+    brute_force_min_chain,
     cellwise_likelihood,
     pair,
     random_tournament,

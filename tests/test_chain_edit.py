@@ -2,6 +2,8 @@ import itertools
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from chainrank import (
     AmbiguityError,
@@ -9,7 +11,6 @@ from chainrank import (
     ResourceCapError,
     Tournament,
     all_tournaments,
-    brute_force_min_chain,
     chain_completion,
     chain_deletion,
     dual,
@@ -23,7 +24,8 @@ from chainrank import (
     swap_rows,
     weighted_min_chain,
 )
-from chainrank.chain_edit import all_chain_tournaments
+from chainrank import chain_edit
+from chainrank.chain_edit import _members, _search, all_chain_tournaments
 from chainrank.core import canonical_key
 from chainrank.match_pref import MatchPreference, weights_for
 from chainrank.match_pref import select_match_pref
@@ -34,7 +36,8 @@ from helpers import (
     EX2,
     EX2_MINCH,
     TABLE1,
-    brute_force_members,
+    brute_force_min_chain,
+    permutation_search,
     random_tournament,
     subset_of,
     superset_of,
@@ -224,8 +227,7 @@ class TestCompletionDeletion:
     def test_completion_of_diagonal(self):
         result = chain_completion(ANON_K)
         assert result.distance == 1
-        expected = brute_force_members(ANON_K, superset_of(ANON_K))
-        assert (result.distance, set(result.members)) == (expected[0], set(expected[1]))
+        assert result == brute_force_min_chain(ANON_K, superset_of(ANON_K))
         assert set(result.members) == {
             Tournament.from_cells([[1, 1], [0, 1]]),
             Tournament.from_cells([[1, 0], [1, 1]]),
@@ -243,12 +245,8 @@ class TestCompletionDeletion:
         # 2x3 exercises the dualised search orientation, 3x2 the direct one
         for m, n in [(2, 3), (3, 2)]:
             for K in all_tournaments(m, n):
-                got = chain_completion(K)
-                want = brute_force_members(K, superset_of(K))
-                assert (got.distance, got.members) == want
-                got = chain_deletion(K)
-                want = brute_force_members(K, subset_of(K))
-                assert (got.distance, got.members) == want
+                assert chain_completion(K) == brute_force_min_chain(K, superset_of(K))
+                assert chain_deletion(K) == brute_force_min_chain(K, subset_of(K))
 
     def test_members_respect_direction_random(self):
         rng = random.Random(3)
@@ -320,3 +318,53 @@ class TestChainEnumeration:
             for M in result.members:
                 assert has_chain_property(M)
                 assert hamming(K, M) == result.distance
+
+
+class TestMemberCap:
+    def test_boundary(self, monkeypatch):
+        # one column: each of m rows picks either prefix, 2^m combinations
+        monkeypatch.setattr(chain_edit, "MEMBER_CAP", 16)
+        assert len(all_chain_tournaments(4, 1)) == 16
+        with pytest.raises(ResourceCapError, match="32 members .* cap of 16"):
+            all_chain_tournaments(5, 1)
+
+    def test_tall_enumeration_refused(self):
+        with pytest.raises(ResourceCapError, match="1062882"):
+            all_chain_tournaments(12, 2)
+
+
+COSTS = st.sampled_from([0, 1, 2, 3, 1 << 40, 1 << 64, 1 << 100])
+
+
+@st.composite
+def cost_matrices(draw):
+    """(c0, c1) of up to 7x6 cells, wide ones included.
+
+    Small costs tie often; about one cell in ten forbids one of its values,
+    and some inputs have a row that allows nothing.
+    """
+    m, n = draw(st.integers(1, 7)), draw(st.integers(1, 6))
+    cell = st.tuples(COSTS, COSTS).flatmap(
+        lambda pair: st.sampled_from([pair] * 8 + [(None, pair[1]), (pair[0], None)])
+    )
+    rows = draw(st.lists(st.lists(cell, min_size=n, max_size=n), min_size=m, max_size=m))
+    blank = draw(st.integers(0, 4 * m))
+    if blank < m:
+        rows[blank] = [(None, None)] * n
+    return [tuple(c for c, _ in row) for row in rows], [tuple(c for _, c in row) for row in rows]
+
+
+class TestSearchOracle:
+    @settings(max_examples=200, deadline=None)
+    @given(cost_matrices())
+    def test_search_matches_permutation_scan(self, costs):
+        c0, c1 = costs
+        m, n = len(c0), len(c0[0])
+        cost, count, members = permutation_search(c0, c1)
+        got, options = _search(c0, c1, None)
+        assert got == cost
+        if members is None:
+            with pytest.raises(ResourceCapError, match=str(count)):
+                _members(options, m, n)
+        else:
+            assert {M.row_masks for M in _members(options, m, n)} == members

@@ -4,7 +4,7 @@ import sys
 
 import pytest
 
-from chainrank import Tournament
+from chainrank import Tournament, axiom_lab, resolve_operator
 from chainrank.cli import kendall_tau_b, main
 from chainrank.core import TotalPreorder
 from chainrank.fileio import parse_tournament, to_csv, to_json
@@ -129,6 +129,26 @@ class TestAxiomsCommand:
 
     def test_unknown_operator(self, capsys):
         assert main(["axioms", "-o", "mystery", "--scope", "2x2"]) == 2
+
+    def test_shared_evaluation_matches_unshared_checks(self, capsys):
+        scope = axiom_lab.Scope(exhaustive=((2, 2), (2, 3), (3, 2)))
+        witnesses = 0
+        for name in ("count", "chain-min-lex", "chain-min-mon", "match-pref:row-major", "ci"):
+            assert main(["axioms", "-o", name, "--scope", "2x2,2x3,3x2"]) == 0
+            shared = json.loads(capsys.readouterr().out)
+            spec = resolve_operator(name)
+            unshared = [
+                axiom_lab.check_anon(spec, scope),
+                axiom_lab.check_dual(spec, scope),
+                axiom_lab.check_iim(spec, scope),
+                axiom_lab.check_mon(spec, scope),
+                axiom_lab.check_pos_resp(spec, scope),
+                axiom_lab.check_chain_min_scope(spec, scope),
+                axiom_lab.check_chain_def_scope(spec, scope),
+            ]
+            assert shared == [v.to_json() for v in unshared]
+            witnesses += sum(v.witness is not None for v in unshared)
+        assert witnesses > 0
 
     def test_bad_scope(self, capsys):
         assert main(["axioms", "-o", "count", "--scope", "2by2"]) == 2
@@ -275,6 +295,14 @@ class TestExitCodes:
         for cap in ("-1", "0"):
             assert main(["--cap", cap, "edit", ex2_file]) == 2
             assert capsys.readouterr().err.count("\n") == 1
+
+    def test_member_cap(self, tmp_path, capsys):
+        # an uninformative channel makes every 12x2 chain tournament a maximum
+        path = tmp_path / "tall.csv"
+        path.write_text("1,0\n0,1\n" * 6)
+        assert main(["likelihood", str(path), "--mle", "--beta", "0.5"]) == 3
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and "member cap" in err
 
     def test_json_matrix_not_binary_integers(self, tmp_path, capsys):
         path = tmp_path / "bad.json"

@@ -7,6 +7,7 @@ from chainrank import (
     InputError,
     NoiseParams,
     NotChainError,
+    ResourceCapError,
     StateOfWorld,
     Tournament,
     all_tournaments,
@@ -211,6 +212,12 @@ class TestMleOracle:
         assert mle_search(Tournament.from_cells([[1]]), NoiseParams(1.0, 0.0)) == all_chain_tournaments(1, 1)
         with pytest.raises(InputError):
             mle_search(Tournament.from_cells([[0]]), NoiseParams(1.0, 0.0))
+
+    def test_uninformative_tall_input_hits_member_cap(self):
+        # every 12x2 chain tournament is a maximum: 2 * 3^12 combinations
+        K = random_tournament(random.Random(12), 12, 2)
+        with pytest.raises(ResourceCapError, match="1062882"):
+            mle_search(K, NoiseParams.symmetric(0.5))
 
     def test_tall_input_uses_editing_search(self):
         # the scan over every 20x2 chain tournament would need about 7e9 tuples
