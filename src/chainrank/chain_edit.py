@@ -10,9 +10,12 @@ a least-cost prefix. On a wide matrix it searches the dual, whose cells are
 complements, so each cell's two costs swap. The orderings are walked depth
 first over their prefixes with a branch-and-bound cut that never drops a
 tied optimum (see _search). Every optimum arises from some (optimal
-ordering, per-row argmin prefix) combination, so expanding the argmins of
-the optimal orderings yields the complete optimum set; MEMBER_CAP bounds
-that expansion.
+ordering, per-row argmin prefix) combination, so the search returns the
+optimum set in factored form: per optimal ordering, each row's tied argmin
+prefixes. Expanding them yields the complete optimum set, and MEMBER_CAP
+bounds that expansion. A single member picked by a lexicographic order on
+its cells (the canonical pick and the match-preference pick) is read off the
+factored form instead, row by row, without expanding it (see least_member).
 
 Unit costs give chain editing; forbidding removals or additions gives
 completion and deletion; cell weights give the weighted selection; zero
@@ -22,11 +25,12 @@ from the cost -log P(observed | truth). No float ever enters an argmin.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from dataclasses import dataclass
 
-from .core import Tournament, canonical_key, dual
+from .core import Tournament, dual
 from .errors import AmbiguityError, InputError, ResourceCapError
 
 DEFAULT_ENUM_CAP = 8
@@ -180,7 +184,52 @@ def _members(options, m: int, n: int) -> tuple[Tournament, ...]:
         out = [dual(Tournament(n, m, masks)) for masks in seen]
     else:
         out = [Tournament(m, n, masks) for masks in seen]
-    return tuple(sorted(out, key=canonical_key))
+    # row-major cells, 0 before 1, are ordered as the rows' bit-reversed masks
+    # are, so each distinct row mask gets one integer key
+    rows = set().union(*(M.row_masks for M in out))
+    key = {mask: int(f"{mask:0{n}b}"[::-1], 2) for mask in rows}
+    return tuple(sorted(out, key=lambda M: tuple(map(key.__getitem__, M.row_masks))))
+
+
+def least_member(K: Tournament, order, flip: Tournament, cap: int | None = None) -> Tournament:
+    """The member M of min_chain_set(K) whose cells XOR flip, listed in order, are least.
+
+    order lists every cell (a, b) of K exactly once, 1-based, so distinct
+    members give distinct vectors and the least one is unique: zero flip
+    with row-major order gives the canonically least member, flip = K with a
+    match-preference order the match-preference selection.
+
+    Nothing is expanded, so MEMBER_CAP does not apply. Every cell belongs to
+    one row of the searched side, and for a fixed optimal ordering those rows
+    pick their argmin prefixes independently, so the least vector of that
+    ordering takes, in every row, the argmin whose own cells are least. The
+    answer is the least of these over the optimal orderings. A wide matrix
+    is searched on its dual, whose row b holds the complements of column b.
+    """
+    m, n = K.rows, K.cols
+    tall = n <= m
+    # weight[r][i]: vector position of bit i of searched row r as a power of
+    # two, the first position most significant; vectors compare as their sums
+    weight = [[0] * (n if tall else m) for _ in range(m if tall else n)]
+    for pos, (a, b) in enumerate(reversed(order)):
+        r, i = (a - 1, b - 1) if tall else (b - 1, a - 1)
+        weight[r][i] = 1 << pos
+    base = flip.row_masks if tall else dual(flip).row_masks
+
+    @functools.cache
+    def value(r: int, prefix: int) -> int:
+        cells = prefix ^ base[r]
+        return sum(w for i, w in enumerate(weight[r]) if cells >> i & 1)
+
+    def pick(per_row):
+        masks = tuple(
+            min(prefixes, key=functools.partial(value, r)) for r, prefixes in enumerate(per_row)
+        )
+        return sum(itertools.starmap(value, enumerate(masks))), masks
+
+    # equal vectors are the same member, so the masks never decide a tie
+    _, masks = min(map(pick, _search(*_cell_costs(K, _EDIT), cap)[1]))
+    return Tournament(m, n, masks) if tall else dual(Tournament(n, m, masks))
 
 
 def _optimum(K: Tournament, cost, cap: int | None) -> MinChainSet:
@@ -245,28 +294,26 @@ def swap_rows(K: Tournament, a1: int, a2: int) -> Tournament:
     return Tournament(K.rows, K.cols, tuple(masks))
 
 
-def _extends_row_order(K: Tournament, M: Tournament) -> bool:
-    for i in range(K.rows):
-        for j in range(K.rows):
-            if i == j:
-                continue
-            ki, kj = K.row_masks[i], K.row_masks[j]
-            if ki & kj == ki and M.row_masks[i] & M.row_masks[j] != M.row_masks[i]:
-                return False
-    return True
-
-
 def monotone_min_chain(K: Tournament, cap: int | None = None) -> Tournament:
     """The canonically least closest chain tournament whose row order extends K's.
 
     At least one member of the optimum set extends the neighbourhood-subset
     relation of K (successive row swaps repair any inversion without raising
-    the distance), so the filter below is never empty.
+    the distance), so some member always qualifies.
     """
-    qualifying = [M for M in min_chain_set(K, cap).members if _extends_row_order(K, M)]
-    if not qualifying:
-        raise AssertionError("no order-extending optimum exists; solver invariant broken")
-    return qualifying[0]
+    masks = K.row_masks
+    subsets = [
+        (i, j)
+        for i, ki in enumerate(masks)
+        for j, kj in enumerate(masks)
+        if i != j and ki & kj == ki
+    ]
+    for M in min_chain_set(K, cap).members:
+        # the rows of a chain are nested: M_i is inside M_j iff it is no larger
+        sizes = [mask.bit_count() for mask in M.row_masks]
+        if all(sizes[i] <= sizes[j] for i, j in subsets):
+            return M
+    raise AssertionError("no order-extending optimum exists; solver invariant broken")
 
 
 def all_chain_tournaments(m: int, n: int, cap: int | None = None) -> tuple[Tournament, ...]:

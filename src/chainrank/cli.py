@@ -72,6 +72,15 @@ def _ranks_json(order: TotalPreorder) -> list[list[int]]:
     return [sorted(rank) for rank in order.ranks]
 
 
+def _cells_json(members, cols: int) -> list[list[list[int]]]:
+    """Each member's cells as lists, one row list per distinct row mask shared by all."""
+    rows = {
+        mask: [mask >> b & 1 for b in range(cols)]
+        for mask in set().union(*(M.row_masks for M in members))
+    }
+    return [list(map(rows.__getitem__, M.row_masks)) for M in members]
+
+
 def cmd_rank(args) -> int:
     cap = _enum_cap(args)
     spec = resolve_operator(args.operator, cap)
@@ -84,7 +93,7 @@ def cmd_rank(args) -> int:
             "operator": spec.name,
             "a_ranks": _ranks_json(pair.a_order),
             "b_ranks": _ranks_json(pair.b_order),
-            "chain": [list(r) for r in chain.cells] if chain else None,
+            "chain": _cells_json([chain], K.cols)[0] if chain else None,
             "distance": hamming(K, chain) if chain else None,
         }
         print(json.dumps(out, sort_keys=True))
@@ -106,7 +115,7 @@ def cmd_edit(args) -> int:
         if args.json:
             out = {
                 "distance": hamming(K, selected),
-                "members": [[list(r) for r in selected.cells]],
+                "members": _cells_json([selected], K.cols),
             }
             print(json.dumps(out, sort_keys=True))
             return 0
@@ -122,7 +131,7 @@ def cmd_edit(args) -> int:
     if args.json:
         out = {
             "distance": result.distance,
-            "members": [[list(r) for r in M.cells] for M in result.members],
+            "members": _cells_json(result.members, K.cols),
         }
         print(json.dumps(out, sort_keys=True))
         return 0
@@ -361,7 +370,7 @@ def cmd_likelihood(args) -> int:
     )
     if args.json:
         out = {
-            "mle": [[list(r) for r in M.cells] for M in members],
+            "mle": _cells_json(members, K.cols),
             "equals_min_chain_set": same,
             "min_distance": exact.distance,
         }

@@ -18,9 +18,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .chain_edit import min_chain_set
-from .core import RankingPair, Tournament, chain_rankings, xor
-from .errors import AmbiguityError, InputError, ResourceCapError
+from .chain_edit import least_member
+from .core import RankingPair, Tournament, chain_rankings
+from .errors import InputError, ResourceCapError
 
 DEFAULT_BIT_BUDGET = 120
 
@@ -92,19 +92,13 @@ def vectorize(K: Tournament, pref: MatchPreference) -> tuple[int, ...]:
 
 
 def select_match_pref(K: Tournament, pref: MatchPreference, cap: int | None = None) -> Tournament:
-    """The unique closest chain tournament with lexicographically least difference vector."""
-    members = min_chain_set(K, cap).members
-    best = None
-    best_vec = None
-    for M in members:
-        vec = vectorize(xor(K, M), pref)
-        if best_vec is None or vec < best_vec:
-            best, best_vec = M, vec
-        elif vec == best_vec:
-            # distinct matrices at equal distance always differ somewhere, so
-            # their difference vectors cannot coincide
-            raise AmbiguityError("two optimal chain tournaments share a difference vector")
-    return best
+    """The unique closest chain tournament with lexicographically least difference vector.
+
+    Distinct matrices at equal distance differ somewhere, so their difference
+    vectors never coincide; the pick is read off the factored optimum set
+    without expanding it.
+    """
+    return least_member(K, pref.order(K.rows, K.cols), K, cap)
 
 
 def rank_match_pref(K: Tournament, pref: MatchPreference, cap: int | None = None) -> RankingPair:

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 from typing import Callable
 
 from . import match_pref as mp
-from .chain_edit import min_chain_set, monotone_min_chain
+from .chain_edit import least_member, monotone_min_chain
 from .core import (
     RankingPair,
     Tournament,
@@ -61,6 +61,31 @@ def _well_formed(name: str, fn: Callable[[Tournament], RankingPair]):
     return evaluate
 
 
+def _exact_operator(name: str, choice: Callable[[Tournament], Tournament]) -> OperatorSpec:
+    """An operator that ranks by its chosen chain tournament.
+
+    evaluate, choice and edit_chain share one solve: the last (tournament,
+    chain) pair is kept as one tuple, so a thread never reads half of an
+    update, and a miss only solves again.
+    """
+    last = (None, None)
+
+    def once(K: Tournament) -> Tournament:
+        nonlocal last
+        seen, chain = last
+        if seen != K:
+            chain = choice(K)
+            last = (K, chain)
+        return chain
+
+    return OperatorSpec(
+        name,
+        _well_formed(name, lambda K: chain_rankings(once(K))),
+        choice=once,
+        edit_chain=once,
+    )
+
+
 def phi_count(K: Tournament) -> RankingPair:
     """Rank rows by number of wins and columns by (descending) number of losses."""
     a_order = preorder_from_scores(
@@ -76,7 +101,8 @@ def phi_count(K: Tournament) -> RankingPair:
 
 def canonical_min_choice(K: Tournament, cap: int | None = None) -> Tournament:
     """The canonically least closest chain tournament."""
-    return min_chain_set(K, cap).members[0]
+    order = mp.MatchPreference.row_major().order(K.rows, K.cols)
+    return least_member(K, order, Tournament(K.rows, K.cols, (0,) * K.rows), cap)
 
 
 def phi_chain_min_lex(K: Tournament, cap: int | None = None) -> RankingPair:
@@ -97,34 +123,15 @@ def count_operator() -> OperatorSpec:
 
 
 def chain_min_lex_operator(cap: int | None = None) -> OperatorSpec:
-    choice = lambda K: canonical_min_choice(K, cap)
-    return OperatorSpec(
-        "chain-min-lex",
-        _well_formed("chain-min-lex", lambda K: chain_rankings(choice(K))),
-        choice=choice,
-        edit_chain=choice,
-    )
+    return _exact_operator("chain-min-lex", lambda K: canonical_min_choice(K, cap))
 
 
 def chain_min_mon_operator(cap: int | None = None) -> OperatorSpec:
-    choice = lambda K: monotone_min_chain(K, cap)
-    return OperatorSpec(
-        "chain-min-mon",
-        _well_formed("chain-min-mon", lambda K: chain_rankings(choice(K))),
-        choice=choice,
-        edit_chain=choice,
-    )
+    return _exact_operator("chain-min-mon", lambda K: monotone_min_chain(K, cap))
 
 
 def match_pref_operator(pref: mp.MatchPreference, cap: int | None = None, label: str = "") -> OperatorSpec:
-    name = label or "match-pref"
-    choice = lambda K: mp.select_match_pref(K, pref, cap)
-    return OperatorSpec(
-        name,
-        _well_formed(name, lambda K: chain_rankings(choice(K))),
-        choice=choice,
-        edit_chain=choice,
-    )
+    return _exact_operator(label or "match-pref", lambda K: mp.select_match_pref(K, pref, cap))
 
 
 def ci_operator() -> OperatorSpec:
@@ -152,13 +159,7 @@ def dual_symmetrized(base: OperatorSpec) -> OperatorSpec:
             return base.choice(K)
         return dual(base.choice(dual(K)))
 
-    name = f"dual-sym({base.name})"
-    return OperatorSpec(
-        name,
-        _well_formed(name, lambda K: chain_rankings(choice(K))),
-        choice=choice,
-        edit_chain=choice,
-    )
+    return _exact_operator(f"dual-sym({base.name})", choice)
 
 
 def _load_explicit_pref(path: str) -> mp.MatchPreference:

@@ -17,6 +17,9 @@ from chainrank import (
     hamming,
     has_chain_property,
     log_likelihood,
+    min_chain_set,
+    vectorize,
+    xor,
 )
 from chainrank.chain_edit import MEMBER_CAP
 
@@ -87,6 +90,29 @@ def brute_force_min_chain(K, feasible=None):
         elif d == best:
             members.append(cand)
     return MinChainSet(best, tuple(sorted(members, key=canonical_key)))
+
+
+def canonical_min_oracle(K):
+    """The canonically least closest chain tournament, from the expanded optimum set."""
+    return min(min_chain_set(K).members, key=canonical_key)
+
+
+def match_pref_oracle(K, pref):
+    """The closest chain tournament whose difference vector under pref is least."""
+    return min(min_chain_set(K).members, key=lambda M: vectorize(xor(K, M), pref))
+
+
+def monotone_oracle(K):
+    """The first optimum member, canonically, keeping every row inclusion of K (pairwise test)."""
+    for M in min_chain_set(K).members:
+        if all(
+            M.row_masks[i] & M.row_masks[j] == M.row_masks[i]
+            for i, ki in enumerate(K.row_masks)
+            for j, kj in enumerate(K.row_masks)
+            if i != j and ki & kj == ki
+        ):
+            return M
+    return None
 
 
 def permutation_search(c0, c1):

@@ -2,7 +2,7 @@ import itertools
 import random
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from chainrank import (
@@ -25,10 +25,11 @@ from chainrank import (
     weighted_min_chain,
 )
 from chainrank import chain_edit
-from chainrank.chain_edit import _members, _search, all_chain_tournaments
+from chainrank.chain_edit import _members, _search, all_chain_tournaments, least_member
 from chainrank.core import canonical_key
 from chainrank.match_pref import MatchPreference, weights_for
 from chainrank.match_pref import select_match_pref
+from chainrank.operators import canonical_min_choice
 
 from helpers import (
     ANON_K,
@@ -37,6 +38,9 @@ from helpers import (
     EX2_MINCH,
     TABLE1,
     brute_force_min_chain,
+    canonical_min_oracle,
+    match_pref_oracle,
+    monotone_oracle,
     permutation_search,
     random_tournament,
     subset_of,
@@ -208,6 +212,17 @@ class TestMonotone:
         qualifying = [M for M in members if extends(M)]
         assert monotone_min_chain(EX2) == qualifying[0]
 
+    def test_matches_pairwise_filter_exhaustive(self):
+        for m, n in [(2, 2), (2, 3), (3, 2)]:
+            for K in all_tournaments(m, n):
+                assert monotone_min_chain(K) == monotone_oracle(K)
+
+    def test_matches_pairwise_filter_seeded_6x6(self):
+        rng = random.Random(66)
+        for _ in range(40):
+            K = random_tournament(rng, 6, 6)
+            assert monotone_min_chain(K) == monotone_oracle(K)
+
     def test_output_extends_source_order(self):
         for m, n in [(2, 2), (2, 3)]:
             for K in all_tournaments(m, n):
@@ -368,3 +383,60 @@ class TestSearchOracle:
                 _members(options, m, n)
         else:
             assert {M.row_masks for M in _members(options, m, n)} == members
+
+
+def _preferences(m, n, rng):
+    grid = [(a, b) for a in range(1, m + 1) for b in range(1, n + 1)]
+    rng.shuffle(grid)
+    return (
+        MatchPreference.row_major(),
+        MatchPreference.col_major(),
+        MatchPreference.from_pairs(grid),
+    )
+
+
+class TestLeastMember:
+    """The factored picks against the expanded optimum set."""
+
+    def _check(self, K, prefs):
+        try:
+            members = min_chain_set(K).members
+        except ResourceCapError:
+            return False
+        assert members == tuple(sorted(members, key=canonical_key))
+        assert canonical_min_choice(K) == canonical_min_oracle(K) == members[0]
+        for pref in prefs:
+            assert select_match_pref(K, pref) == match_pref_oracle(K, pref)
+        return True
+
+    def test_seeded_up_to_7x7(self):
+        rng = random.Random(404)
+        for _ in range(150):
+            m, n = rng.randint(1, 7), rng.randint(1, 7)
+            K = random_tournament(rng, m, n)
+            assert self._check(K, _preferences(m, n, rng))
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.integers(1, 7), st.integers(1, 7), st.randoms(use_true_random=False))
+    def test_property(self, m, n, rng):
+        K = random_tournament(rng, m, n)
+        assume(self._check(K, _preferences(m, n, rng)))
+
+    def test_flip_and_order(self):
+        # zero flip, row-major: canonical; flip = K: the difference vector
+        order = MatchPreference.row_major().order(3, 4)
+        zero = Tournament(3, 4, (0, 0, 0))
+        assert least_member(EX2, order, zero) == canonical_min_oracle(EX2)
+        assert least_member(EX2, order, EX2) == EX2_MINCH[3]
+
+    def test_picks_beyond_member_cap(self, monkeypatch):
+        rng = random.Random(9)
+        K = random_tournament(rng, 7, 3)
+        while len(min_chain_set(K).members) < 4:
+            K = random_tournament(rng, 7, 3)
+        lex, pref = canonical_min_oracle(K), match_pref_oracle(K, MatchPreference.col_major())
+        monkeypatch.setattr(chain_edit, "MEMBER_CAP", 2)
+        with pytest.raises(ResourceCapError):
+            min_chain_set(K)
+        assert canonical_min_choice(K) == lex
+        assert select_match_pref(K, MatchPreference.col_major()) == pref

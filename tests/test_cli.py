@@ -4,7 +4,7 @@ import sys
 
 import pytest
 
-from chainrank import Tournament, axiom_lab, resolve_operator
+from chainrank import Tournament, axiom_lab, chain_edit, min_chain_set, resolve_operator
 from chainrank.cli import kendall_tau_b, main
 from chainrank.core import TotalPreorder
 from chainrank.fileio import parse_tournament, to_csv, to_json
@@ -109,6 +109,24 @@ class TestEdit:
         assert data["distance"] == 1
         assert [[1, 0], [1, 1]] in data["members"] and [[1, 1], [0, 1]] in data["members"]
 
+    def test_all_json_matches_cells(self, tmp_path, capsys):
+        # planted 40x5: a chain over columns in order, four rows one edit from
+        # two prefixes each, so the optimum set has many members
+        prefix = [(1 << j) - 1 for j in range(6)]
+        masks = [prefix[j] for j in range(6) for _ in range(6)]
+        masks += [prefix[i] | 1 << (i + 1) for i in (0, 1, 2, 3)]
+        K = Tournament(40, 5, tuple(masks))
+        path = tmp_path / "planted.csv"
+        path.write_text(to_csv(K))
+        assert main(["edit", str(path), "--json"]) == 0
+        result = min_chain_set(K)
+        assert len(result.members) == 16
+        expected = {
+            "distance": result.distance,
+            "members": [[list(r) for r in M.cells] for M in result.members],
+        }
+        assert capsys.readouterr().out == json.dumps(expected, sort_keys=True) + "\n"
+
     def test_weighted(self, ex2_file, capsys):
         assert main(["edit", ex2_file, "--weighted", "row-major", "--json"]) == 0
         data = json.loads(capsys.readouterr().out)
@@ -152,6 +170,35 @@ class TestAxiomsCommand:
 
     def test_bad_scope(self, capsys):
         assert main(["axioms", "-o", "count", "--scope", "2by2"]) == 2
+
+
+@pytest.fixture
+def search_calls(monkeypatch):
+    """Count calls of the chain-editing search."""
+    calls = []
+    search = chain_edit._search
+
+    def counted(*args):
+        calls.append(args)
+        return search(*args)
+
+    monkeypatch.setattr(chain_edit, "_search", counted)
+    return calls
+
+
+class TestSolvesOnce:
+    @pytest.mark.parametrize(
+        "op", ["chain-min-lex", "chain-min-mon", "chain-min-dual", "match-pref:row-major"]
+    )
+    def test_rank(self, ex2_file, capsys, search_calls, op):
+        assert main(["rank", ex2_file, "-o", op, "--json"]) == 0
+        assert len(search_calls) == 1
+
+    def test_simulate_once_per_trial(self, capsys, search_calls):
+        args = ["simulate", "--m", "3", "--n", "3", "--beta", "0.1", "--trials", "5",
+                "--seed", "7", "--operators", "chain-min-lex,match-pref:row-major"]
+        assert main(args) == 0
+        assert len(search_calls) == 2 * 5
 
 
 class TestSimulate:
@@ -303,6 +350,14 @@ class TestExitCodes:
         assert main(["likelihood", str(path), "--mle", "--beta", "0.5"]) == 3
         err = capsys.readouterr().err
         assert err.count("\n") == 1 and "member cap" in err
+
+    def test_picks_beyond_member_cap(self, ex2_file, capsys, monkeypatch):
+        # EX2 has four optimum members: listing them is refused, picking one is not
+        monkeypatch.setattr(chain_edit, "MEMBER_CAP", 2)
+        assert main(["edit", ex2_file]) == 3
+        assert main(["rank", ex2_file, "-o", "chain-min-mon"]) == 3
+        for op in ("chain-min-lex", "chain-min-dual", "match-pref:row-major"):
+            assert main(["rank", ex2_file, "-o", op]) == 0
 
     def test_json_matrix_not_binary_integers(self, tmp_path, capsys):
         path = tmp_path / "bad.json"

@@ -1,4 +1,6 @@
 import random
+import sys
+from concurrent.futures import ThreadPoolExecutor
 
 import pytest
 
@@ -19,6 +21,7 @@ from chainrank import (
 from chainrank.chain_edit import all_chain_tournaments
 from chainrank.core import canonical_key
 from chainrank.operators import (
+    canonical_min_choice,
     chain_min_lex_operator,
     chain_min_mon_operator,
     count_operator,
@@ -205,3 +208,30 @@ class TestRegistry:
             attainable = {chain_rankings(M) for M in min_chain_set(K).members}
             for spec in specs:
                 assert spec.evaluate(K) in attainable
+
+
+class TestSharedSolve:
+    def test_threads_never_see_another_inputs_chain(self):
+        # the one-entry memo is shared by every thread of simulate --workers
+        spec = chain_min_lex_operator()
+        rng = random.Random(12)
+        inputs = [random_tournament(rng, 4, 5) for _ in range(16)]
+        expected = [canonical_min_choice(K) for K in inputs]
+
+        def sweep(start):
+            order = list(range(start, len(inputs))) + list(range(start))
+            for i in order * 5:
+                if spec.edit_chain(inputs[i]) != expected[i]:
+                    return False
+                if spec.evaluate(inputs[i]) != chain_rankings(expected[i]):
+                    return False
+            return True
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            with ThreadPoolExecutor(max_workers=8) as pool:
+                futures = [pool.submit(sweep, t) for t in range(8)]
+                assert all(f.result(timeout=120) for f in futures)
+        finally:
+            sys.setswitchinterval(interval)
