@@ -27,7 +27,7 @@ from .core import (
     permute,
     rank_count,
 )
-from .errors import InputError
+from .errors import InputError, ResourceCapError
 from .interleave import is_chain_definable
 from .operators import (
     OperatorSpec,
@@ -41,6 +41,10 @@ from .operators import (
 
 AXIOMS = ("anon", "dual", "iim", "mon", "pos-resp", "chain-min", "chain-def")
 
+# most tournaments an exhaustive size may hold (2^(mn) for size m x n); the
+# largest size of the impossibility suite, 4x3, holds exactly this many
+EXHAUSTIVE_CAP = 1 << 12
+
 
 @dataclass(frozen=True)
 class Scope:
@@ -51,6 +55,16 @@ class Scope:
     random_count: int = 0
     seed: int = 0
     tournaments: tuple[Tournament, ...] = ()
+
+    def __post_init__(self):
+        for m, n in self.exhaustive:
+            if m < 1 or n < 1:
+                raise InputError(f"scope size {m}x{n} needs at least one row and one column")
+            if m * n >= EXHAUSTIVE_CAP.bit_length():  # 2^(mn) > EXHAUSTIVE_CAP
+                raise ResourceCapError(
+                    f"exhaustive scope {m}x{n} holds 2^{m * n} tournaments, "
+                    f"over the cap of {EXHAUSTIVE_CAP}"
+                )
 
     def describe(self) -> str:
         parts = []

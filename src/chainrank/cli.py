@@ -9,21 +9,17 @@ and can be overridden with the CHAINRANK_ENUM_CAP environment variable.
 from __future__ import annotations
 
 import argparse
-import concurrent.futures
 import json
 import math
 import os
 import sys
 from dataclasses import dataclass, replace
+from typing import TYPE_CHECKING
 
-from . import axiom_lab, fileio
-from .chain_edit import (
-    chain_completion,
-    chain_deletion,
-    min_chain_set,
-    weighted_min_chain,
-)
+# each subcommand imports the engine it runs, so a command loads only that
+from . import fileio
 from .core import (
+    OPERATOR_NAMES,
     RankingPair,
     TotalPreorder,
     chain_rankings,
@@ -31,18 +27,9 @@ from .core import (
     hamming,
 )
 from .errors import AmbiguityError, ContractError, InputError, ResourceCapError
-from .match_pref import parse_order_name, weight_fractions, weights_for
-from .operators import OPERATOR_NAMES, resolve_operator
-from .prob_model import (
-    NoiseParams,
-    derive_seed,
-    k_theta,
-    likelihood,
-    log_likelihood,
-    mle_search,
-    sample_state,
-    sample_tournament,
-)
+
+if TYPE_CHECKING:
+    from .prob_model import NoiseParams
 
 ALL_METRICS = ("exact_match", "tie_aware_rank_correlation", "edit_cost")
 
@@ -72,16 +59,33 @@ def _ranks_json(order: TotalPreorder) -> list[list[int]]:
     return [sorted(rank) for rank in order.ranks]
 
 
-def _cells_json(members, cols: int) -> list[list[list[int]]]:
-    """Each member's cells as lists, one row list per distinct row mask shared by all."""
+def _cells_json(M) -> list[list[int]]:
+    return [list(row) for row in M.cells]
+
+
+def _render_members(members, cols: int, cell_sep: str, row_sep: str) -> list[str]:
+    """Each member as text, every distinct row mask rendered once and shared by all."""
     rows = {
-        mask: [mask >> b & 1 for b in range(cols)]
+        mask: cell_sep.join(str(mask >> b & 1) for b in range(cols))
         for mask in set().union(*(M.row_masks for M in members))
     }
-    return [list(map(rows.__getitem__, M.row_masks)) for M in members]
+    return [row_sep.join(map(rows.__getitem__, M.row_masks)) for M in members]
+
+
+def _print_members(members, cols: int) -> None:
+    """print("-"); print(M) for every member, without going through Tournament.__str__."""
+    sys.stdout.write("".join(f"-\n{text}\n" for text in _render_members(members, cols, " ", "\n")))
+
+
+def _members_json(members, cols: int) -> str:
+    """json.dumps of every member's cell lists, every distinct row encoded once."""
+    texts = _render_members(members, cols, ", ", "], [")
+    return "[" + ", ".join(f"[[{text}]]" for text in texts) + "]"
 
 
 def cmd_rank(args) -> int:
+    from .operators import resolve_operator
+
     cap = _enum_cap(args)
     spec = resolve_operator(args.operator, cap)
     tf = fileio.load_tournament(args.input)
@@ -93,7 +97,7 @@ def cmd_rank(args) -> int:
             "operator": spec.name,
             "a_ranks": _ranks_json(pair.a_order),
             "b_ranks": _ranks_json(pair.b_order),
-            "chain": _cells_json([chain], K.cols)[0] if chain else None,
+            "chain": _cells_json(chain) if chain else None,
             "distance": hamming(K, chain) if chain else None,
         }
         print(json.dumps(out, sort_keys=True))
@@ -107,15 +111,19 @@ def cmd_rank(args) -> int:
 
 
 def cmd_edit(args) -> int:
+    from .chain_edit import chain_completion, chain_deletion, min_chain_set, weighted_min_chain
+
     cap = _enum_cap(args)
     K = fileio.load_tournament(args.input).tournament
     if args.weighted:
+        from .match_pref import parse_order_name, weights_for
+
         pref = parse_order_name(args.weighted)
         selected = weighted_min_chain(K, weights_for(pref, K.rows, K.cols), cap)
         if args.json:
             out = {
                 "distance": hamming(K, selected),
-                "members": _cells_json([selected], K.cols),
+                "members": [_cells_json(selected)],
             }
             print(json.dumps(out, sort_keys=True))
             return 0
@@ -129,21 +137,16 @@ def cmd_edit(args) -> int:
     else:
         result = min_chain_set(K, cap)
     if args.json:
-        out = {
-            "distance": result.distance,
-            "members": _cells_json(result.members, K.cols),
-        }
-        print(json.dumps(out, sort_keys=True))
+        # json.dumps({"distance": ..., "members": ...}, sort_keys=True)
+        print(f'{{"distance": {result.distance}, "members": {_members_json(result.members, K.cols)}}}')
         return 0
     print(f"distance: {result.distance}")
     print(f"members: {len(result.members)}")
-    for M in result.members:
-        print("-")
-        print(M)
+    _print_members(result.members, K.cols)
     return 0
 
 
-def _parse_scope(spec: str) -> axiom_lab.Scope:
+def _parse_scope(spec: str) -> tuple[tuple[int, int], ...]:
     sizes = []
     for part in spec.split(","):
         part = part.strip().lower()
@@ -152,10 +155,13 @@ def _parse_scope(spec: str) -> axiom_lab.Scope:
             sizes.append((int(m), int(n)))
         except ValueError:
             raise InputError(f"bad scope entry {part!r}; expected like 2x3") from None
-    return axiom_lab.Scope(exhaustive=tuple(sizes))
+    return tuple(sizes)
 
 
 def cmd_axioms(args) -> int:
+    from . import axiom_lab
+    from .operators import resolve_operator
+
     cap = _enum_cap(args)
     if args.paper_suite:
         report = axiom_lab.impossibility_suite(cap)
@@ -177,7 +183,7 @@ def cmd_axioms(args) -> int:
     spec = resolve_operator(args.operator, cap)
     # the checks revisit the same tournaments: solve each one once across all seven
     spec = replace(spec, evaluate=axiom_lab._memo_eval(spec))
-    scope = _parse_scope(args.scope)
+    scope = axiom_lab.Scope(exhaustive=_parse_scope(args.scope))
     verdicts = [
         axiom_lab.check_anon(spec, scope),
         axiom_lab.check_dual(spec, scope),
@@ -234,6 +240,8 @@ class ExperimentConfig:
 
 
 def _run_trial(config: ExperimentConfig, specs, trial: int) -> dict:
+    from .prob_model import derive_seed, k_theta, sample_state, sample_tournament
+
     theta = sample_state(config.m, config.n, derive_seed(config.seed, trial, 0))
     observed = sample_tournament(theta, config.alpha, derive_seed(config.seed, trial, 1))
     truth = chain_rankings(k_theta(theta))
@@ -260,8 +268,14 @@ def _run_trial(config: ExperimentConfig, specs, trial: int) -> dict:
 
 def run_simulation(config: ExperimentConfig, cap: int | None = None, workers: int = 1):
     """Mean metric per operator; per-trial RNG streams derive from (seed, trial)."""
+    from .operators import resolve_operator
+
+    if workers < 1:
+        raise InputError(f"workers must be at least 1, not {workers}")
     specs = [resolve_operator(name, cap) for name in config.operator_names]
     if workers > 1:
+        import concurrent.futures
+
         with concurrent.futures.ThreadPoolExecutor(max_workers=workers) as pool:
             rows = list(pool.map(lambda t: _run_trial(config, specs, t), range(config.trials)))
     else:
@@ -283,6 +297,8 @@ def _format_value(value) -> str:
 
 
 def cmd_simulate(args) -> int:
+    from .prob_model import NoiseParams
+
     cap = _enum_cap(args)
     if args.beta is not None:
         alpha = NoiseParams.symmetric(args.beta)
@@ -309,6 +325,16 @@ def cmd_simulate(args) -> int:
         row = [name] + [_format_value(results[name][metric]) for metric in config.metrics]
         lines.append("  ".join(row))
     text = "\n".join(lines)
+    if args.csv:
+        rows = [header] + [
+            [name] + ["" if results[name][m] is None else f"{results[name][m]:.6f}" for m in config.metrics]
+            for name in config.operator_names
+        ]
+        try:
+            with open(args.csv, "w", encoding="utf-8") as fh:
+                fh.write("".join(",".join(row) + "\n" for row in rows))
+        except OSError as exc:
+            raise InputError(f"cannot write {args.csv}: {exc}") from exc
     if args.json:
         out = {
             "config": {
@@ -326,19 +352,13 @@ def cmd_simulate(args) -> int:
         print(json.dumps(out, sort_keys=True))
     else:
         print(text)
-    if args.csv:
-        with open(args.csv, "w", encoding="utf-8") as fh:
-            fh.write(",".join(header) + "\n")
-            for name in config.operator_names:
-                cells = [name] + [
-                    "" if results[name][m] is None else f"{results[name][m]:.6f}"
-                    for m in config.metrics
-                ]
-                fh.write(",".join(cells) + "\n")
     return 0
 
 
 def cmd_likelihood(args) -> int:
+    from .chain_edit import min_chain_set
+    from .prob_model import NoiseParams, likelihood, log_likelihood, mle_search
+
     cap = _enum_cap(args)
     K = fileio.load_tournament(args.input).tournament
     if args.beta is not None:
@@ -369,21 +389,20 @@ def cmd_likelihood(args) -> int:
         else "!= minCh(K): MLE set differs from the closest chain tournaments"
     )
     if args.json:
-        out = {
-            "mle": _cells_json(members, K.cols),
-            "equals_min_chain_set": same,
-            "min_distance": exact.distance,
-        }
-        print(json.dumps(out, sort_keys=True))
+        # json.dumps({"mle": ..., "equals_min_chain_set": ..., "min_distance": ...}, sort_keys=True)
+        print(
+            f'{{"equals_min_chain_set": {json.dumps(same)}, "min_distance": {exact.distance}, '
+            f'"mle": {_members_json(members, K.cols)}}}'
+        )
         return 0
     print(f"MLE tournaments: {len(members)}  [{note}]")
-    for M in members:
-        print("-")
-        print(M)
+    _print_members(members, K.cols)
     return 0
 
 
 def cmd_weights(args) -> int:
+    from .match_pref import parse_order_name, weight_fractions, weights_for
+
     pref = parse_order_name(args.order)
     fractions = weight_fractions(pref, args.m, args.n)
     if args.json:

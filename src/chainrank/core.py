@@ -18,6 +18,17 @@ from typing import Iterable, Sequence
 
 from .errors import InputError, NotChainError
 
+# the operators operators.resolve_operator accepts; here so that listing them
+# (the CLI's help, for one) does not load the operators
+OPERATOR_NAMES = (
+    "count",
+    "chain-min-lex",
+    "chain-min-mon",
+    "chain-min-dual",
+    "match-pref:<row-major|col-major|file.json>",
+    "ci",
+)
+
 
 def mask_of(labels: Iterable[int]) -> int:
     """Bit mask for a set of 1-based labels."""

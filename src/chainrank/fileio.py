@@ -13,10 +13,13 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 from .core import Tournament
 from .errors import InputError
-from .prob_model import StateOfWorld
+
+if TYPE_CHECKING:
+    from .prob_model import StateOfWorld
 
 
 @dataclass(frozen=True)
@@ -106,6 +109,8 @@ def load_tournament(path: str) -> TournamentFile:
 
 
 def load_state(path: str) -> StateOfWorld:
+    from .prob_model import StateOfWorld
+
     try:
         with open(path, "r", encoding="utf-8") as fh:
             data = json.load(fh)

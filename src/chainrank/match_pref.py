@@ -16,11 +16,14 @@ which floating point would destroy.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
+from typing import TYPE_CHECKING
 
 from .chain_edit import least_member
 from .core import RankingPair, Tournament, chain_rankings
 from .errors import InputError, ResourceCapError
+
+if TYPE_CHECKING:
+    from fractions import Fraction
 
 DEFAULT_BIT_BUDGET = 120
 
@@ -115,6 +118,8 @@ def weights_for(
     the 1-based priority position p of each cell; dividing by 2^(mn) recovers
     the rational weights exactly.
     """
+    if m < 1 or n < 1:
+        raise InputError(f"weights need at least one row and one column, not {m}x{n}")
     budget = DEFAULT_BIT_BUDGET if bit_budget is None else bit_budget
     total = m * n
     if total > budget:
@@ -133,8 +138,8 @@ def weight_fractions(
     pref: MatchPreference, m: int, n: int, bit_budget: int | None = None
 ) -> tuple[tuple[Fraction, ...], ...]:
     """The weights as exact rationals 1 + 2^(-p)."""
+    from fractions import Fraction
+
+    weights = weights_for(pref, m, n, bit_budget)
     scale = 1 << (m * n)
-    return tuple(
-        tuple(Fraction(w, scale) for w in row)
-        for row in weights_for(pref, m, n, bit_budget)
-    )
+    return tuple(tuple(Fraction(w, scale) for w in row) for row in weights)

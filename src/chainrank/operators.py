@@ -19,6 +19,7 @@ from typing import Callable
 from . import match_pref as mp
 from .chain_edit import least_member, monotone_min_chain
 from .core import (
+    OPERATOR_NAMES,
     RankingPair,
     Tournament,
     canonical_key,
@@ -28,15 +29,6 @@ from .core import (
 )
 from .errors import InputError
 from .interleave import ci_selection, greedy_chain_tournament, interleave
-
-OPERATOR_NAMES = (
-    "count",
-    "chain-min-lex",
-    "chain-min-mon",
-    "chain-min-dual",
-    "match-pref:<row-major|col-major|file.json>",
-    "ci",
-)
 
 
 @dataclass(frozen=True)

@@ -1,15 +1,27 @@
 import json
+import random
 import subprocess
 import sys
 
 import pytest
 
-from chainrank import Tournament, axiom_lab, chain_edit, min_chain_set, resolve_operator
+from chainrank import (
+    NoiseParams,
+    ResourceCapError,
+    Tournament,
+    axiom_lab,
+    chain_completion,
+    chain_deletion,
+    chain_edit,
+    min_chain_set,
+    mle_search,
+    resolve_operator,
+)
 from chainrank.cli import kendall_tau_b, main
 from chainrank.core import TotalPreorder
 from chainrank.fileio import parse_tournament, to_csv, to_json
 
-from helpers import EX2, TABLE1, preorder
+from helpers import EX2, TABLE1, preorder, random_tournament
 
 
 @pytest.fixture
@@ -374,6 +386,99 @@ class TestExitCodes:
         )
         assert proc.returncode == 0
         assert "4" in proc.stdout
+
+
+class TestRefusals:
+    def one_line_error(self, capsys, code, args):
+        assert main(args) == code
+        captured = capsys.readouterr()
+        assert captured.err.count("\n") == 1 and captured.out == ""
+        return captured.err
+
+    @pytest.mark.parametrize("m, n", [("-1", "2"), ("0", "2"), ("2", "0")])
+    def test_weights_without_cells(self, capsys, m, n):
+        self.one_line_error(capsys, 2, ["weights", "--order", "row-major", "--m", m, "--n", n])
+
+    def test_simulate_csv_not_writable(self, tmp_path, capsys):
+        for target in (tmp_path, tmp_path / "missing" / "out.csv"):
+            self.one_line_error(capsys, 2, TestSimulate.ARGS + ["--csv", str(target)])
+
+    @pytest.mark.parametrize("workers", ["0", "-3"])
+    def test_simulate_workers_below_one(self, capsys, workers):
+        self.one_line_error(capsys, 2, TestSimulate.ARGS + ["--workers", workers])
+
+    @pytest.mark.parametrize("scope", ["9x9", "2x2,4x4", "3x5"])
+    def test_axioms_scope_over_cap(self, capsys, scope):
+        err = self.one_line_error(capsys, 3, ["axioms", "-o", "count", "--scope", scope])
+        assert scope.split(",")[-1] in err and str(axiom_lab.EXHAUSTIVE_CAP) in err
+
+    def test_axioms_scope_negative_size(self, capsys):
+        self.one_line_error(capsys, 2, ["axioms", "-o", "count", "--scope=-1x2"])
+
+    def test_scope_cap_admits_the_suite_sizes(self):
+        axiom_lab.Scope(exhaustive=((4, 3), (3, 4), (2, 6)))
+        with pytest.raises(ResourceCapError):
+            axiom_lab.Scope(exhaustive=((1, 13),))
+
+
+def same_text(out, expected):
+    # a bare `==` would make a failure diff thousands of near-identical lines
+    return out == expected
+
+
+def old_members_text(members):
+    return "".join(f"-\n{M}\n" for M in members)
+
+
+def old_members_json(members):
+    return [[list(row) for row in M.cells] for M in members]
+
+
+class TestMemberRendering:
+    """edit and likelihood --mle print what print(M) and json.dumps printed."""
+
+    def inputs(self, tmp_path):
+        rng = random.Random(5)
+        prefix = [(1 << j) - 1 for j in range(7)]
+        planted = [prefix[j] for j in range(1, 6) for _ in range(4)]
+        planted += [prefix[i] | 1 << (i + 1) for i in (0, 1, 2, 3, 2)]
+        tournaments = [Tournament(len(planted), 6, tuple(planted))]
+        tournaments += [random_tournament(rng, rng.randint(1, 5), rng.randint(1, 5)) for _ in range(25)]
+        for i, K in enumerate(tournaments):
+            path = tmp_path / f"k{i}.csv"
+            path.write_text(to_csv(K))
+            yield K, str(path)
+
+    def test_edit(self, tmp_path, capsys):
+        modes = {"--all": min_chain_set, "--complete": chain_completion, "--delete": chain_deletion}
+        for K, path in self.inputs(tmp_path):
+            for flag, solve in modes.items():
+                result = solve(K)
+                assert main(["edit", path, flag]) == 0
+                assert same_text(capsys.readouterr().out, (
+                    f"distance: {result.distance}\nmembers: {len(result.members)}\n"
+                    + old_members_text(result.members)
+                ))
+                assert main(["edit", path, flag, "--json"]) == 0
+                out = {"distance": result.distance, "members": old_members_json(result.members)}
+                assert same_text(capsys.readouterr().out, json.dumps(out, sort_keys=True) + "\n")
+
+    def test_likelihood_mle(self, tmp_path, capsys):
+        for K, path in self.inputs(tmp_path):
+            if K.rows * K.cols > 16:
+                continue
+            for beta in ("0.1", "0.5"):
+                members = mle_search(K, NoiseParams.symmetric(float(beta)))
+                exact = min_chain_set(K)
+                same = set(members) == set(exact.members)
+                assert main(["likelihood", path, "--mle", "--beta", beta]) == 0
+                text = capsys.readouterr().out
+                assert text.startswith(f"MLE tournaments: {len(members)}  [{'=' if same else '!='} minCh(K)")
+                assert same_text(text.split("\n", 1)[1], old_members_text(members))
+                assert main(["likelihood", path, "--mle", "--beta", beta, "--json"]) == 0
+                out = {"mle": old_members_json(members), "equals_min_chain_set": same,
+                       "min_distance": exact.distance}
+                assert same_text(capsys.readouterr().out, json.dumps(out, sort_keys=True) + "\n")
 
 
 class TestKendallTauB:
