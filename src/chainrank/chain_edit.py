@@ -17,6 +17,15 @@ bounds that expansion. A single member picked by a lexicographic order on
 its cells (the canonical pick and the match-preference pick) is read off the
 factored form instead, row by row, without expanding it (see least_member).
 
+One solve serves every exact pick of a tournament: _solve keeps the last
+factored optimum it found, keyed on (tournament, cost table, cap), so the
+optimum set, the canonical, monotone and match-preference picks, and a
+symmetric-noise MLE of one matrix share one search. The memo holds a single
+entry, so its memory is that of one solve whatever a process goes on to
+solve, and it is functools.lru_cache's, which is safe to call from several
+threads: a thread never reads another input's entry, and a miss only solves
+again.
+
 Unit costs give chain editing; forbidding removals or additions gives
 completion and deletion; cell weights give the weighted selection; zero
 costs give every chain tournament; and prob_model gets maximum likelihood
@@ -163,6 +172,17 @@ def _search(c0, c1, cap: int | None):
     return best, options()
 
 
+@functools.lru_cache(maxsize=1)
+def _solve(K: Tournament, cost, cap: int | None):
+    """_search on K's cells under cost[observed][result], its options as a tuple.
+
+    The result is shared by every caller that solves the same input, so no
+    caller may change it.
+    """
+    distance, options = _search(*_cell_costs(K, cost), cap)
+    return distance, tuple(options)
+
+
 def _members(options, m: int, n: int) -> tuple[Tournament, ...]:
     """The distinct m-by-n tournaments the options combine to, canonically ordered.
 
@@ -170,7 +190,7 @@ def _members(options, m: int, n: int) -> tuple[Tournament, ...]:
     combine to more than MEMBER_CAP tuples (an upper bound on the members,
     as different options may give the same tournament).
     """
-    options = list(options)
+    options = tuple(options)  # no copy of a _solve result
     count = sum(math.prod(map(len, per_row)) for per_row in options)
     if count > MEMBER_CAP:
         raise ResourceCapError(
@@ -228,12 +248,12 @@ def least_member(K: Tournament, order, flip: Tournament, cap: int | None = None)
         return sum(itertools.starmap(value, enumerate(masks))), masks
 
     # equal vectors are the same member, so the masks never decide a tie
-    _, masks = min(map(pick, _search(*_cell_costs(K, _EDIT), cap)[1]))
+    _, masks = min(map(pick, _solve(K, _EDIT, cap)[1]))
     return Tournament(m, n, masks) if tall else dual(Tournament(n, m, masks))
 
 
 def _optimum(K: Tournament, cost, cap: int | None) -> MinChainSet:
-    distance, options = _search(*_cell_costs(K, cost), cap)
+    distance, options = _solve(K, cost, cap)
     return MinChainSet(distance, _members(options, K.rows, K.cols))
 
 

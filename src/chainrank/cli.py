@@ -199,13 +199,13 @@ def cmd_axioms(args) -> int:
 
 def kendall_tau_b(p: TotalPreorder, q: TotalPreorder) -> float:
     """Tie-aware rank correlation over the pair classification of two preorders."""
-    players = sorted(p.players)
+    ranks = [(p.rank_of(x), q.rank_of(x)) for x in sorted(p.players)]
     concordant = discordant = ties_p = ties_q = total = 0
-    for i, x in enumerate(players):
-        for y in players[i + 1 :]:
+    for i, (px, qx) in enumerate(ranks):
+        for py, qy in ranks[i + 1 :]:
             total += 1
-            sp = (p.rank_of(x) > p.rank_of(y)) - (p.rank_of(x) < p.rank_of(y))
-            sq = (q.rank_of(x) > q.rank_of(y)) - (q.rank_of(x) < q.rank_of(y))
+            sp = (px > py) - (px < py)
+            sq = (qx > qy) - (qx < qy)
             if sp == 0:
                 ties_p += 1
             if sq == 0:
@@ -267,19 +267,18 @@ def _run_trial(config: ExperimentConfig, specs, trial: int) -> dict:
 
 
 def run_simulation(config: ExperimentConfig, cap: int | None = None, workers: int = 1):
-    """Mean metric per operator; per-trial RNG streams derive from (seed, trial)."""
+    """Mean metric per operator; per-trial RNG streams derive from (seed, trial).
+
+    Trials run one after another whatever workers is (at least 1): they are
+    pure-Python work under one interpreter lock, where threads add only
+    overhead, and a trial's exact operators share the solve of its tournament.
+    """
     from .operators import resolve_operator
 
     if workers < 1:
         raise InputError(f"workers must be at least 1, not {workers}")
     specs = [resolve_operator(name, cap) for name in config.operator_names]
-    if workers > 1:
-        import concurrent.futures
-
-        with concurrent.futures.ThreadPoolExecutor(max_workers=workers) as pool:
-            rows = list(pool.map(lambda t: _run_trial(config, specs, t), range(config.trials)))
-    else:
-        rows = [_run_trial(config, specs, t) for t in range(config.trials)]
+    rows = [_run_trial(config, specs, t) for t in range(config.trials)]
     results: dict[str, dict[str, float | None]] = {}
     for spec in specs:
         aggregated: dict[str, float | None] = {}
@@ -471,7 +470,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_sim.add_argument("--trials", type=int, required=True)
     p_sim.add_argument("--seed", type=int, required=True)
     p_sim.add_argument("--metrics", default=None, help=f"subset of {','.join(ALL_METRICS)}")
-    p_sim.add_argument("--workers", type=int, default=1)
+    p_sim.add_argument("--workers", type=int, default=1, help="at least 1; trials run serially")
     p_sim.add_argument("--csv", default=None, help="also write the table to this file")
     p_sim.add_argument("--json", action="store_true")
     p_sim.set_defaults(func=cmd_simulate)

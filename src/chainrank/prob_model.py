@@ -23,7 +23,7 @@ import math
 import random
 from dataclasses import dataclass
 
-from .chain_edit import _cell_costs, _members, _search
+from .chain_edit import _EDIT, _members, _solve
 from .core import Tournament, chain_rankings, has_chain_property
 from .errors import InputError, NotChainError
 
@@ -189,7 +189,7 @@ def _cell_cost_table(alpha: NoiseParams):
         prob = ((1.0 - ap, am), (ap, 1.0 - am))
     ratios = [[(-math.log(p)).as_integer_ratio() if p else None for p in row] for row in prob]
     scale = max(r[1] for row in ratios for r in row if r is not None)
-    return [[None if r is None else r[0] * (scale // r[1]) for r in row] for row in ratios]
+    return tuple(tuple(None if r is None else r[0] * (scale // r[1]) for r in row) for row in ratios)
 
 
 def mle_search(K: Tournament, alpha: NoiseParams, cap: int | None = None) -> tuple[Tournament, ...]:
@@ -199,8 +199,17 @@ def mle_search(K: Tournament, alpha: NoiseParams, cap: int | None = None) -> tup
     and those tournaments are the chain tournaments, so the answer is the
     chain tournaments of least total cost -log P(observed | truth). The
     search and its cap are those of chain editing.
+
+    When both match costs are equal, both mismatch costs are equal and a
+    mismatch costs more, the total cost of a chain tournament at Hamming
+    distance d from K is m*n*match + d*(mismatch - match), so the MLE set is
+    the closest chain tournaments: that solve is shared with min_chain_set.
     """
-    cost, options = _search(*_cell_costs(K, _cell_cost_table(alpha)), cap)
+    table = _cell_cost_table(alpha)
+    (match0, miss0), (miss1, match1) = table
+    if None not in (match0, miss0, miss1, match1) and match0 == match1 < miss0 == miss1:
+        table = _EDIT
+    cost, options = _solve(K, table, cap)
     if cost == math.inf:
         raise InputError(
             "noise rates assign probability zero to this observation under every state"

@@ -30,6 +30,7 @@ from chainrank.core import canonical_key
 from chainrank.match_pref import MatchPreference, weights_for
 from chainrank.match_pref import select_match_pref
 from chainrank.operators import canonical_min_choice
+from chainrank.prob_model import NoiseParams, mle_search
 
 from helpers import (
     ANON_K,
@@ -440,3 +441,35 @@ class TestLeastMember:
             min_chain_set(K)
         assert canonical_min_choice(K) == lex
         assert select_match_pref(K, MatchPreference.col_major()) == pref
+
+
+class TestSolveMemo:
+    """The one-entry solve memo never changes an answer, whatever was solved before."""
+
+    PICKS = (
+        min_chain_set,
+        chain_completion,
+        chain_deletion,
+        monotone_min_chain,
+        canonical_min_choice,
+        lambda K: select_match_pref(K, MatchPreference.col_major()),
+        lambda K: mle_search(K, NoiseParams.symmetric(0.2)),
+    )
+
+    def test_interleaved_equals_cold(self):
+        rng = random.Random(606)
+        # square, tall and wide inputs, and one the enumeration cap refuses
+        inputs = [random_tournament(rng, m, n) for m, n in ((5, 5), (6, 3), (3, 6), (4, 4), (7, 2))]
+        refused = random_tournament(rng, 9, 9)
+        cold = {}
+        for i, K in enumerate(inputs):
+            for j, pick in enumerate(self.PICKS):
+                chain_edit._solve.cache_clear()
+                cold[i, j] = pick(K)
+        steps = [(0, 0), (1, 0), (0, 0), (0, 4), (2, 5), (0, 3), (1, 6), (1, 1), (1, 2)]
+        steps += [(rng.randrange(len(inputs)), rng.randrange(len(self.PICKS))) for _ in range(300)]
+        for step, (i, j) in enumerate(steps):
+            assert self.PICKS[j](inputs[i]) == cold[i, j]
+            if step % 4 == 1:
+                with pytest.raises(ResourceCapError):
+                    self.PICKS[j](refused)

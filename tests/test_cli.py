@@ -1,4 +1,5 @@
 import json
+import math
 import random
 import subprocess
 import sys
@@ -20,6 +21,7 @@ from chainrank import (
 from chainrank.cli import kendall_tau_b, main
 from chainrank.core import TotalPreorder
 from chainrank.fileio import parse_tournament, to_csv, to_json
+from chainrank.prob_model import k_theta, sample_state
 
 from helpers import EX2, TABLE1, preorder, random_tournament
 
@@ -186,9 +188,10 @@ class TestAxiomsCommand:
 
 @pytest.fixture
 def search_calls(monkeypatch):
-    """Count calls of the chain-editing search."""
+    """Count calls of the chain-editing search, from an empty solve memo."""
     calls = []
     search = chain_edit._search
+    chain_edit._solve.cache_clear()
 
     def counted(*args):
         calls.append(args)
@@ -207,10 +210,25 @@ class TestSolvesOnce:
         assert len(search_calls) == 1
 
     def test_simulate_once_per_trial(self, capsys, search_calls):
-        args = ["simulate", "--m", "3", "--n", "3", "--beta", "0.1", "--trials", "5",
-                "--seed", "7", "--operators", "chain-min-lex,match-pref:row-major"]
+        args = ["simulate", "--m", "3", "--n", "3", "--beta", "0.1", "--trials", "5", "--seed", "7",
+                "--operators", "chain-min-lex,chain-min-mon,match-pref:row-major"]
         assert main(args) == 0
-        assert len(search_calls) == 2 * 5
+        assert len(search_calls) == 5
+
+    @pytest.mark.parametrize("noise, searches", [
+        (["--beta", "0.1"], 1),
+        (["--alpha-plus", "0.1", "--alpha-minus", "0.3"], 2),
+        (["--beta", "0.0"], 2),
+    ])
+    def test_likelihood_mle(self, tmp_path, capsys, search_calls, noise, searches):
+        # only a symmetric channel below one half has the closest chains as its MLE set
+        K = random_tournament(random.Random(31), 7, 7)
+        if noise == ["--beta", "0.0"]:  # a zero rate needs an observation some state can give
+            K = k_theta(sample_state(7, 7, 31))
+        path = tmp_path / "k.csv"
+        path.write_text(to_csv(K))
+        assert main(["likelihood", str(path), "--mle", *noise, "--json"]) == 0
+        assert len(search_calls) == searches
 
 
 class TestSimulate:
@@ -481,7 +499,38 @@ class TestMemberRendering:
                 assert same_text(capsys.readouterr().out, json.dumps(out, sort_keys=True) + "\n")
 
 
+def pairwise_tau_b(p, q):
+    """Tie-aware rank correlation straight from its pairwise definition."""
+    players = sorted(p.players)
+    concordant = discordant = ties_p = ties_q = total = 0
+    for i, x in enumerate(players):
+        for y in players[i + 1 :]:
+            total += 1
+            sp = (p.rank_of(x) > p.rank_of(y)) - (p.rank_of(x) < p.rank_of(y))
+            sq = (q.rank_of(x) > q.rank_of(y)) - (q.rank_of(x) < q.rank_of(y))
+            ties_p += sp == 0
+            ties_q += sq == 0
+            concordant += sp * sq == 1
+            discordant += sp * sq == -1
+    denom = math.sqrt((total - ties_p) * (total - ties_q))
+    return 0.0 if denom == 0 else (concordant - discordant) / denom
+
+
 class TestKendallTauB:
+    def test_matches_pairwise_definition(self):
+        rng = random.Random(77)
+
+        def tied_preorder(players):
+            ranks: dict[int, set[int]] = {}
+            for x in players:
+                ranks.setdefault(rng.randrange(len(players)), set()).add(x)
+            return TotalPreorder.from_ranks(ranks[r] for r in sorted(ranks))
+
+        for _ in range(300):
+            players = range(1, rng.randint(1, 9) + 1)
+            p, q = tied_preorder(players), tied_preorder(players)
+            assert kendall_tau_b(p, q) == pairwise_tau_b(p, q)
+
     def test_identical_orders(self):
         p = preorder("1234")
         assert kendall_tau_b(p, p) == pytest.approx(1.0)

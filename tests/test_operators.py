@@ -212,7 +212,8 @@ class TestRegistry:
 
 class TestSharedSolve:
     def test_threads_never_see_another_inputs_chain(self):
-        # the one-entry memo is shared by every thread of simulate --workers
+        # library callers may share an operator across threads: its one-entry
+        # memo and chain_edit's one-entry solve memo are both shared by them
         spec = chain_min_lex_operator()
         rng = random.Random(12)
         inputs = [random_tournament(rng, 4, 5) for _ in range(16)]
