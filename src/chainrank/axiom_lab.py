@@ -14,13 +14,13 @@ from __future__ import annotations
 
 import itertools
 import random
-from dataclasses import dataclass, field
 
 from . import match_pref as mp
 from .chain_edit import min_chain_set
 from .core import (
     RankingPair,
     Tournament,
+    _Value,
     all_tournaments,
     chain_rankings,
     dual,
@@ -46,18 +46,24 @@ AXIOMS = ("anon", "dual", "iim", "mon", "pos-resp", "chain-min", "chain-def")
 EXHAUSTIVE_CAP = 1 << 12
 
 
-@dataclass(frozen=True)
-class Scope:
+class Scope(_Value):
     """What a quantified axiom check ranges over."""
 
-    exhaustive: tuple[tuple[int, int], ...] = ()
-    random_sizes: tuple[tuple[int, int], ...] = ()
-    random_count: int = 0
-    seed: int = 0
-    tournaments: tuple[Tournament, ...] = ()
+    exhaustive: tuple[tuple[int, int], ...]
+    random_sizes: tuple[tuple[int, int], ...]
+    random_count: int
+    seed: int
+    tournaments: tuple[Tournament, ...]
 
-    def __post_init__(self):
-        for m, n in self.exhaustive:
+    def __init__(
+        self,
+        exhaustive: tuple[tuple[int, int], ...] = (),
+        random_sizes: tuple[tuple[int, int], ...] = (),
+        random_count: int = 0,
+        seed: int = 0,
+        tournaments: tuple[Tournament, ...] = (),
+    ):
+        for m, n in exhaustive:
             if m < 1 or n < 1:
                 raise InputError(f"scope size {m}x{n} needs at least one row and one column")
             if m * n >= EXHAUSTIVE_CAP.bit_length():  # 2^(mn) > EXHAUSTIVE_CAP
@@ -65,6 +71,7 @@ class Scope:
                     f"exhaustive scope {m}x{n} holds 2^{m * n} tournaments, "
                     f"over the cap of {EXHAUSTIVE_CAP}"
                 )
+        self._init(exhaustive, random_sizes, random_count, seed, tournaments)
 
     def describe(self) -> str:
         parts = []
@@ -92,8 +99,7 @@ class Scope:
                     yield Tournament(m, n, masks)
 
 
-@dataclass(frozen=True)
-class AxiomVerdict:
+class AxiomVerdict(_Value):
     """Outcome of one axiom check over one scope."""
 
     axiom: str
@@ -101,7 +107,18 @@ class AxiomVerdict:
     holds: bool
     scope: str
     checked: int
-    witness: dict | None = None
+    witness: dict | None
+
+    def __init__(
+        self,
+        axiom: str,
+        operator: str,
+        holds: bool,
+        scope: str,
+        checked: int,
+        witness: dict | None = None,
+    ):
+        self._init(axiom, operator, holds, scope, checked, witness)
 
     def to_json(self) -> dict:
         return {
@@ -449,22 +466,28 @@ POS_RESP_COUNTEREXAMPLE = Tournament.from_cells(
 CHAIN_DEF_IMPOSSIBILITY = Tournament.from_cells([[0, 0], [0, 1], [1, 0], [1, 1]])
 
 
-@dataclass(frozen=True)
-class SuiteRow:
+class SuiteRow(_Value):
     label: str
     operator: str
     axiom: str
     expected_holds: bool
     verdict: AxiomVerdict
 
+    def __init__(
+        self, label: str, operator: str, axiom: str, expected_holds: bool, verdict: AxiomVerdict
+    ):
+        self._init(label, operator, axiom, expected_holds, verdict)
+
     @property
     def ok(self) -> bool:
         return self.verdict.holds == self.expected_holds
 
 
-@dataclass(frozen=True)
-class ImpossibilityReport:
-    rows: tuple[SuiteRow, ...] = field(default=())
+class ImpossibilityReport(_Value):
+    rows: tuple[SuiteRow, ...]
+
+    def __init__(self, rows: tuple[SuiteRow, ...] = ()):
+        self._init(rows)
 
     @property
     def ok(self) -> bool:

@@ -37,9 +37,8 @@ from __future__ import annotations
 import functools
 import itertools
 import math
-from dataclasses import dataclass
 
-from .core import Tournament, dual
+from .core import Tournament, _Value, dual
 from .errors import AmbiguityError, InputError, ResourceCapError
 
 DEFAULT_ENUM_CAP = 8
@@ -52,12 +51,14 @@ _COMPLETE = ((0, 1), (None, 0))
 _DELETE = ((0, None), (1, 0))
 
 
-@dataclass(frozen=True)
-class MinChainSet:
+class MinChainSet(_Value):
     """All chain tournaments at minimum (restricted) distance from a source."""
 
     distance: int
     members: tuple[Tournament, ...]
+
+    def __init__(self, distance: int, members: tuple[Tournament, ...]):
+        self._init(distance, members)
 
 
 def _cell_costs(K: Tournament, cost):

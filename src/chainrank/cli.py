@@ -13,7 +13,6 @@ import json
 import math
 import os
 import sys
-from dataclasses import dataclass, replace
 from typing import TYPE_CHECKING
 
 # each subcommand imports the engine it runs, so a command loads only that
@@ -22,6 +21,7 @@ from .core import (
     OPERATOR_NAMES,
     RankingPair,
     TotalPreorder,
+    _Value,
     chain_rankings,
     format_preorder,
     hamming,
@@ -159,6 +159,8 @@ def _parse_scope(spec: str) -> tuple[tuple[int, int], ...]:
 
 
 def cmd_axioms(args) -> int:
+    from dataclasses import replace
+
     from . import axiom_lab
     from .operators import resolve_operator
 
@@ -221,22 +223,31 @@ def kendall_tau_b(p: TotalPreorder, q: TotalPreorder) -> float:
     return (concordant - discordant) / denom
 
 
-@dataclass(frozen=True)
-class ExperimentConfig:
+class ExperimentConfig(_Value):
     m: int
     n: int
     alpha: NoiseParams
     operator_names: tuple[str, ...]
     trials: int
     seed: int
-    metrics: tuple[str, ...] = ALL_METRICS
+    metrics: tuple[str, ...]
 
-    def __post_init__(self):
-        if self.trials < 1:
+    def __init__(
+        self,
+        m: int,
+        n: int,
+        alpha: NoiseParams,
+        operator_names: tuple[str, ...],
+        trials: int,
+        seed: int,
+        metrics: tuple[str, ...] = ALL_METRICS,
+    ):
+        if trials < 1:
             raise InputError("trials must be at least 1")
-        for metric in self.metrics:
+        for metric in metrics:
             if metric not in ALL_METRICS:
                 raise InputError(f"unknown metric {metric!r}")
+        self._init(m, n, alpha, operator_names, trials, seed, metrics)
 
 
 def _run_trial(config: ExperimentConfig, specs, trial: int) -> dict:
@@ -356,7 +367,13 @@ def cmd_simulate(args) -> int:
 
 def cmd_likelihood(args) -> int:
     from .chain_edit import min_chain_set
-    from .prob_model import NoiseParams, likelihood, log_likelihood, mle_search
+    from .prob_model import (
+        NoiseParams,
+        likelihood,
+        log_likelihood,
+        mle_is_min_chain_set,
+        mle_search,
+    )
 
     cap = _enum_cap(args)
     K = fileio.load_tournament(args.input).tournament
@@ -379,9 +396,14 @@ def cmd_likelihood(args) -> int:
             print(f"likelihood: {prob!r}")
             print(f"log-likelihood: {ll!r}")
         return 0
-    members = mle_search(K, alpha, cap)
-    exact = min_chain_set(K, cap)
-    same = set(members) == set(exact.members)
+    if mle_is_min_chain_set(alpha):
+        # the MLE set is the closest chain tournaments: expand it once
+        exact = min_chain_set(K, cap)
+        members = exact.members
+    else:
+        members = mle_search(K, alpha, cap)
+        exact = min_chain_set(K, cap)
+    same = members is exact.members or set(members) == set(exact.members)
     note = (
         "= minCh(K): MLE set coincides with the closest chain tournaments"
         if same

@@ -12,7 +12,6 @@ matching the usual matrix convention; masks are the internal representation.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterable, Sequence
 
@@ -28,6 +27,52 @@ OPERATOR_NAMES = (
     "match-pref:<row-major|col-major|file.json>",
     "ci",
 )
+
+
+# sets a field past a value type's frozen __setattr__
+_set = object.__setattr__
+
+
+class _Value:
+    """Base of the immutable value types.
+
+    A subclass names its fields as class annotations and sets them once, in
+    its own __init__, with _init (or _set). Values of the same class are
+    equal, and hash alike, when their field tuples are; assigning or deleting
+    any attribute raises AttributeError. The types built and hashed in bulk
+    define their own __eq__ and __hash__ over the same tuple.
+    """
+
+    _fields: tuple[str, ...] = ()
+
+    def __init_subclass__(cls, **kwargs):
+        super().__init_subclass__(**kwargs)
+        cls._fields = tuple(cls.__dict__.get("__annotations__", ()))
+
+    def _init(self, *values) -> None:
+        for name, value in zip(self._fields, values):
+            _set(self, name, value)
+
+    def _values(self) -> tuple:
+        return tuple([getattr(self, name) for name in self._fields])
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self._values() == other._values()
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash(self._values())
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._fields)
+        return f"{self.__class__.__qualname__}({fields})"
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
 
 
 def mask_of(labels: Iterable[int]) -> int:
@@ -50,23 +95,37 @@ def labels_of(mask: int) -> frozenset[int]:
     return frozenset(labels)
 
 
-@dataclass(frozen=True)
-class Tournament:
+class Tournament(_Value):
     """An m-by-n tournament; cell (a, b) is 1 when row player a defeats column player b."""
 
     rows: int
     cols: int
     row_masks: tuple[int, ...]
 
-    def __post_init__(self):
-        if self.rows < 1 or self.cols < 1:
+    def __init__(self, rows: int, cols: int, row_masks: tuple[int, ...]):
+        if rows < 1 or cols < 1:
             raise InputError("a tournament needs at least one row and one column player")
-        if len(self.row_masks) != self.rows:
-            raise InputError(f"expected {self.rows} row masks, got {len(self.row_masks)}")
-        full = (1 << self.cols) - 1
-        for mask in self.row_masks:
+        if len(row_masks) != rows:
+            raise InputError(f"expected {rows} row masks, got {len(row_masks)}")
+        full = (1 << cols) - 1
+        for mask in row_masks:
             if not 0 <= mask <= full:
                 raise InputError("row mask has bits outside the column range")
+        _set(self, "rows", rows)
+        _set(self, "cols", cols)
+        _set(self, "row_masks", row_masks)
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return (
+                self.row_masks == other.row_masks
+                and self.rows == other.rows
+                and self.cols == other.cols
+            )
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash((self.rows, self.cols, self.row_masks))
 
     @classmethod
     def from_cells(cls, cells: Sequence[Sequence[int]]) -> "Tournament":
@@ -159,17 +218,16 @@ def all_tournaments(m: int, n: int):
         yield Tournament(m, n, tuple(masks))
 
 
-@dataclass(frozen=True)
-class TotalPreorder:
+class TotalPreorder(_Value):
     """An ordered partition of a player set into ranks, weakest rank first."""
 
     ranks: tuple[frozenset[int], ...]
 
-    def __post_init__(self):
+    def __init__(self, ranks: tuple[frozenset[int], ...]):
         seen: set[int] = set()
-        if not self.ranks:
+        if not ranks:
             raise InputError("a total preorder needs at least one rank")
-        for rank in self.ranks:
+        for rank in ranks:
             if not isinstance(rank, frozenset):
                 raise InputError("ranks must be frozensets; use from_ranks to coerce")
             if not rank:
@@ -177,6 +235,15 @@ class TotalPreorder:
             if rank & seen:
                 raise InputError("ranks must be pairwise disjoint")
             seen |= rank
+        _set(self, "ranks", ranks)
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self.ranks == other.ranks
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash((self.ranks,))
 
     @classmethod
     def from_ranks(cls, ranks: Iterable[Iterable[int]]) -> "TotalPreorder":
@@ -225,12 +292,23 @@ def preorder_from_scores(players: Iterable[int], score, descending: bool = False
     return TotalPreorder.from_ranks(groups[k] for k in keys)
 
 
-@dataclass(frozen=True)
-class RankingPair:
+class RankingPair(_Value):
     """Rankings of the two sides of one tournament."""
 
     a_order: TotalPreorder
     b_order: TotalPreorder
+
+    def __init__(self, a_order: TotalPreorder, b_order: TotalPreorder):
+        _set(self, "a_order", a_order)
+        _set(self, "b_order", b_order)
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self.a_order == other.a_order and self.b_order == other.b_order
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash((self.a_order, self.b_order))
 
 
 def neighborhood(K: Tournament, a: int) -> frozenset[int]:

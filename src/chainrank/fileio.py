@@ -12,21 +12,27 @@ A state file is JSON {"x": [...], "y": [...]}.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
-from .core import Tournament
+from .core import Tournament, _Value
 from .errors import InputError
 
 if TYPE_CHECKING:
     from .prob_model import StateOfWorld
 
 
-@dataclass(frozen=True)
-class TournamentFile:
+class TournamentFile(_Value):
     tournament: Tournament
-    a_labels: tuple[str, ...] | None = None
-    b_labels: tuple[str, ...] | None = None
+    a_labels: tuple[str, ...] | None
+    b_labels: tuple[str, ...] | None
+
+    def __init__(
+        self,
+        tournament: Tournament,
+        a_labels: tuple[str, ...] | None = None,
+        b_labels: tuple[str, ...] | None = None,
+    ):
+        self._init(tournament, a_labels, b_labels)
 
 
 def parse_csv(text: str) -> TournamentFile:

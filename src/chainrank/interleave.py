@@ -15,40 +15,57 @@ Selection function contract, enforced per call:
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Callable, Iterable, Mapping
 
-from .core import RankingPair, TotalPreorder, Tournament, mask_of, rank_count
+from .core import RankingPair, TotalPreorder, Tournament, _Value, mask_of, rank_count
 from .errors import ContractError, InputError
 
 Selection = Callable[[Tournament, frozenset, frozenset], Iterable[int]]
 
 
-@dataclass(frozen=True)
-class SelectionFunctionPair:
+class SelectionFunctionPair(_Value):
     """An (f, g) pair of A- and B-side selection functions."""
 
     name: str
     f: Selection
     g: Selection
 
+    def __init__(self, name: str, f: Selection, g: Selection):
+        self._init(name, f, g)
 
-@dataclass(frozen=True)
-class InterleaveRound:
+
+class InterleaveRound(_Value):
     index: int
     a_remaining: frozenset[int]
     b_remaining: frozenset[int]
     f_selected: frozenset[int]
     g_selected: frozenset[int]
 
+    def __init__(
+        self,
+        index: int,
+        a_remaining: frozenset[int],
+        b_remaining: frozenset[int],
+        f_selected: frozenset[int],
+        g_selected: frozenset[int],
+    ):
+        self._init(index, a_remaining, b_remaining, f_selected, g_selected)
 
-@dataclass(frozen=True)
-class InterleaveTrace:
+
+class InterleaveTrace(_Value):
     """Full iteration record: per-round pools and selections, plus removal rounds."""
 
     rounds: tuple[InterleaveRound, ...]
     a_round: tuple[int, ...]
     b_round: tuple[int, ...]
+
+    def __init__(
+        self,
+        rounds: tuple[InterleaveRound, ...],
+        a_round: tuple[int, ...],
+        b_round: tuple[int, ...],
+    ):
+        self._init(rounds, a_round, b_round)
 
     def r(self, a: int) -> int:
         """Round at which row a was removed."""

@@ -15,11 +15,10 @@ which floating point would destroy.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
 from .chain_edit import least_member
-from .core import RankingPair, Tournament, chain_rankings
+from .core import RankingPair, Tournament, _Value, chain_rankings
 from .errors import InputError, ResourceCapError
 
 if TYPE_CHECKING:
@@ -32,18 +31,18 @@ COL_MAJOR = "col_major_lex"
 EXPLICIT = "explicit"
 
 
-@dataclass(frozen=True)
-class MatchPreference:
+class MatchPreference(_Value):
     """Total priority order over matrix index pairs (1-based, earliest = most changeable)."""
 
     kind: str
-    explicit: tuple[tuple[int, int], ...] | None = None
+    explicit: tuple[tuple[int, int], ...] | None
 
-    def __post_init__(self):
-        if self.kind not in (ROW_MAJOR, COL_MAJOR, EXPLICIT):
-            raise InputError(f"unknown match-preference kind {self.kind!r}")
-        if self.kind == EXPLICIT and not self.explicit:
+    def __init__(self, kind: str, explicit: tuple[tuple[int, int], ...] | None = None):
+        if kind not in (ROW_MAJOR, COL_MAJOR, EXPLICIT):
+            raise InputError(f"unknown match-preference kind {kind!r}")
+        if kind == EXPLICIT and not explicit:
             raise InputError("explicit match preference needs a priority list")
+        self._init(kind, explicit)
 
     @classmethod
     def row_major(cls) -> "MatchPreference":

@@ -33,7 +33,11 @@ from .interleave import ci_selection, greedy_chain_tournament, interleave
 
 @dataclass(frozen=True)
 class OperatorSpec:
-    """A named operator; evaluate is total and deterministic within the size cap."""
+    """A named operator; evaluate is total and deterministic within the size cap.
+
+    Unlike the other value types this is still a dataclass: cli.cmd_axioms
+    and perfbench/tracing.py swap its callables with dataclasses.replace.
+    """
 
     name: str
     evaluate: Callable[[Tournament], RankingPair]

@@ -21,17 +21,15 @@ from __future__ import annotations
 import itertools
 import math
 import random
-from dataclasses import dataclass
 
 from .chain_edit import _EDIT, _members, _solve
-from .core import Tournament, chain_rankings, has_chain_property
+from .core import Tournament, _Value, chain_rankings, has_chain_property
 from .errors import InputError, NotChainError
 
 _MASK64 = (1 << 64) - 1
 
 
-@dataclass(frozen=True)
-class StateOfWorld:
+class StateOfWorld(_Value):
     """Skill vectors for the row and column players.
 
     Validated at construction: whenever one player is strictly more skilled
@@ -41,37 +39,38 @@ class StateOfWorld:
     x: tuple
     y: tuple
 
-    def __post_init__(self):
-        if not self.x or not self.y:
+    def __init__(self, x: tuple, y: tuple):
+        if not x or not y:
             raise InputError("a state needs at least one skill level per side")
-        for xa in list(self.x) + list(self.y):
+        for xa in list(x) + list(y):
             if not isinstance(xa, (int, float)) or isinstance(xa, bool):
                 raise InputError("skill levels must be numbers")
-        for a, xa in enumerate(self.x, start=1):
-            for a2, xa2 in enumerate(self.x, start=1):
-                if xa < xa2 and not any(xa < yb <= xa2 for yb in self.y):
+        for a, xa in enumerate(x, start=1):
+            for a2, xa2 in enumerate(x, start=1):
+                if xa < xa2 and not any(xa < yb <= xa2 for yb in y):
                     raise InputError(
                         f"rows {a} and {a2} have a skill gap no column level explains"
                     )
-        for b, yb in enumerate(self.y, start=1):
-            for b2, yb2 in enumerate(self.y, start=1):
-                if yb < yb2 and not any(yb <= xa < yb2 for xa in self.x):
+        for b, yb in enumerate(y, start=1):
+            for b2, yb2 in enumerate(y, start=1):
+                if yb < yb2 and not any(yb <= xa < yb2 for xa in x):
                     raise InputError(
                         f"columns {b} and {b2} have a skill gap no row level explains"
                     )
+        self._init(x, y)
 
 
-@dataclass(frozen=True)
-class NoiseParams:
+class NoiseParams(_Value):
     """False positive and false negative rates of the observation channel."""
 
     alpha_plus: float
     alpha_minus: float
 
-    def __post_init__(self):
-        for rate in (self.alpha_plus, self.alpha_minus):
+    def __init__(self, alpha_plus: float, alpha_minus: float):
+        for rate in (alpha_plus, alpha_minus):
             if not 0.0 <= rate <= 1.0:
                 raise InputError(f"noise rate {rate} outside [0, 1]")
+        self._init(alpha_plus, alpha_minus)
 
     @classmethod
     def symmetric(cls, beta: float) -> "NoiseParams":
@@ -192,24 +191,36 @@ def _cell_cost_table(alpha: NoiseParams):
     return tuple(tuple(None if r is None else r[0] * (scale // r[1]) for r in row) for row in ratios)
 
 
+def _mle_costs(alpha: NoiseParams):
+    """The cost table mle_search solves under.
+
+    When both match costs are equal, both mismatch costs are equal and a
+    mismatch costs more, the total cost of a chain tournament at Hamming
+    distance d from K is m*n*match + d*(mismatch - match), so the MLE set is
+    the closest chain tournaments: the unit edit costs of min_chain_set.
+    """
+    table = _cell_cost_table(alpha)
+    (match0, miss0), (miss1, match1) = table
+    if None not in (match0, miss0, miss1, match1) and match0 == match1 < miss0 == miss1:
+        return _EDIT
+    return table
+
+
+def mle_is_min_chain_set(alpha: NoiseParams) -> bool:
+    """True when mle_search(K, alpha) is min_chain_set(K).members for every K."""
+    return _mle_costs(alpha) is _EDIT
+
+
 def mle_search(K: Tournament, alpha: NoiseParams, cap: int | None = None) -> tuple[Tournament, ...]:
     """Deterministic tournaments of the states maximising the likelihood of K.
 
     States with the same deterministic tournament have the same likelihood,
     and those tournaments are the chain tournaments, so the answer is the
     chain tournaments of least total cost -log P(observed | truth). The
-    search and its cap are those of chain editing.
-
-    When both match costs are equal, both mismatch costs are equal and a
-    mismatch costs more, the total cost of a chain tournament at Hamming
-    distance d from K is m*n*match + d*(mismatch - match), so the MLE set is
-    the closest chain tournaments: that solve is shared with min_chain_set.
+    search and its cap are those of chain editing, and under the unit edit
+    costs the solve is shared with min_chain_set.
     """
-    table = _cell_cost_table(alpha)
-    (match0, miss0), (miss1, match1) = table
-    if None not in (match0, miss0, miss1, match1) and match0 == match1 < miss0 == miss1:
-        table = _EDIT
-    cost, options = _solve(K, table, cap)
+    cost, options = _solve(K, _mle_costs(alpha), cap)
     if cost == math.inf:
         raise InputError(
             "noise rates assign probability zero to this observation under every state"

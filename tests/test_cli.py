@@ -16,6 +16,7 @@ from chainrank import (
     chain_edit,
     min_chain_set,
     mle_search,
+    prob_model,
     resolve_operator,
 )
 from chainrank.cli import kendall_tau_b, main
@@ -229,6 +230,28 @@ class TestSolvesOnce:
         path.write_text(to_csv(K))
         assert main(["likelihood", str(path), "--mle", *noise, "--json"]) == 0
         assert len(search_calls) == searches
+
+    @pytest.mark.parametrize("noise, expansions", [
+        (["--beta", "0.1"], 1),
+        (["--alpha-plus", "0.1", "--alpha-minus", "0.3"], 2),
+    ])
+    def test_likelihood_mle_expands_once_under_unit_costs(
+        self, tmp_path, capsys, monkeypatch, noise, expansions
+    ):
+        calls = []
+        members = chain_edit._members
+
+        def counted(*args):
+            calls.append(args)
+            return members(*args)
+
+        monkeypatch.setattr(chain_edit, "_members", counted)
+        monkeypatch.setattr(prob_model, "_members", counted)
+        chain_edit._solve.cache_clear()
+        path = tmp_path / "k.csv"
+        path.write_text(to_csv(random_tournament(random.Random(31), 7, 7)))
+        assert main(["likelihood", str(path), "--mle", *noise, "--json"]) == 0
+        assert len(calls) == expansions
 
 
 class TestSimulate:

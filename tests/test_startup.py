@@ -1,5 +1,6 @@
 """What importing the package and running one subcommand load."""
 
+import dataclasses
 import importlib
 import json
 import os
@@ -9,6 +10,15 @@ import sys
 import pytest
 
 import chainrank
+from chainrank.axiom_lab import AxiomVerdict, ImpossibilityReport, Scope, SuiteRow
+from chainrank.chain_edit import MinChainSet
+from chainrank.cli import ALL_METRICS, ExperimentConfig
+from chainrank.core import RankingPair, TotalPreorder, Tournament
+from chainrank.errors import InputError, ResourceCapError
+from chainrank.fileio import TournamentFile
+from chainrank.interleave import InterleaveRound, InterleaveTrace, SelectionFunctionPair
+from chainrank.match_pref import MatchPreference
+from chainrank.prob_model import NoiseParams, StateOfWorld
 
 # run in a fresh interpreter: the modules a subcommand adds to sys.modules
 FOOTPRINT = """
@@ -24,6 +34,8 @@ print(json.dumps(sorted(set(sys.modules) - before)))
 """
 
 ENGINES = ("axiom_lab", "operators", "prob_model", "match_pref", "interleave", "chain_edit")
+# what a dataclass costs at start-up: the module and the introspection it imports
+DATACLASS_MODULES = ("dataclasses", "inspect")
 
 
 def loaded_by(args):
@@ -54,17 +66,20 @@ class TestImportFootprint:
         loaded = loaded_by(["edit", square, "--all"])
         assert "chainrank.chain_edit" in loaded
         for name in ("chainrank.axiom_lab", "chainrank.operators", "chainrank.prob_model",
-                     "chainrank.match_pref", "concurrent.futures", "fractions"):
+                     "chainrank.match_pref", "concurrent.futures", "fractions",
+                     *DATACLASS_MODULES):
             assert name not in loaded
 
     def test_edit_weighted_loads_match_pref(self, square):
         loaded = loaded_by(["edit", square, "--weighted", "row-major"])
         assert "chainrank.match_pref" in loaded and "chainrank.operators" not in loaded
+        assert not set(DATACLASS_MODULES) & loaded
 
     def test_likelihood(self, square):
         loaded = loaded_by(["likelihood", square, "--mle", "--beta", "0.1"])
         assert "chainrank.prob_model" in loaded
-        for name in ("chainrank.axiom_lab", "chainrank.operators", "chainrank.match_pref"):
+        for name in ("chainrank.axiom_lab", "chainrank.operators", "chainrank.match_pref",
+                     *DATACLASS_MODULES):
             assert name not in loaded
 
     def test_simulate_single_worker_starts_no_pool(self):
@@ -131,3 +146,111 @@ class TestLazyExports:
     def test_unknown_name(self):
         with pytest.raises(AttributeError):
             chainrank.no_such_name
+
+
+def _select(K, pool, other_pool):
+    return pool
+
+
+K22 = Tournament(2, 2, (1, 3))
+ORDER = TotalPreorder((frozenset({1}), frozenset({2})))
+VERDICT = AxiomVerdict("anon", "ci", True, "exhaustive 2x2", 16)
+
+# every plain value class, its fields in order with a sample value each, and
+# how many of them come first without a default (the rest hold their default)
+VALUES = [
+    (Tournament, {"rows": 2, "cols": 2, "row_masks": (1, 3)}, 3),
+    (TotalPreorder, {"ranks": ORDER.ranks}, 1),
+    (RankingPair, {"a_order": ORDER, "b_order": ORDER}, 2),
+    (TournamentFile, {"tournament": K22, "a_labels": None, "b_labels": None}, 1),
+    (MinChainSet, {"distance": 1, "members": (K22,)}, 2),
+    (StateOfWorld, {"x": (1, 2), "y": (1, 2)}, 2),
+    (NoiseParams, {"alpha_plus": 0.1, "alpha_minus": 0.3}, 2),
+    (MatchPreference, {"kind": "row_major_lex", "explicit": None}, 1),
+    (SelectionFunctionPair, {"name": "all", "f": _select, "g": _select}, 3),
+    (InterleaveRound, {"index": 1, "a_remaining": frozenset({1, 2}), "b_remaining": frozenset({1}),
+                       "f_selected": frozenset({2}), "g_selected": frozenset({1})}, 5),
+    (InterleaveTrace, {"rounds": (), "a_round": (1, 1), "b_round": (1,)}, 3),
+    (Scope, {"exhaustive": (), "random_sizes": (), "random_count": 0, "seed": 0,
+             "tournaments": ()}, 0),
+    (AxiomVerdict, {"axiom": "anon", "operator": "ci", "holds": True, "scope": "exhaustive 2x2",
+                    "checked": 16, "witness": None}, 5),
+    (SuiteRow, {"label": "diagonal", "operator": "ci", "axiom": "anon", "expected_holds": True,
+                "verdict": VERDICT}, 5),
+    (ImpossibilityReport, {"rows": ()}, 0),
+    (ExperimentConfig, {"m": 2, "n": 2, "alpha": NoiseParams(0.1, 0.1), "operator_names": ("ci",),
+                        "trials": 3, "seed": 1, "metrics": ALL_METRICS}, 6),
+]
+
+
+@pytest.mark.parametrize("cls, fields, required", VALUES, ids=[v[0].__name__ for v in VALUES])
+class TestValueClasses:
+    """The value types behave as the frozen dataclasses they replaced."""
+
+    def test_construction(self, cls, fields, required):
+        values = tuple(fields.values())
+        value = cls(*values[:required])
+        assert value == cls(*values) == cls(**fields)
+        assert tuple(getattr(value, name) for name in fields) == values
+
+    def test_equality_hash_and_repr(self, cls, fields, required):
+        reference = dataclasses.make_dataclass(cls.__name__, list(fields), frozen=True)(**fields)
+        value = cls(**fields)
+        assert hash(value) == hash(tuple(fields.values())) == hash(reference)
+        assert repr(value) == repr(reference)
+        assert value != reference and reference != value
+        assert value != tuple(fields.values())
+
+    def test_frozen(self, cls, fields, required):
+        value = cls(**fields)
+        for name in fields:
+            with pytest.raises(AttributeError):
+                setattr(value, name, None)
+            with pytest.raises(AttributeError):
+                delattr(value, name)
+        with pytest.raises(AttributeError):
+            value.other = None
+        assert value == cls(**fields)
+
+
+@pytest.mark.parametrize("build, error, message", [
+    (lambda: Tournament(0, 2, ()), InputError,
+     "a tournament needs at least one row and one column player"),
+    (lambda: Tournament(2, 2, (1,)), InputError, "expected 2 row masks, got 1"),
+    (lambda: Tournament(1, 2, (4,)), InputError, "row mask has bits outside the column range"),
+    (lambda: TotalPreorder(()), InputError, "a total preorder needs at least one rank"),
+    (lambda: TotalPreorder(({1},)), InputError,
+     "ranks must be frozensets; use from_ranks to coerce"),
+    (lambda: TotalPreorder((frozenset(),)), InputError, "ranks must be non-empty"),
+    (lambda: TotalPreorder((frozenset({1}), frozenset({1, 2}))), InputError,
+     "ranks must be pairwise disjoint"),
+    (lambda: StateOfWorld((), (1,)), InputError,
+     "a state needs at least one skill level per side"),
+    (lambda: StateOfWorld((True,), (1,)), InputError, "skill levels must be numbers"),
+    (lambda: StateOfWorld((1, 3), (1,)), InputError,
+     "rows 1 and 2 have a skill gap no column level explains"),
+    (lambda: StateOfWorld((1,), (2, 3)), InputError,
+     "columns 1 and 2 have a skill gap no row level explains"),
+    (lambda: NoiseParams(0.1, 1.5), InputError, "noise rate 1.5 outside [0, 1]"),
+    (lambda: MatchPreference("diagonal"), InputError, "unknown match-preference kind 'diagonal'"),
+    (lambda: MatchPreference("explicit"), InputError,
+     "explicit match preference needs a priority list"),
+    (lambda: Scope(exhaustive=((0, 2),)), InputError,
+     "scope size 0x2 needs at least one row and one column"),
+    (lambda: Scope(exhaustive=((4, 4),)), ResourceCapError,
+     "exhaustive scope 4x4 holds 2^16 tournaments, over the cap of 4096"),
+    (lambda: ExperimentConfig(2, 2, NoiseParams(0.1, 0.1), ("ci",), 0, 1), InputError,
+     "trials must be at least 1"),
+    (lambda: ExperimentConfig(2, 2, NoiseParams(0.1, 0.1), ("ci",), 1, 1, ("speed",)), InputError,
+     "unknown metric 'speed'"),
+])
+def test_value_validation(build, error, message):
+    with pytest.raises(error) as info:
+        build()
+    assert str(info.value) == message
+
+
+def test_cached_properties():
+    K = Tournament(3, 2, (1, 3, 0))
+    assert K.col_masks == (3, 2) and K.col_masks is K.col_masks
+    assert ORDER.players == frozenset({1, 2}) and ORDER.rank_of(2) == 1
