@@ -12,13 +12,13 @@ first violation found, so verdicts are deterministic.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import random
+from dataclasses import replace
 
-from . import match_pref as mp
 from .chain_edit import min_chain_set
 from .core import (
-    RankingPair,
     Tournament,
     _Value,
     all_tournaments,
@@ -29,15 +29,7 @@ from .core import (
 )
 from .errors import InputError, ResourceCapError
 from .interleave import is_chain_definable
-from .operators import (
-    OperatorSpec,
-    chain_min_lex_operator,
-    chain_min_mon_operator,
-    ci_operator,
-    count_operator,
-    match_pref_operator,
-    resolve_operator,
-)
+from .operators import OperatorSpec, resolve_operator
 
 AXIOMS = ("anon", "dual", "iim", "mon", "pos-resp", "chain-min", "chain-def")
 
@@ -131,43 +123,56 @@ class AxiomVerdict(_Value):
         }
 
 
-def _memo_eval(op: OperatorSpec):
-    cache: dict[Tournament, RankingPair] = {}
+def _memoized(op):
+    """op's evaluate (op itself when it is a bare evaluate) behind a functools.cache.
 
-    def ev(K: Tournament) -> RankingPair:
-        pair = cache.get(K)
-        if pair is None:
-            pair = op.evaluate(K)
-            cache[K] = pair
-        return pair
-
-    return ev
+    An evaluate that already is such a cache is returned as it is, so the
+    seven checks that scope_verdicts runs on one operator share one cache.
+    """
+    ev = op.evaluate if isinstance(op, OperatorSpec) else op
+    return ev if hasattr(ev, "cache_info") else functools.cache(ev)
 
 
 def _cells(K: Tournament) -> list[list[int]]:
     return [list(row) for row in K.cells]
 
 
+def _verdict(axiom: str, op: OperatorSpec, scope: str, witnesses) -> AxiomVerdict:
+    """Count the cases witnesses yields, None for each pass, up to the first witness."""
+    checked = 0
+    for witness in witnesses:
+        checked += 1
+        if witness is not None:
+            return AxiomVerdict(axiom, op.name, False, scope, checked, witness)
+    return AxiomVerdict(axiom, op.name, True, scope, checked)
+
+
+def _pair_witness(K: Tournament, bad) -> dict | None:
+    return None if bad is None else {"tournament": _cells(K), "pair": list(bad)}
+
+
 # -- single-instance predicates (used by the scoped checks and by recheck) --
 
 
-def anon_instance_violation(op, K, sigma, pi):
-    """First (a, a2) row pair breaking label-invariance, or None."""
-    ev = op.evaluate if isinstance(op, OperatorSpec) else op
-    before = ev(K).a_order
-    after = ev(permute(K, sigma, pi)).a_order
-    for a in range(1, K.rows + 1):
-        for a2 in range(1, K.rows + 1):
-            if a == a2:
-                continue
-            if before.le(a, a2) != after.le(sigma[a - 1], sigma[a2 - 1]):
+def _relabel_violation(before, after, sigma):
+    """First row pair (a, a2) that before orders unlike after orders (sigma(a), sigma(a2))."""
+    rows = range(1, len(sigma) + 1)
+    for a in rows:
+        for a2 in rows:
+            if a != a2 and before.le(a, a2) != after.le(sigma[a - 1], sigma[a2 - 1]):
                 return (a, a2)
     return None
 
 
+def anon_instance_violation(op, K, sigma, pi):
+    """First (a, a2) row pair breaking label-invariance, or None."""
+    ev = _memoized(op)
+    return _relabel_violation(ev(K).a_order, ev(permute(K, sigma, pi)).a_order, sigma)
+
+
 def dual_instance_violation(op, K):
     """First (b, b2) pair where the B ranking disagrees with the dual's A ranking."""
-    ev = op.evaluate if isinstance(op, OperatorSpec) else op
+    ev = _memoized(op)
     b_order = ev(K).b_order
     dual_a_order = ev(dual(K)).a_order
     for b in range(1, K.cols + 1):
@@ -181,7 +186,7 @@ def iim_instance_violates(op, K1, K2, a, a2) -> bool:
     """True when the relative ranking of a, a2 differs despite identical rows."""
     if K1.row_mask(a) != K2.row_mask(a) or K1.row_mask(a2) != K2.row_mask(a2):
         raise InputError(f"rows {a} and {a2} are not identical across the two tournaments")
-    ev = op.evaluate if isinstance(op, OperatorSpec) else op
+    ev = _memoized(op)
     p1, p2 = ev(K1), ev(K2)
     return (
         p1.a_order.le(a, a2) != p2.a_order.le(a, a2)
@@ -189,10 +194,15 @@ def iim_instance_violates(op, K1, K2, a, a2) -> bool:
     )
 
 
+def _iim_witness(ev, K1, K2, a, a2) -> dict | None:
+    if not iim_instance_violates(ev, K1, K2, a, a2):
+        return None
+    return {"tournament": _cells(K1), "tournament_2": _cells(K2), "pair": [a, a2]}
+
+
 def mon_instance_violation(op, K):
     """First (a, a2) with nested neighbourhoods ranked the wrong way, or None."""
-    ev = op.evaluate if isinstance(op, OperatorSpec) else op
-    pair = ev(K)
+    pair = _memoized(op)(K)
     for a in range(1, K.rows + 1):
         for a2 in range(1, K.rows + 1):
             if a == a2:
@@ -207,54 +217,62 @@ def pos_resp_instance_violates(op, K, a, a2, b) -> bool:
     """True when granting a2 the extra win at (a2, b) fails to put it strictly above a."""
     if K.cell(a2, b) != 0:
         raise InputError(f"cell ({a2}, {b}) already holds a win")
-    ev = op.evaluate if isinstance(op, OperatorSpec) else op
+    ev = _memoized(op)
     if not ev(K).a_order.le(a, a2):
         raise InputError(f"{a} is not ranked weakly below {a2} in the base tournament")
     bumped = ev(K.with_cell(a2, b, 1)).a_order
     return not bumped.strictly_below(a, a2)
 
 
-# -- scoped checks --
+def _chain_min_witness(ev, K: Tournament, cap: int | None) -> dict | None:
+    pair = ev(K)  # first: an exact operator's solve is then min_chain_set's too
+    if pair in {chain_rankings(M) for M in min_chain_set(K, cap).members}:
+        return None
+    return {
+        "tournament": _cells(K),
+        "a_ranks": [sorted(r) for r in pair.a_order.ranks],
+        "b_ranks": [sorted(r) for r in pair.b_order.ranks],
+    }
+
+
+def _chain_def_witness(ev, K: Tournament) -> dict | None:
+    pair = ev(K)
+    if is_chain_definable(pair):
+        return None
+    return {
+        "tournament": _cells(K),
+        "rank_counts": [rank_count(pair.a_order), rank_count(pair.b_order)],
+    }
+
+
+# -- scoped checks: each streams None per passing case and a witness per failing one --
 
 
 def check_anon(op: OperatorSpec, scope: Scope) -> AxiomVerdict:
     """Rankings must be invariant under relabelling both sides."""
-    ev = _memo_eval(op)
-    checked = 0
-    for K in scope.iter_tournaments():
-        base = ev(K).a_order
-        for sigma in itertools.permutations(range(1, K.rows + 1)):
-            for pi in itertools.permutations(range(1, K.cols + 1)):
-                checked += 1
-                after = ev(permute(K, sigma, pi)).a_order
-                for a in range(1, K.rows + 1):
-                    for a2 in range(1, K.rows + 1):
-                        if a == a2:
-                            continue
-                        if base.le(a, a2) != after.le(sigma[a - 1], sigma[a2 - 1]):
-                            witness = {
-                                "tournament": _cells(K),
-                                "sigma": list(sigma),
-                                "pi": list(pi),
-                                "pair": [a, a2],
-                            }
-                            return AxiomVerdict(
-                                "anon", op.name, False, scope.describe(), checked, witness
-                            )
-    return AxiomVerdict("anon", op.name, True, scope.describe(), checked)
+    ev = _memoized(op)
+
+    def witnesses():
+        for K in scope.iter_tournaments():
+            before = ev(K).a_order
+            for sigma in itertools.permutations(range(1, K.rows + 1)):
+                for pi in itertools.permutations(range(1, K.cols + 1)):
+                    bad = _relabel_violation(before, ev(permute(K, sigma, pi)).a_order, sigma)
+                    yield None if bad is None else {
+                        "tournament": _cells(K),
+                        "sigma": list(sigma),
+                        "pi": list(pi),
+                        "pair": list(bad),
+                    }
+
+    return _verdict("anon", op, scope.describe(), witnesses())
 
 
 def check_dual(op: OperatorSpec, scope: Scope) -> AxiomVerdict:
     """The B ranking of K must equal the A ranking of the dual of K."""
-    ev = _memo_eval(op)
-    checked = 0
-    for K in scope.iter_tournaments():
-        checked += 1
-        bad = dual_instance_violation(ev, K)
-        if bad is not None:
-            witness = {"tournament": _cells(K), "pair": list(bad)}
-            return AxiomVerdict("dual", op.name, False, scope.describe(), checked, witness)
-    return AxiomVerdict("dual", op.name, True, scope.describe(), checked)
+    ev = _memoized(op)
+    found = (_pair_witness(K, dual_instance_violation(ev, K)) for K in scope.iter_tournaments())
+    return _verdict("dual", op, scope.describe(), found)
 
 
 def check_iim(op: OperatorSpec, scope: Scope, pairs=()) -> AxiomVerdict:
@@ -266,41 +284,19 @@ def check_iim(op: OperatorSpec, scope: Scope, pairs=()) -> AxiomVerdict:
     perturbation of the other rows. Explicit (K1, K2, a, a2) quadruples are
     checked directly.
     """
-    ev = _memo_eval(op)
-    checked = 0
-    for K1, K2, a, a2 in pairs:
-        checked += 1
-        if iim_instance_violates(ev, K1, K2, a, a2):
-            witness = {
-                "tournament": _cells(K1),
-                "tournament_2": _cells(K2),
-                "pair": [a, a2],
-            }
-            return AxiomVerdict("iim", op.name, False, scope.describe(), checked, witness)
-    for m, n in scope.exhaustive:
-        space = list(all_tournaments(m, n))
-        for a, a2 in itertools.combinations(range(1, m + 1), 2):
-            buckets: dict[tuple[int, int], tuple[Tournament, tuple[bool, bool]]] = {}
-            for K in space:
-                checked += 1
-                pair = ev(K)
-                verdict = (pair.a_order.le(a, a2), pair.a_order.le(a2, a))
-                key = (K.row_masks[a - 1], K.row_masks[a2 - 1])
-                prior = buckets.get(key)
-                if prior is None:
-                    buckets[key] = (K, verdict)
-                elif prior[1] != verdict:
-                    witness = {
-                        "tournament": _cells(prior[0]),
-                        "tournament_2": _cells(K),
-                        "pair": [a, a2],
-                    }
-                    return AxiomVerdict(
-                        "iim", op.name, False, scope.describe(), checked, witness
-                    )
-    if scope.random_count:
+    ev = _memoized(op)
+
+    def witnesses():
+        for K1, K2, a, a2 in pairs:
+            yield _iim_witness(ev, K1, K2, a, a2)
+        for m, n in scope.exhaustive:
+            space = list(all_tournaments(m, n))
+            for a, a2 in itertools.combinations(range(1, m + 1), 2):
+                first: dict[tuple[int, int], Tournament] = {}
+                for K in space:
+                    K1 = first.setdefault((K.row_masks[a - 1], K.row_masks[a2 - 1]), K)
+                    yield _iim_witness(ev, K1, K, a, a2)
         rng = random.Random(scope.seed)
-        full = 0
         for m, n in scope.random_sizes:
             if m < 2:
                 continue
@@ -312,116 +308,84 @@ def check_iim(op: OperatorSpec, scope: Scope, pairs=()) -> AxiomVerdict:
                     mask if i + 1 in (a, a2) else rng.randint(0, full)
                     for i, mask in enumerate(K1.row_masks)
                 ]
-                K2 = Tournament(m, n, tuple(masks))
-                checked += 1
-                if iim_instance_violates(ev, K1, K2, a, a2):
-                    witness = {
-                        "tournament": _cells(K1),
-                        "tournament_2": _cells(K2),
-                        "pair": [a, a2],
-                    }
-                    return AxiomVerdict(
-                        "iim", op.name, False, scope.describe(), checked, witness
-                    )
-    return AxiomVerdict("iim", op.name, True, scope.describe(), checked)
+                yield _iim_witness(ev, K1, Tournament(m, n, tuple(masks)), a, a2)
+
+    return _verdict("iim", op, scope.describe(), witnesses())
 
 
 def check_mon(op: OperatorSpec, scope: Scope) -> AxiomVerdict:
     """A nested neighbourhood must never outrank its superset."""
-    ev = _memo_eval(op)
-    checked = 0
-    for K in scope.iter_tournaments():
-        checked += 1
-        bad = mon_instance_violation(ev, K)
-        if bad is not None:
-            witness = {"tournament": _cells(K), "pair": list(bad)}
-            return AxiomVerdict("mon", op.name, False, scope.describe(), checked, witness)
-    return AxiomVerdict("mon", op.name, True, scope.describe(), checked)
+    ev = _memoized(op)
+    found = (_pair_witness(K, mon_instance_violation(ev, K)) for K in scope.iter_tournaments())
+    return _verdict("mon", op, scope.describe(), found)
 
 
 def check_pos_resp(op: OperatorSpec, scope: Scope) -> AxiomVerdict:
     """An extra win must break ties in favour of the winner."""
-    ev = _memo_eval(op)
-    checked = 0
-    for K in scope.iter_tournaments():
-        pair = ev(K)
-        for a2 in range(1, K.rows + 1):
-            for b in range(1, K.cols + 1):
-                if K.cell(a2, b) != 0:
-                    continue
-                bumped = None
-                for a in range(1, K.rows + 1):
-                    if a == a2 or not pair.a_order.le(a, a2):
+    ev = _memoized(op)
+
+    def witnesses():
+        for K in scope.iter_tournaments():
+            a_order = ev(K).a_order
+            for a2 in range(1, K.rows + 1):
+                for b in range(1, K.cols + 1):
+                    if K.cell(a2, b) != 0:
                         continue
-                    checked += 1
-                    if bumped is None:
-                        bumped = ev(K.with_cell(a2, b, 1)).a_order
-                    if not bumped.strictly_below(a, a2):
-                        witness = {
+                    bumped = None
+                    for a in range(1, K.rows + 1):
+                        if a == a2 or not a_order.le(a, a2):
+                            continue
+                        if bumped is None:
+                            bumped = ev(K.with_cell(a2, b, 1)).a_order
+                        yield None if bumped.strictly_below(a, a2) else {
                             "tournament": _cells(K),
                             "pair": [a, a2],
                             "cell": [a2, b],
                         }
-                        return AxiomVerdict(
-                            "pos-resp", op.name, False, scope.describe(), checked, witness
-                        )
-    return AxiomVerdict("pos-resp", op.name, True, scope.describe(), checked)
+
+    return _verdict("pos-resp", op, scope.describe(), witnesses())
 
 
 def check_chain_min(op: OperatorSpec, K: Tournament, cap: int | None = None) -> AxiomVerdict:
     """The output must match the rankings of some closest chain tournament."""
-    pair = op.evaluate(K)
-    attainable = {chain_rankings(M) for M in min_chain_set(K, cap).members}
-    holds = pair in attainable
-    witness = None
-    if not holds:
-        witness = {
-            "tournament": _cells(K),
-            "a_ranks": [sorted(r) for r in pair.a_order.ranks],
-            "b_ranks": [sorted(r) for r in pair.b_order.ranks],
-        }
-    return AxiomVerdict(
-        "chain-min", op.name, holds, f"single instance {K.rows}x{K.cols}", 1, witness
-    )
+    witness = _chain_min_witness(op.evaluate, K, cap)
+    return _verdict("chain-min", op, f"single instance {K.rows}x{K.cols}", [witness])
 
 
 def check_chain_def(op: OperatorSpec, K: Tournament) -> AxiomVerdict:
     """The two rank counts may differ by at most one."""
-    pair = op.evaluate(K)
-    holds = is_chain_definable(pair)
-    witness = None
-    if not holds:
-        witness = {
-            "tournament": _cells(K),
-            "rank_counts": [rank_count(pair.a_order), rank_count(pair.b_order)],
-        }
-    return AxiomVerdict(
-        "chain-def", op.name, holds, f"single instance {K.rows}x{K.cols}", 1, witness
-    )
+    witness = _chain_def_witness(op.evaluate, K)
+    return _verdict("chain-def", op, f"single instance {K.rows}x{K.cols}", [witness])
 
 
 def check_chain_min_scope(op: OperatorSpec, scope: Scope, cap: int | None = None) -> AxiomVerdict:
-    checked = 0
-    for K in scope.iter_tournaments():
-        checked += 1
-        verdict = check_chain_min(op, K, cap)
-        if not verdict.holds:
-            return AxiomVerdict(
-                "chain-min", op.name, False, scope.describe(), checked, verdict.witness
-            )
-    return AxiomVerdict("chain-min", op.name, True, scope.describe(), checked)
+    found = (_chain_min_witness(op.evaluate, K, cap) for K in scope.iter_tournaments())
+    return _verdict("chain-min", op, scope.describe(), found)
 
 
 def check_chain_def_scope(op: OperatorSpec, scope: Scope) -> AxiomVerdict:
-    checked = 0
-    for K in scope.iter_tournaments():
-        checked += 1
-        verdict = check_chain_def(op, K)
-        if not verdict.holds:
-            return AxiomVerdict(
-                "chain-def", op.name, False, scope.describe(), checked, verdict.witness
-            )
-    return AxiomVerdict("chain-def", op.name, True, scope.describe(), checked)
+    found = (_chain_def_witness(op.evaluate, K) for K in scope.iter_tournaments())
+    return _verdict("chain-def", op, scope.describe(), found)
+
+
+def scope_verdicts(op: OperatorSpec, scope: Scope, cap: int | None = None) -> list[AxiomVerdict]:
+    """The seven scoped verdicts in AXIOMS order, each tournament evaluated once.
+
+    The checks share one cache of op.evaluate. The chain-min check runs
+    first: its evaluation of a tournament solves it, and min_chain_set then
+    reuses that solve, which chain_edit keeps for the last tournament only.
+    """
+    op = replace(op, evaluate=_memoized(op))
+    chain_min = check_chain_min_scope(op, scope, cap)
+    return [
+        check_anon(op, scope),
+        check_dual(op, scope),
+        check_iim(op, scope),
+        check_mon(op, scope),
+        check_pos_resp(op, scope),
+        chain_min,
+        check_chain_def_scope(op, scope),
+    ]
 
 
 def recheck(op: OperatorSpec, verdict: AxiomVerdict) -> bool:
@@ -524,92 +488,33 @@ def impossibility_suite(cap: int | None = None) -> ImpossibilityReport:
     cardinality interleaving operator must show its full verdict row.
     """
     rows: list[SuiteRow] = []
-    chain_min_family = [
-        chain_min_lex_operator(cap),
-        chain_min_mon_operator(cap),
-        resolve_operator("chain-min-dual", cap),
-        match_pref_operator(mp.MatchPreference.row_major(), cap, label="match-pref:row-major"),
-    ]
-    for op in chain_min_family:
-        rows.append(
-            SuiteRow(
-                "chain-min-vs-anon",
-                op.name,
-                "anon",
-                False,
-                check_anon(op, Scope(tournaments=(ANON_COUNTEREXAMPLE,))),
-            )
-        )
-        rows.append(
-            SuiteRow(
-                "chain-min-vs-iim",
-                op.name,
-                "iim",
-                False,
-                check_iim(op, Scope(), pairs=((IIM_PAIR[0], IIM_PAIR[1], 1, 2),)),
-            )
-        )
-        rows.append(
-            SuiteRow(
-                "chain-min-vs-pos-resp",
-                op.name,
-                "pos-resp",
-                False,
-                check_pos_resp(op, Scope(tournaments=(POS_RESP_COUNTEREXAMPLE,))),
-            )
-        )
-        rows.append(
-            SuiteRow(
-                "chain-min-control",
-                op.name,
-                "chain-min",
-                True,
-                check_chain_min(op, ANON_COUNTEREXAMPLE, cap),
-            )
-        )
 
-    count = count_operator()
-    for axiom, checker in (
-        ("anon", check_anon),
-        ("dual", check_dual),
-        ("pos-resp", check_pos_resp),
-    ):
-        rows.append(
-            SuiteRow(
-                "four-axiom-conflict-premises",
-                count.name,
-                axiom,
-                True,
-                checker(count, Scope(tournaments=(CHAIN_DEF_IMPOSSIBILITY,))),
-            )
-        )
-    rows.append(
-        SuiteRow(
-            "four-axiom-conflict",
-            count.name,
-            "chain-def",
-            False,
-            check_chain_def(count, CHAIN_DEF_IMPOSSIBILITY),
-        )
-    )
+    def expect(label: str, holds: bool, verdict: AxiomVerdict) -> None:
+        rows.append(SuiteRow(label, verdict.operator, verdict.axiom, holds, verdict))
 
-    ci = ci_operator()
+    anon = Scope(tournaments=(ANON_COUNTEREXAMPLE,))
+    iim = ((*IIM_PAIR, 1, 2),)
+    pos_resp = Scope(tournaments=(POS_RESP_COUNTEREXAMPLE,))
+    for name in ("chain-min-lex", "chain-min-mon", "chain-min-dual", "match-pref:row-major"):
+        op = resolve_operator(name, cap)
+        expect("chain-min-vs-anon", False, check_anon(op, anon))
+        expect("chain-min-vs-iim", False, check_iim(op, Scope(), pairs=iim))
+        expect("chain-min-vs-pos-resp", False, check_pos_resp(op, pos_resp))
+        expect("chain-min-control", True, check_chain_min(op, ANON_COUNTEREXAMPLE, cap))
+
+    count = resolve_operator("count")
+    for check in (check_anon, check_dual, check_pos_resp):
+        premise = check(count, Scope(tournaments=(CHAIN_DEF_IMPOSSIBILITY,)))
+        expect("four-axiom-conflict-premises", True, premise)
+    expect("four-axiom-conflict", False, check_chain_def(count, CHAIN_DEF_IMPOSSIBILITY))
+
+    ci = resolve_operator("ci")
     small = Scope(exhaustive=((2, 2), (2, 3)))
-    rows.append(SuiteRow("ci-verdict-row", ci.name, "chain-def", True, check_chain_def_scope(ci, small)))
-    rows.append(SuiteRow("ci-verdict-row", ci.name, "anon", True, check_anon(ci, small)))
-    rows.append(SuiteRow("ci-verdict-row", ci.name, "dual", True, check_dual(ci, small)))
-    rows.append(SuiteRow("ci-verdict-row", ci.name, "mon", True, check_mon(ci, small)))
-    rows.append(
-        SuiteRow(
-            "ci-verdict-row",
-            ci.name,
-            "iim",
-            False,
-            check_iim(ci, Scope(), pairs=((IIM_PAIR[0], IIM_PAIR[1], 1, 2),)),
-        )
-    )
+    for check in (check_chain_def_scope, check_anon, check_dual, check_mon):
+        expect("ci-verdict-row", True, check(ci, small))
+    expect("ci-verdict-row", False, check_iim(ci, Scope(), pairs=iim))
     search = Scope(exhaustive=((2, 2), (3, 2), (2, 3), (4, 2), (3, 3), (4, 3)))
-    rows.append(SuiteRow("ci-verdict-row", ci.name, "pos-resp", False, check_pos_resp(ci, search)))
+    expect("ci-verdict-row", False, check_pos_resp(ci, search))
 
     report = ImpossibilityReport(tuple(rows))
     for row in report.rows:

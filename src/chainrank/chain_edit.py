@@ -18,13 +18,13 @@ its cells (the canonical pick and the match-preference pick) is read off the
 factored form instead, row by row, without expanding it (see least_member).
 
 One solve serves every exact pick of a tournament: _solve keeps the last
-factored optimum it found, keyed on (tournament, cost table, cap), so the
-optimum set, the canonical, monotone and match-preference picks, and a
-symmetric-noise MLE of one matrix share one search. The memo holds a single
-entry, so its memory is that of one solve whatever a process goes on to
-solve, and it is functools.lru_cache's, which is safe to call from several
-threads: a thread never reads another input's entry, and a miss only solves
-again.
+factored optimum it found, keyed on (tournament, cost table, cap) in the
+tall orientation, so the optimum set, the canonical, monotone and
+match-preference picks, and a symmetric-noise MLE of one matrix or of its
+dual share one search. The memo holds a single entry, so its memory is that
+of one solve whatever a process goes on to solve, and it is
+functools.lru_cache's, which is safe to call from several threads: a thread
+never reads another input's entry, and a miss only solves again.
 
 Unit costs give chain editing; forbidding removals or additions gives
 completion and deletion; cell weights give the weighted selection; zero
@@ -184,6 +184,19 @@ def _solve(K: Tournament, cost, cap: int | None):
     return distance, tuple(options)
 
 
+def _factored(K: Tournament, cost, cap: int | None):
+    """_solve keyed on the tall orientation, so K and dual(K) share one entry.
+
+    _search searches a wide K as its dual, whose cells are complements, so
+    (z0, z1), (o0, o1) = cost on K is ((o1, o0), (z1, z0)) on dual(K): the
+    same search with the same options (completion becomes deletion).
+    """
+    if K.cols > K.rows:
+        (z0, z1), (o0, o1) = cost
+        K, cost = dual(K), ((o1, o0), (z1, z0))
+    return _solve(K, cost, cap)
+
+
 def _members(options, m: int, n: int) -> tuple[Tournament, ...]:
     """The distinct m-by-n tournaments the options combine to, canonically ordered.
 
@@ -191,7 +204,7 @@ def _members(options, m: int, n: int) -> tuple[Tournament, ...]:
     combine to more than MEMBER_CAP tuples (an upper bound on the members,
     as different options may give the same tournament).
     """
-    options = tuple(options)  # no copy of a _solve result
+    options = tuple(options)  # no copy of a _factored result
     count = sum(math.prod(map(len, per_row)) for per_row in options)
     if count > MEMBER_CAP:
         raise ResourceCapError(
@@ -249,12 +262,12 @@ def least_member(K: Tournament, order, flip: Tournament, cap: int | None = None)
         return sum(itertools.starmap(value, enumerate(masks))), masks
 
     # equal vectors are the same member, so the masks never decide a tie
-    _, masks = min(map(pick, _solve(K, _EDIT, cap)[1]))
+    _, masks = min(map(pick, _factored(K, _EDIT, cap)[1]))
     return Tournament(m, n, masks) if tall else dual(Tournament(n, m, masks))
 
 
 def _optimum(K: Tournament, cost, cap: int | None) -> MinChainSet:
-    distance, options = _solve(K, cost, cap)
+    distance, options = _factored(K, cost, cap)
     return MinChainSet(distance, _members(options, K.rows, K.cols))
 
 

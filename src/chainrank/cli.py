@@ -59,10 +59,6 @@ def _ranks_json(order: TotalPreorder) -> list[list[int]]:
     return [sorted(rank) for rank in order.ranks]
 
 
-def _cells_json(M) -> list[list[int]]:
-    return [list(row) for row in M.cells]
-
-
 def _render_members(members, cols: int, cell_sep: str, row_sep: str) -> list[str]:
     """Each member as text, every distinct row mask rendered once and shared by all."""
     rows = {
@@ -97,7 +93,7 @@ def cmd_rank(args) -> int:
             "operator": spec.name,
             "a_ranks": _ranks_json(pair.a_order),
             "b_ranks": _ranks_json(pair.b_order),
-            "chain": _cells_json(chain) if chain else None,
+            "chain": chain.cells if chain else None,
             "distance": hamming(K, chain) if chain else None,
         }
         print(json.dumps(out, sort_keys=True))
@@ -123,7 +119,7 @@ def cmd_edit(args) -> int:
         if args.json:
             out = {
                 "distance": hamming(K, selected),
-                "members": [_cells_json(selected)],
+                "members": [selected.cells],
             }
             print(json.dumps(out, sort_keys=True))
             return 0
@@ -159,8 +155,6 @@ def _parse_scope(spec: str) -> tuple[tuple[int, int], ...]:
 
 
 def cmd_axioms(args) -> int:
-    from dataclasses import replace
-
     from . import axiom_lab
     from .operators import resolve_operator
 
@@ -183,18 +177,8 @@ def cmd_axioms(args) -> int:
             return 4
         return 0
     spec = resolve_operator(args.operator, cap)
-    # the checks revisit the same tournaments: solve each one once across all seven
-    spec = replace(spec, evaluate=axiom_lab._memo_eval(spec))
     scope = axiom_lab.Scope(exhaustive=_parse_scope(args.scope))
-    verdicts = [
-        axiom_lab.check_anon(spec, scope),
-        axiom_lab.check_dual(spec, scope),
-        axiom_lab.check_iim(spec, scope),
-        axiom_lab.check_mon(spec, scope),
-        axiom_lab.check_pos_resp(spec, scope),
-        axiom_lab.check_chain_min_scope(spec, scope, cap),
-        axiom_lab.check_chain_def_scope(spec, scope),
-    ]
+    verdicts = axiom_lab.scope_verdicts(spec, scope, cap)
     print(json.dumps([v.to_json() for v in verdicts], sort_keys=True, indent=2))
     return 0
 

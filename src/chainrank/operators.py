@@ -35,8 +35,9 @@ from .interleave import ci_selection, greedy_chain_tournament, interleave
 class OperatorSpec:
     """A named operator; evaluate is total and deterministic within the size cap.
 
-    Unlike the other value types this is still a dataclass: cli.cmd_axioms
-    and perfbench/tracing.py swap its callables with dataclasses.replace.
+    Unlike the other value types this is still a dataclass:
+    axiom_lab.scope_verdicts and perfbench/tracing.py swap its callables
+    with dataclasses.replace.
     """
 
     name: str

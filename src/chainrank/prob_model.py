@@ -22,7 +22,7 @@ import itertools
 import math
 import random
 
-from .chain_edit import _EDIT, _members, _solve
+from .chain_edit import _EDIT, _factored, _members
 from .core import Tournament, _Value, chain_rankings, has_chain_property
 from .errors import InputError, NotChainError
 
@@ -220,7 +220,7 @@ def mle_search(K: Tournament, alpha: NoiseParams, cap: int | None = None) -> tup
     search and its cap are those of chain editing, and under the unit edit
     costs the solve is shared with min_chain_set.
     """
-    cost, options = _solve(K, _mle_costs(alpha), cap)
+    cost, options = _factored(K, _mle_costs(alpha), cap)
     if cost == math.inf:
         raise InputError(
             "noise rates assign probability zero to this observation under every state"

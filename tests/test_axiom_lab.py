@@ -1,3 +1,4 @@
+import hashlib
 import json
 
 import pytest
@@ -11,7 +12,9 @@ from chainrank.axiom_lab import (
     Scope,
     check_anon,
     check_chain_def,
+    check_chain_def_scope,
     check_chain_min,
+    check_chain_min_scope,
     check_dual,
     check_iim,
     check_mon,
@@ -25,6 +28,7 @@ from chainrank.operators import (
     chain_min_mon_operator,
     ci_operator,
     count_operator,
+    resolve_operator,
 )
 
 from helpers import EX2, TABLE1
@@ -252,3 +256,41 @@ class TestImpossibilitySuite:
 
         for M in min_chain_set(ANON_COUNTEREXAMPLE).members:
             assert M.row_masks[0] != M.row_masks[1]
+
+
+# a seeded random scope and explicit iim pairs, the second pair violating for
+# every chain-minimal operator and for ci
+GOLDEN_SCOPE = Scope(random_sizes=((3, 3), (4, 3)), random_count=40, seed=3)
+GOLDEN_IIM_PAIRS = ((IIM_PAIR[1], IIM_PAIR[1], 1, 3), (IIM_PAIR[0], IIM_PAIR[1], 1, 2))
+
+# SHA-256 of repr(golden_verdicts(name)), recorded when every check ran its
+# own loop: each verdict's holds, checked count and first witness stay put
+GOLDEN_VERDICT_DIGESTS = {
+    "count": "692bbb1d0fa69c34ffa1b61410ca23f74bfab4cbfa96daa48859bc54a34ccfdb",
+    "ci": "36b40975e5ac6501a75c7848f5a765188be7a8c6a40fdbac458a8013fd1b4326",
+    "chain-min-lex": "79288c651953b0eac49bae978f54da2a0c7037eacc5370a72abe79b7bce104a1",
+    "chain-min-mon": "fb6c332678a1117ef3a894a3e40e128fa5ddea1892d6e6d9868d672056ac07cf",
+    "chain-min-dual": "ce185a32b8f573b486a1523e0eb869d5fb13f467351233d092d0b12e68c1db7d",
+    "match-pref:row-major": "fca7c9764652f505bf367de536ad17152baa9036c3959b10c6c5b65b8de840db",
+    "match-pref:col-major": "4aa8cd077d34a0998226f92e5d717edc81888a0a1c99b766931113dbccc678c6",
+}
+
+
+def golden_verdicts(name):
+    op = resolve_operator(name)
+    checks = (check_anon, check_dual, check_iim, check_mon, check_pos_resp,
+              check_chain_min_scope, check_chain_def_scope)
+    verdicts = [check(op, GOLDEN_SCOPE) for check in checks]
+    verdicts.append(check_iim(op, Scope(), pairs=GOLDEN_IIM_PAIRS))
+    for K in (EX2, TABLE1, CHAIN_DEF_IMPOSSIBILITY):
+        verdicts += [check_chain_min(op, K), check_chain_def(op, K)]
+    return verdicts
+
+
+class TestGoldenVerdicts:
+    @pytest.mark.parametrize("name", sorted(GOLDEN_VERDICT_DIGESTS))
+    def test_verdicts_unchanged(self, name):
+        verdicts = golden_verdicts(name)
+        assert not all(v.holds for v in verdicts)
+        digest = hashlib.sha256(repr(verdicts).encode()).hexdigest()
+        assert digest == GOLDEN_VERDICT_DIGESTS[name]

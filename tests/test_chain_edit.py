@@ -26,11 +26,11 @@ from chainrank import (
 )
 from chainrank import chain_edit
 from chainrank.chain_edit import _members, _search, all_chain_tournaments, least_member
-from chainrank.core import canonical_key
+from chainrank.core import canonical_key, dual
 from chainrank.match_pref import MatchPreference, weights_for
 from chainrank.match_pref import select_match_pref
 from chainrank.operators import canonical_min_choice
-from chainrank.prob_model import NoiseParams, mle_search
+from chainrank.prob_model import NoiseParams, _mle_costs, mle_search
 
 from helpers import (
     ANON_K,
@@ -473,3 +473,19 @@ class TestSolveMemo:
             if step % 4 == 1:
                 with pytest.raises(ResourceCapError):
                     self.PICKS[j](refused)
+
+    def test_wide_input_solved_as_its_dual(self):
+        # a wide K is searched as its dual anyway, so it is solved and kept
+        # as dual(K) under swapped costs: the same distance and options
+        rng = random.Random(607)
+        costs = (chain_edit._EDIT, chain_edit._COMPLETE, chain_edit._DELETE,
+                 _mle_costs(NoiseParams(0.1, 0.3)), _mle_costs(NoiseParams(0.0, 0.2)))
+        for m, n in ((1, 3), (2, 5), (3, 6), (4, 5)):
+            K = random_tournament(rng, m, n)
+            for cost in costs:
+                distance, options = _search(*chain_edit._cell_costs(K, cost), None)
+                chain_edit._solve.cache_clear()
+                assert chain_edit._factored(K, cost, None) == (distance, tuple(options))
+            chain_edit._factored(K, chain_edit._EDIT, None)
+            chain_edit._factored(dual(K), chain_edit._EDIT, None)
+            assert chain_edit._solve.cache_info().hits == 1

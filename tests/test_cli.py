@@ -1,3 +1,4 @@
+import hashlib
 import json
 import math
 import random
@@ -187,6 +188,42 @@ class TestAxiomsCommand:
         assert main(["axioms", "-o", "count", "--scope", "2by2"]) == 2
 
 
+# SHA-256 of the stdout of `axioms`, recorded when every check ran its own
+# loop and memo
+AXIOMS_SCOPE_DIGESTS = {
+    ("count", "2x2,2x3,3x3"): "ccb0c239e5b66aa102c4ca565df83627a0804bc48bb453dfafce3fdbc954377c",
+    ("count", "1x3,3x1,2x4,4x2"): "d2595b268d32299194bf47297a60fce2652cd3dc20eafa814347a1f75a94c8b1",
+    ("ci", "2x2,2x3,3x3"): "b041db8843338003ca7805e01cc0578ec34aa75fd4a85272d30024548462e614",
+    ("ci", "1x3,3x1,2x4,4x2"): "ded7d729383da946011959c967f967611d94b75bb5e49e67da5e1cc7dd6f14e4",
+    ("chain-min-lex", "2x2,2x3,3x3"): "3b08883b3363cd1e3249d801742f68b70499c7557a78dbcab045df6cf2c9ea63",
+    ("chain-min-lex", "1x3,3x1,2x4,4x2"): "0abbb1cc8d809b2334cfe03e7f42864500920e8193fe8e23884957c8044bbdc5",
+    ("chain-min-mon", "2x2,2x3,3x3"): "dd015a61ca0031888946d77d007271942042918ef81be2ed020f4bd7ec16de61",
+    ("chain-min-mon", "1x3,3x1,2x4,4x2"): "cb4276b78c1e3d72f871e37849b1f3084b96a740059417e7b129fae1577b810b",
+    ("chain-min-dual", "2x2,2x3,3x3"): "c546f5d650ca7c297ceddad9c89ae092e0bd79565ab7158f3e9b4e90715b2416",
+    ("chain-min-dual", "1x3,3x1,2x4,4x2"): "c0271cecfa8d2a10c17a098c1054046dda9a08f1737a68027b7351f9d7bd8345",
+    ("match-pref:row-major", "2x2,2x3,3x3"): "7957f5103016bc3203288b5c3db0f73720ad9fcee8e743465c164419a977c46b",
+    ("match-pref:row-major", "1x3,3x1,2x4,4x2"): "cbd84858b7065cbce1ada9e144b1dfec143546e34dc8176ad0d739ca04541baf",
+}
+PAPER_SUITE_DIGESTS = {
+    "text": "86195ff0bb999957b58be1553c325c21175f3602a3130ad5c34d83583000f004",
+    "json": "4aa50315ef305dbc8166fd74bc880e4af754da503df809917f377f01af4e6916",
+}
+
+
+class TestAxiomsOutputUnchanged:
+    @pytest.mark.parametrize("op, scope", sorted(AXIOMS_SCOPE_DIGESTS))
+    def test_scope(self, capsys, op, scope):
+        assert main(["axioms", "-o", op, "--scope", scope]) == 0
+        out = capsys.readouterr().out
+        assert hashlib.sha256(out.encode()).hexdigest() == AXIOMS_SCOPE_DIGESTS[op, scope]
+
+    @pytest.mark.parametrize("form, extra", [("text", []), ("json", ["--json"])])
+    def test_paper_suite(self, capsys, form, extra):
+        assert main(["axioms", "--paper-suite", *extra]) == 0
+        out = capsys.readouterr().out
+        assert hashlib.sha256(out.encode()).hexdigest() == PAPER_SUITE_DIGESTS[form]
+
+
 @pytest.fixture
 def search_calls(monkeypatch):
     """Count calls of the chain-editing search, from an empty solve memo."""
@@ -215,6 +252,20 @@ class TestSolvesOnce:
                 "--operators", "chain-min-lex,chain-min-mon,match-pref:row-major"]
         assert main(args) == 0
         assert len(search_calls) == 5
+
+    @pytest.mark.parametrize("m, n, searches", [(6, 4, 20), (4, 6, 20), (6, 6, 38)])
+    def test_simulate_dual_shares_the_solve(self, capsys, search_calls, m, n, searches):
+        # a non-square tournament and its dual are one search; a square
+        # non-canonical one is solved again as its dual
+        args = ["simulate", "--m", str(m), "--n", str(n), "--beta", "0.1", "--trials", "20",
+                "--seed", "1", "--operators", "chain-min-lex,chain-min-dual,chain-min-mon"]
+        assert main(args) == 0
+        assert len(search_calls) == searches
+
+    def test_axioms_scope_once_per_tournament(self, capsys, search_calls):
+        # 16 + 64 + 512 tournaments; the chain-min check reuses each evaluation's solve
+        assert main(["axioms", "-o", "chain-min-lex", "--scope", "2x2,2x3,3x3"]) == 0
+        assert len(search_calls) == 592
 
     @pytest.mark.parametrize("noise, searches", [
         (["--beta", "0.1"], 1),
