@@ -41,21 +41,14 @@ EXHAUSTIVE_CAP = 1 << 12
 class Scope(_Value):
     """What a quantified axiom check ranges over."""
 
-    exhaustive: tuple[tuple[int, int], ...]
-    random_sizes: tuple[tuple[int, int], ...]
-    random_count: int
-    seed: int
-    tournaments: tuple[Tournament, ...]
+    exhaustive: tuple[tuple[int, int], ...] = ()
+    random_sizes: tuple[tuple[int, int], ...] = ()
+    random_count: int = 0
+    seed: int = 0
+    tournaments: tuple[Tournament, ...] = ()
 
-    def __init__(
-        self,
-        exhaustive: tuple[tuple[int, int], ...] = (),
-        random_sizes: tuple[tuple[int, int], ...] = (),
-        random_count: int = 0,
-        seed: int = 0,
-        tournaments: tuple[Tournament, ...] = (),
-    ):
-        for m, n in exhaustive:
+    def _check(self) -> None:
+        for m, n in self.exhaustive:
             if m < 1 or n < 1:
                 raise InputError(f"scope size {m}x{n} needs at least one row and one column")
             if m * n >= EXHAUSTIVE_CAP.bit_length():  # 2^(mn) > EXHAUSTIVE_CAP
@@ -63,7 +56,6 @@ class Scope(_Value):
                     f"exhaustive scope {m}x{n} holds 2^{m * n} tournaments, "
                     f"over the cap of {EXHAUSTIVE_CAP}"
                 )
-        self._init(exhaustive, random_sizes, random_count, seed, tournaments)
 
     def describe(self) -> str:
         parts = []
@@ -99,28 +91,10 @@ class AxiomVerdict(_Value):
     holds: bool
     scope: str
     checked: int
-    witness: dict | None
-
-    def __init__(
-        self,
-        axiom: str,
-        operator: str,
-        holds: bool,
-        scope: str,
-        checked: int,
-        witness: dict | None = None,
-    ):
-        self._init(axiom, operator, holds, scope, checked, witness)
+    witness: dict | None = None
 
     def to_json(self) -> dict:
-        return {
-            "axiom": self.axiom,
-            "operator": self.operator,
-            "holds": self.holds,
-            "scope": self.scope,
-            "checked": self.checked,
-            "witness": self.witness,
-        }
+        return dict(zip(self._fields, self._values()))
 
 
 def _memoized(op):
@@ -155,7 +129,7 @@ def _pair_witness(K: Tournament, bad) -> dict | None:
 
 
 def _relabel_violation(before, after, sigma):
-    """First row pair (a, a2) that before orders unlike after orders (sigma(a), sigma(a2))."""
+    """First pair (a, a2) that before orders unlike after orders (sigma(a), sigma(a2))."""
     rows = range(1, len(sigma) + 1)
     for a in rows:
         for a2 in rows:
@@ -173,13 +147,7 @@ def anon_instance_violation(op, K, sigma, pi):
 def dual_instance_violation(op, K):
     """First (b, b2) pair where the B ranking disagrees with the dual's A ranking."""
     ev = _memoized(op)
-    b_order = ev(K).b_order
-    dual_a_order = ev(dual(K)).a_order
-    for b in range(1, K.cols + 1):
-        for b2 in range(1, K.cols + 1):
-            if b != b2 and b_order.le(b, b2) != dual_a_order.le(b, b2):
-                return (b, b2)
-    return None
+    return _relabel_violation(ev(K).b_order, ev(dual(K)).a_order, tuple(range(1, K.cols + 1)))
 
 
 def iim_instance_violates(op, K1, K2, a, a2) -> bool:
@@ -437,21 +405,13 @@ class SuiteRow(_Value):
     expected_holds: bool
     verdict: AxiomVerdict
 
-    def __init__(
-        self, label: str, operator: str, axiom: str, expected_holds: bool, verdict: AxiomVerdict
-    ):
-        self._init(label, operator, axiom, expected_holds, verdict)
-
     @property
     def ok(self) -> bool:
         return self.verdict.holds == self.expected_holds
 
 
 class ImpossibilityReport(_Value):
-    rows: tuple[SuiteRow, ...]
-
-    def __init__(self, rows: tuple[SuiteRow, ...] = ()):
-        self._init(rows)
+    rows: tuple[SuiteRow, ...] = ()
 
     @property
     def ok(self) -> bool:

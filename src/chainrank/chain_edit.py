@@ -57,9 +57,6 @@ class MinChainSet(_Value):
     distance: int
     members: tuple[Tournament, ...]
 
-    def __init__(self, distance: int, members: tuple[Tournament, ...]):
-        self._init(distance, members)
-
 
 def _cell_costs(K: Tournament, cost):
     """The cost matrices (c0, c1) of K under cost[observed][result], rows as tuples."""

@@ -19,11 +19,10 @@ from typing import TYPE_CHECKING
 from . import fileio
 from .core import (
     OPERATOR_NAMES,
-    RankingPair,
     TotalPreorder,
     _Value,
     chain_rankings,
-    format_preorder,
+    format_ranking_pair,
     hamming,
 )
 from .errors import AmbiguityError, ContractError, InputError, ResourceCapError
@@ -48,11 +47,6 @@ def _enum_cap(args) -> int | None:
     if cap < 1:
         raise InputError(f"the enumeration cap must be at least 1, not {cap}")
     return cap
-
-
-def _print_pair(pair: RankingPair, a_labels=None, b_labels=None) -> None:
-    print("A:", format_preorder(pair.a_order, labels=a_labels))
-    print("B:", format_preorder(pair.b_order, strict="⊏", labels=b_labels))
 
 
 def _ranks_json(order: TotalPreorder) -> list[list[int]]:
@@ -99,7 +93,7 @@ def cmd_rank(args) -> int:
         print(json.dumps(out, sort_keys=True))
         return 0
     print(f"operator: {spec.name}")
-    _print_pair(pair, tf.a_labels, tf.b_labels)
+    print(format_ranking_pair(pair, tf.a_labels, tf.b_labels))
     if chain is not None:
         print(f"selected chain tournament (distance {hamming(K, chain)}):")
         print(chain)
@@ -214,24 +208,14 @@ class ExperimentConfig(_Value):
     operator_names: tuple[str, ...]
     trials: int
     seed: int
-    metrics: tuple[str, ...]
+    metrics: tuple[str, ...] = ALL_METRICS
 
-    def __init__(
-        self,
-        m: int,
-        n: int,
-        alpha: NoiseParams,
-        operator_names: tuple[str, ...],
-        trials: int,
-        seed: int,
-        metrics: tuple[str, ...] = ALL_METRICS,
-    ):
-        if trials < 1:
+    def _check(self) -> None:
+        if self.trials < 1:
             raise InputError("trials must be at least 1")
-        for metric in metrics:
+        for metric in self.metrics:
             if metric not in ALL_METRICS:
                 raise InputError(f"unknown metric {metric!r}")
-        self._init(m, n, alpha, operator_names, trials, seed, metrics)
 
 
 def _run_trial(config: ExperimentConfig, specs, trial: int) -> dict:

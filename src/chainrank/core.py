@@ -36,22 +36,50 @@ _set = object.__setattr__
 class _Value:
     """Base of the immutable value types.
 
-    A subclass names its fields as class annotations and sets them once, in
-    its own __init__, with _init (or _set). Values of the same class are
-    equal, and hash alike, when their field tuples are; assigning or deleting
-    any attribute raises AttributeError. The types built and hashed in bulk
-    define their own __eq__ and __hash__ over the same tuple.
+    A subclass declares its fields once, as class annotations in order; a
+    field's class-level value, when it has one, is its default. The
+    constructor binds positional and keyword arguments to the fields as a
+    dataclass's would (a missing, extra, repeated or unknown argument raises
+    TypeError), sets them, then calls the subclass's _check method, if it
+    defines one, which validates the fields and raises to refuse them.
+    Values of the same class are equal, and hash alike, when their field
+    tuples are; assigning or deleting any attribute raises AttributeError.
+    Tournament, TotalPreorder and RankingPair are built in bulk, so they keep
+    their own __init__, __eq__ and __hash__ over the same fields.
     """
 
     _fields: tuple[str, ...] = ()
+    _defaults: dict = {}
+    # no check by default: a test for None is cheaper than calling an empty method
+    _check = None
 
     def __init_subclass__(cls, **kwargs):
         super().__init_subclass__(**kwargs)
         cls._fields = tuple(cls.__dict__.get("__annotations__", ()))
+        cls._defaults = {name: cls.__dict__[name] for name in cls._fields if name in cls.__dict__}
 
-    def _init(self, *values) -> None:
-        for name, value in zip(self._fields, values):
-            _set(self, name, value)
+    def __init__(self, *args, **kwargs):
+        fields = self._fields
+        if kwargs or len(args) != len(fields):
+            name = self.__class__.__qualname__
+            if len(args) > len(fields):
+                raise TypeError(f"{name}() takes {len(fields)} arguments but {len(args)} were given")
+            values = dict(zip(fields, args))
+            for field in kwargs:
+                if field in values:
+                    raise TypeError(f"{name}() got multiple values for argument {field!r}")
+                if field not in fields:
+                    raise TypeError(f"{name}() got an unexpected keyword argument {field!r}")
+            values = {**self._defaults, **values, **kwargs}
+            if len(values) < len(fields):
+                missing = ", ".join(field for field in fields if field not in values)
+                raise TypeError(f"{name}() is missing the argument(s) {missing}")
+            args = [values[field] for field in fields]
+        # one object.__setattr__ call for all the fields, not one each; a dict
+        # set whole, unlike an updated __dict__, keeps attribute reads fast
+        _set(self, "__dict__", dict(zip(fields, args)))
+        if self._check is not None:
+            self._check()
 
     def _values(self) -> tuple:
         return tuple([getattr(self, name) for name in self._fields])

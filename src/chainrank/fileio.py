@@ -23,16 +23,8 @@ if TYPE_CHECKING:
 
 class TournamentFile(_Value):
     tournament: Tournament
-    a_labels: tuple[str, ...] | None
-    b_labels: tuple[str, ...] | None
-
-    def __init__(
-        self,
-        tournament: Tournament,
-        a_labels: tuple[str, ...] | None = None,
-        b_labels: tuple[str, ...] | None = None,
-    ):
-        self._init(tournament, a_labels, b_labels)
+    a_labels: tuple[str, ...] | None = None
+    b_labels: tuple[str, ...] | None = None
 
 
 def parse_csv(text: str) -> TournamentFile:

@@ -30,9 +30,6 @@ class SelectionFunctionPair(_Value):
     f: Selection
     g: Selection
 
-    def __init__(self, name: str, f: Selection, g: Selection):
-        self._init(name, f, g)
-
 
 class InterleaveRound(_Value):
     index: int
@@ -41,16 +38,6 @@ class InterleaveRound(_Value):
     f_selected: frozenset[int]
     g_selected: frozenset[int]
 
-    def __init__(
-        self,
-        index: int,
-        a_remaining: frozenset[int],
-        b_remaining: frozenset[int],
-        f_selected: frozenset[int],
-        g_selected: frozenset[int],
-    ):
-        self._init(index, a_remaining, b_remaining, f_selected, g_selected)
-
 
 class InterleaveTrace(_Value):
     """Full iteration record: per-round pools and selections, plus removal rounds."""
@@ -58,14 +45,6 @@ class InterleaveTrace(_Value):
     rounds: tuple[InterleaveRound, ...]
     a_round: tuple[int, ...]
     b_round: tuple[int, ...]
-
-    def __init__(
-        self,
-        rounds: tuple[InterleaveRound, ...],
-        a_round: tuple[int, ...],
-        b_round: tuple[int, ...],
-    ):
-        self._init(rounds, a_round, b_round)
 
     def r(self, a: int) -> int:
         """Round at which row a was removed."""

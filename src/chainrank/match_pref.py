@@ -35,14 +35,13 @@ class MatchPreference(_Value):
     """Total priority order over matrix index pairs (1-based, earliest = most changeable)."""
 
     kind: str
-    explicit: tuple[tuple[int, int], ...] | None
+    explicit: tuple[tuple[int, int], ...] | None = None
 
-    def __init__(self, kind: str, explicit: tuple[tuple[int, int], ...] | None = None):
-        if kind not in (ROW_MAJOR, COL_MAJOR, EXPLICIT):
-            raise InputError(f"unknown match-preference kind {kind!r}")
-        if kind == EXPLICIT and not explicit:
+    def _check(self) -> None:
+        if self.kind not in (ROW_MAJOR, COL_MAJOR, EXPLICIT):
+            raise InputError(f"unknown match-preference kind {self.kind!r}")
+        if self.kind == EXPLICIT and not self.explicit:
             raise InputError("explicit match preference needs a priority list")
-        self._init(kind, explicit)
 
     @classmethod
     def row_major(cls) -> "MatchPreference":

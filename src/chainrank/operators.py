@@ -102,14 +102,6 @@ def canonical_min_choice(K: Tournament, cap: int | None = None) -> Tournament:
     return least_member(K, order, Tournament(K.rows, K.cols, (0,) * K.rows), cap)
 
 
-def phi_chain_min_lex(K: Tournament, cap: int | None = None) -> RankingPair:
-    return chain_rankings(canonical_min_choice(K, cap))
-
-
-def phi_chain_min_mon(K: Tournament, cap: int | None = None) -> RankingPair:
-    return chain_rankings(monotone_min_chain(K, cap))
-
-
 def phi_ci(K: Tournament) -> RankingPair:
     pair, _ = interleave(K, ci_selection())
     return pair

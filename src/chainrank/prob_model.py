@@ -23,7 +23,7 @@ import math
 import random
 
 from .chain_edit import _EDIT, _factored, _members
-from .core import Tournament, _Value, chain_rankings, has_chain_property
+from .core import Tournament, _Value, has_chain_property
 from .errors import InputError, NotChainError
 
 _MASK64 = (1 << 64) - 1
@@ -39,7 +39,8 @@ class StateOfWorld(_Value):
     x: tuple
     y: tuple
 
-    def __init__(self, x: tuple, y: tuple):
+    def _check(self) -> None:
+        x, y = self.x, self.y
         if not x or not y:
             raise InputError("a state needs at least one skill level per side")
         for xa in list(x) + list(y):
@@ -57,7 +58,6 @@ class StateOfWorld(_Value):
                     raise InputError(
                         f"columns {b} and {b2} have a skill gap no row level explains"
                     )
-        self._init(x, y)
 
 
 class NoiseParams(_Value):
@@ -66,11 +66,10 @@ class NoiseParams(_Value):
     alpha_plus: float
     alpha_minus: float
 
-    def __init__(self, alpha_plus: float, alpha_minus: float):
-        for rate in (alpha_plus, alpha_minus):
+    def _check(self) -> None:
+        for rate in (self.alpha_plus, self.alpha_minus):
             if not 0.0 <= rate <= 1.0:
                 raise InputError(f"noise rate {rate} outside [0, 1]")
-        self._init(alpha_plus, alpha_minus)
 
     @classmethod
     def symmetric(cls, beta: float) -> "NoiseParams":
@@ -112,8 +111,13 @@ def canonical_state(K: Tournament) -> StateOfWorld:
     return StateOfWorld(tuple(x), tuple(y))
 
 
-def _mismatch_counts(K: Tournament, truth: Tournament) -> tuple[int, int, int, int]:
-    """(false pos, true pos, true neg, false neg) cell counts."""
+def _mismatch_counts(K: Tournament, theta: StateOfWorld) -> tuple[int, int, int, int]:
+    """(false pos, true pos, true neg, false neg) cell counts of K against theta's tournament."""
+    truth = k_theta(theta)
+    if (K.rows, K.cols) != (truth.rows, truth.cols):
+        raise InputError(
+            f"state is {truth.rows}x{truth.cols} but tournament is {K.rows}x{K.cols}"
+        )
     full = (1 << K.cols) - 1
     fp = tp = tn = fn = 0
     for r, t in zip(K.row_masks, truth.row_masks):
@@ -130,12 +134,7 @@ def likelihood(K: Tournament, theta: StateOfWorld, alpha: NoiseParams) -> float:
     Uses the product form over rows: each row contributes one factor per
     false positive, true positive, true negative and false negative cell.
     """
-    truth = k_theta(theta)
-    if (K.rows, K.cols) != (truth.rows, truth.cols):
-        raise InputError(
-            f"state is {truth.rows}x{truth.cols} but tournament is {K.rows}x{K.cols}"
-        )
-    fp, tp, tn, fn = _mismatch_counts(K, truth)
+    fp, tp, tn, fn = _mismatch_counts(K, theta)
     return (
         alpha.alpha_plus**fp
         * (1.0 - alpha.alpha_minus) ** tp
@@ -146,12 +145,7 @@ def likelihood(K: Tournament, theta: StateOfWorld, alpha: NoiseParams) -> float:
 
 def log_likelihood(K: Tournament, theta: StateOfWorld, alpha: NoiseParams) -> float:
     """Natural log of the likelihood; -inf when the observation is impossible."""
-    truth = k_theta(theta)
-    if (K.rows, K.cols) != (truth.rows, truth.cols):
-        raise InputError(
-            f"state is {truth.rows}x{truth.cols} but tournament is {K.rows}x{K.cols}"
-        )
-    counts = _mismatch_counts(K, truth)
+    counts = _mismatch_counts(K, theta)
     rates = (
         alpha.alpha_plus,
         1.0 - alpha.alpha_minus,
@@ -226,11 +220,6 @@ def mle_search(K: Tournament, alpha: NoiseParams, cap: int | None = None) -> tup
             "noise rates assign probability zero to this observation under every state"
         )
     return _members(options, K.rows, K.cols)
-
-
-def mle_rankings(K: Tournament, alpha: NoiseParams, cap: int | None = None):
-    """Ranking pairs of the MLE tournaments, in canonical member order."""
-    return tuple(chain_rankings(M) for M in mle_search(K, alpha, cap))
 
 
 def derive_seed(seed: int, *indices: int) -> int:

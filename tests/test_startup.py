@@ -212,6 +212,23 @@ class TestValueClasses:
             value.other = None
         assert value == cls(**fields)
 
+    def test_argument_binding(self, cls, fields, required):
+        names, values = list(fields), tuple(fields.values())
+        assert cls(values[0], **{name: fields[name] for name in names[1:]}) == cls(*values)
+        defaulted = [(name, object, dataclasses.field(default=fields[name])) for name in names[required:]]
+        reference = dataclasses.make_dataclass(cls.__name__, names[:required] + defaulted, frozen=True)
+        refused = [
+            ((*values, None), {}),  # one positional argument too many
+            ((), {**fields, "no_such_field": None}),  # an unknown keyword
+            (values[:1], fields),  # the first field given both positionally and by keyword
+        ]
+        if required:
+            refused.append((values[:required - 1], {}))  # a missing required argument
+        for args, kwargs in refused:
+            for build in (reference, cls):
+                with pytest.raises(TypeError):
+                    build(*args, **kwargs)
+
 
 @pytest.mark.parametrize("build, error, message", [
     (lambda: Tournament(0, 2, ()), InputError,
