@@ -53,6 +53,7 @@ _EXPORTS = {
         "has_chain_property",
         "neighborhood",
         "permute",
+        "phi_count",
         "rank_count",
         "xor",
     ),
@@ -83,7 +84,7 @@ _EXPORTS = {
         "weight_fractions",
         "weights_for",
     ),
-    "operators": ("OperatorSpec", "dual_symmetrized", "phi_ci", "phi_count", "resolve_operator"),
+    "operators": ("OperatorSpec", "dual_symmetrized", "phi_ci", "resolve_operator"),
     "prob_model": (
         "NoiseParams",
         "StateOfWorld",

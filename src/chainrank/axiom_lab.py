@@ -409,6 +409,9 @@ class SuiteRow(_Value):
     def ok(self) -> bool:
         return self.verdict.holds == self.expected_holds
 
+    def to_json(self) -> dict:
+        return {**dict(zip(self._fields, self._values())), "verdict": self.verdict.to_json()}
+
 
 class ImpossibilityReport(_Value):
     rows: tuple[SuiteRow, ...] = ()
@@ -422,19 +425,7 @@ class ImpossibilityReport(_Value):
         return tuple(row for row in self.rows if not row.ok)
 
     def to_json(self) -> dict:
-        return {
-            "ok": self.ok,
-            "rows": [
-                {
-                    "label": row.label,
-                    "operator": row.operator,
-                    "axiom": row.axiom,
-                    "expected_holds": row.expected_holds,
-                    "verdict": row.verdict.to_json(),
-                }
-                for row in self.rows
-            ],
-        }
+        return {"ok": self.ok, "rows": [row.to_json() for row in self.rows]}
 
 
 def impossibility_suite(cap: int | None = None) -> ImpossibilityReport:

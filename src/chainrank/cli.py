@@ -245,17 +245,10 @@ def _run_trial(config: ExperimentConfig, specs, trial: int) -> dict:
     return row
 
 
-def run_simulation(config: ExperimentConfig, cap: int | None = None, workers: int = 1):
-    """Mean metric per operator; per-trial RNG streams derive from (seed, trial).
-
-    Trials run one after another whatever workers is (at least 1): they are
-    pure-Python work under one interpreter lock, where threads add only
-    overhead, and a trial's exact operators share the solve of its tournament.
-    """
+def run_simulation(config: ExperimentConfig, cap: int | None = None):
+    """Mean metric per operator; per-trial RNG streams derive from (seed, trial)."""
     from .operators import resolve_operator
 
-    if workers < 1:
-        raise InputError(f"workers must be at least 1, not {workers}")
     specs = [resolve_operator(name, cap) for name in config.operator_names]
     rows = [_run_trial(config, specs, t) for t in range(config.trials)]
     results: dict[str, dict[str, float | None]] = {}
@@ -292,7 +285,12 @@ def cmd_simulate(args) -> int:
         seed=args.seed,
         metrics=metrics,
     )
-    results = run_simulation(config, cap, workers=args.workers)
+    # --workers is checked but unused: trials are pure-Python work under one
+    # interpreter lock, where threads add only overhead, and a trial's exact
+    # operators share the solve of its tournament, so trials run serially
+    if args.workers < 1:
+        raise InputError(f"workers must be at least 1, not {args.workers}")
+    results = run_simulation(config, cap)
     header = ["operator", *config.metrics]
     lines = [
         f"m={config.m} n={config.n} alpha=({alpha.alpha_plus},{alpha.alpha_minus}) "

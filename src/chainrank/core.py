@@ -264,6 +264,8 @@ class TotalPreorder(_Value):
                 raise InputError("ranks must be pairwise disjoint")
             seen |= rank
         _set(self, "ranks", ranks)
+        # every ranked player; an attribute, not a field
+        _set(self, "players", frozenset(seen))
 
     def __eq__(self, other):
         if other.__class__ is self.__class__:
@@ -276,13 +278,6 @@ class TotalPreorder(_Value):
     @classmethod
     def from_ranks(cls, ranks: Iterable[Iterable[int]]) -> "TotalPreorder":
         return cls(tuple(frozenset(r) for r in ranks))
-
-    @cached_property
-    def players(self) -> frozenset[int]:
-        out: set[int] = set()
-        for rank in self.ranks:
-            out |= rank
-        return frozenset(out)
 
     @cached_property
     def _rank_index(self) -> dict[int, int]:
@@ -309,15 +304,6 @@ class TotalPreorder(_Value):
 def rank_count(p: TotalPreorder) -> int:
     """Number of rank classes."""
     return len(p.ranks)
-
-
-def preorder_from_scores(players: Iterable[int], score, descending: bool = False) -> TotalPreorder:
-    """Group players by score into ranks; by default lower score = weaker."""
-    groups: dict = {}
-    for p in players:
-        groups.setdefault(score(p), set()).add(p)
-    keys = sorted(groups, reverse=descending)
-    return TotalPreorder.from_ranks(groups[k] for k in keys)
 
 
 class RankingPair(_Value):
@@ -365,12 +351,30 @@ def has_chain_property(K: Tournament) -> bool:
     return chain_violation(K) is None
 
 
+def _by_popcount(masks: Sequence[int], descending: bool = False) -> TotalPreorder:
+    """Players 1..k grouped by the popcount of their masks, fewest bits first by default."""
+    groups: dict[int, set[int]] = {}
+    for p, mask in enumerate(masks, 1):
+        groups.setdefault(mask.bit_count(), set()).add(p)
+    return TotalPreorder.from_ranks(groups[c] for c in sorted(groups, reverse=descending))
+
+
+def phi_count(K: Tournament) -> RankingPair:
+    """Rank rows by number of wins and columns by (descending) number of losses.
+
+    On a chain tournament the neighbourhoods are nested, so inclusion order
+    is win-count order and this is chain_rankings(K).
+    """
+    return RankingPair(_by_popcount(K.row_masks), _by_popcount(K.col_masks, descending=True))
+
+
 def chain_rankings(K: Tournament) -> RankingPair:
     """The neighbourhood-subset rankings of a chain tournament.
 
     Rows with larger neighbourhoods rank higher; columns with larger
     co-neighbourhoods (more defeats) rank lower. Both orders list the
-    weakest rank first.
+    weakest rank first. Nested neighbourhoods are ordered by inclusion
+    exactly as by size, so these are the win-count rankings phi_count(K).
     """
     bad = chain_violation(K)
     if bad is not None:
@@ -378,20 +382,7 @@ def chain_rankings(K: Tournament) -> RankingPair:
             f"rows {bad[0]} and {bad[1]} have incomparable neighbourhoods; "
             "not a chain tournament"
         )
-    a_groups: dict[int, set[int]] = {}
-    for a in range(1, K.rows + 1):
-        a_groups.setdefault(K.row_masks[a - 1], set()).add(a)
-    a_order = TotalPreorder.from_ranks(
-        a_groups[mask] for mask in sorted(a_groups, key=lambda x: x.bit_count())
-    )
-    b_groups: dict[int, set[int]] = {}
-    for b in range(1, K.cols + 1):
-        b_groups.setdefault(K.col_masks[b - 1], set()).add(b)
-    b_order = TotalPreorder.from_ranks(
-        b_groups[mask]
-        for mask in sorted(b_groups, key=lambda x: x.bit_count(), reverse=True)
-    )
-    return RankingPair(a_order, b_order)
+    return phi_count(K)
 
 
 def dual(K: Tournament) -> Tournament:

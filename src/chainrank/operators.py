@@ -25,7 +25,7 @@ from .core import (
     canonical_key,
     chain_rankings,
     dual,
-    preorder_from_scores,
+    phi_count,
 )
 from .errors import InputError
 from .interleave import ci_selection, greedy_chain_tournament, interleave
@@ -83,22 +83,9 @@ def _exact_operator(name: str, choice: Callable[[Tournament], Tournament]) -> Op
     )
 
 
-def phi_count(K: Tournament) -> RankingPair:
-    """Rank rows by number of wins and columns by (descending) number of losses."""
-    a_order = preorder_from_scores(
-        range(1, K.rows + 1), lambda a: K.row_masks[a - 1].bit_count()
-    )
-    b_order = preorder_from_scores(
-        range(1, K.cols + 1),
-        lambda b: K.col_masks[b - 1].bit_count(),
-        descending=True,
-    )
-    return RankingPair(a_order, b_order)
-
-
 def canonical_min_choice(K: Tournament, cap: int | None = None) -> Tournament:
     """The canonically least closest chain tournament."""
-    order = mp.MatchPreference.row_major().order(K.rows, K.cols)
+    order = [(a, b) for a in range(1, K.rows + 1) for b in range(1, K.cols + 1)]
     return least_member(K, order, Tournament(K.rows, K.cols, (0,) * K.rows), cap)
 
 

@@ -18,6 +18,7 @@ zero rate gives completion or deletion.
 
 from __future__ import annotations
 
+import bisect
 import itertools
 import math
 import random
@@ -93,21 +94,18 @@ def canonical_state(K: Tournament) -> StateOfWorld:
 
     Row skill = number of rows with a neighbourhood contained in its own;
     column skill = least skill among the rows defeating it, or one past the
-    row count for undefeated columns.
+    row count for undefeated columns. Nested neighbourhoods are ordered by
+    inclusion exactly as by size, so a row's skill is the number of rows
+    with at most as many wins.
     """
     if not has_chain_property(K):
         raise NotChainError("canonical states exist only for chain tournaments")
-    x = []
-    for a0 in range(K.rows):
-        mask = K.row_masks[a0]
-        x.append(sum(1 for other in K.row_masks if other & mask == other))
-    y = []
-    for b0 in range(K.cols):
-        beaten_by = K.col_masks[b0]
-        if beaten_by:
-            y.append(min(x[a0] for a0 in range(K.rows) if (beaten_by >> a0) & 1))
-        else:
-            y.append(1 + K.rows)
+    wins = sorted(mask.bit_count() for mask in K.row_masks)
+    x = [bisect.bisect_right(wins, mask.bit_count()) for mask in K.row_masks]
+    y = [
+        min((xa for xa, mask in zip(x, K.row_masks) if mask >> b0 & 1), default=K.rows + 1)
+        for b0 in range(K.cols)
+    ]
     return StateOfWorld(tuple(x), tuple(y))
 
 

@@ -179,6 +179,26 @@ def chain_states(m, n):
     )
 
 
+@functools.lru_cache(maxsize=None)
+def chains_by_definition():
+    """Every chain tournament from 1x1 to 3x4 and 4x3, by full scan of the cells.
+
+    Each comes as (K, N, coN): N[a] is the set of columns row a defeats and
+    coN[b] the set of rows defeating column b. K is a chain when every two
+    row neighbourhoods are nested.
+    """
+    out = []
+    for m, n in itertools.product(range(1, 5), repeat=2):
+        if m * n > 12:
+            continue
+        for K in all_tournaments(m, n):
+            N = {a: frozenset(b for b, v in enumerate(row, 1) if v) for a, row in enumerate(K.cells, 1)}
+            if all(N[a] <= N[a2] or N[a2] <= N[a] for a in N for a2 in N):
+                coN = {b: frozenset(a for a in N if b in N[a]) for b in range(1, n + 1)}
+                out.append((K, N, coN))
+    return tuple(out)
+
+
 def brute_force_mle(K, alpha):
     """Scan oracle for MLE: score every chain tournament through its canonical state.
 

@@ -17,12 +17,13 @@ from chainrank import (
     has_chain_property,
     neighborhood,
     permute,
+    phi_count,
     rank_count,
     xor,
 )
 from chainrank.chain_edit import all_chain_tournaments
 
-from helpers import EX1, EX2, IMPOSS_K, K4, TABLE1, pair, preorder
+from helpers import EX1, EX2, IMPOSS_K, K4, TABLE1, chains_by_definition, pair, preorder
 
 
 def small_tournaments():
@@ -112,6 +113,19 @@ class TestChainRankings:
         for m, n in [(2, 2), (2, 3), (3, 3)]:
             for K in all_chain_tournaments(m, n):
                 assert chain_rankings(K).b_order == chain_rankings(dual(K)).a_order
+
+    def test_inclusion_order_on_every_small_chain(self):
+        # rows by neighbourhood inclusion, columns by reversed co-neighbourhood
+        # inclusion, and both are the win-count rankings
+        for K, N, coN in chains_by_definition():
+            got = chain_rankings(K)
+            for a in N:
+                for a2 in N:
+                    assert got.a_order.le(a, a2) == (N[a] <= N[a2])
+            for b in coN:
+                for b2 in coN:
+                    assert got.b_order.le(b, b2) == (coN[b] >= coN[b2])
+            assert got == phi_count(K)
 
 
 class TestDual:

@@ -28,7 +28,7 @@ from chainrank.chain_edit import all_chain_tournaments
 from chainrank.core import canonical_key
 from chainrank.prob_model import derive_seed
 
-from helpers import EX1, EX2, brute_force_mle, cellwise_likelihood, random_tournament
+from helpers import EX1, EX2, brute_force_mle, cellwise_likelihood, chains_by_definition, random_tournament
 
 # the oracle grid of noise rates; pairs summing to one carry no information
 # and are covered separately
@@ -112,6 +112,15 @@ class TestCanonicalState:
                     for b2 in range(1, n + 1):
                         contains = truth.col_mask(b) & truth.col_mask(b2) == truth.col_mask(b2)
                         assert contains == (theta.y[b - 1] <= theta.y[b2 - 1])
+
+    def test_skills_from_the_definition_on_every_small_chain(self):
+        # x_a counts the rows whose neighbourhood N(a) contains; y_b is the
+        # least x among b's defeaters, or one past the row count
+        for K, N, coN in chains_by_definition():
+            theta = canonical_state(K)
+            x = {a: sum(N[a2] <= N[a] for a2 in N) for a in N}
+            assert theta.x == tuple(x[a] for a in sorted(N))
+            assert theta.y == tuple(min((x[a] for a in coN[b]), default=len(N) + 1) for b in sorted(coN))
 
 
 class TestLikelihood:
