@@ -12,10 +12,12 @@ first over their prefixes with a branch-and-bound cut that never drops a
 tied optimum (see _search). Every optimum arises from some (optimal
 ordering, per-row argmin prefix) combination, so the search returns the
 optimum set in factored form: per optimal ordering, each row's tied argmin
-prefixes. Expanding them yields the complete optimum set, and MEMBER_CAP
-bounds that expansion. A single member picked by a lexicographic order on
-its cells (the canonical pick and the match-preference pick) is read off the
-factored form instead, row by row, without expanding it (see least_member).
+prefixes. Expanding them yields the complete optimum set in canonical
+order, one member at a time when a single ordering is optimal on a tall or
+square matrix (see _expand), and MEMBER_CAP bounds that expansion. A single
+member picked by a lexicographic order on its cells (the canonical pick and
+the match-preference pick) is read off the factored form instead, row by
+row, without expanding it (see least_member).
 
 One solve serves every exact pick of a tournament: _solve keeps the last
 factored optimum it found, keyed on (tournament, cost table, cap) in the
@@ -194,12 +196,35 @@ def _factored(K: Tournament, cost, cap: int | None):
     return _solve(K, cost, cap)
 
 
-def _members(options, m: int, n: int) -> tuple[Tournament, ...]:
-    """The distinct m-by-n tournaments the options combine to, canonically ordered.
+def _row_keys(masks: set[int], n: int) -> dict[int, int]:
+    """Each row mask of n columns keyed by its bit reversal: members compare in
+    row-major cells, 0 before 1, as their rows' keys do."""
+    return {mask: int(f"{mask:0{n}b}"[::-1], 2) for mask in masks}
+
+
+def _check_rows(masks: set[int], n: int) -> None:
+    """Tournament's range check on row masks of n columns, made once per mask
+    rather than once per member that has it."""
+    if masks and not 0 <= min(masks) <= max(masks) < 1 << n:
+        raise InputError("row mask has bits outside the column range")
+
+
+def _expand(options, m: int, n: int):
+    """The distinct m-by-n tournaments the options combine to, in canonical
+    order: a generator on the one-ordering path below, else a tuple.
 
     Raises ResourceCapError, before expanding anything, when the options
     combine to more than MEMBER_CAP tuples (an upper bound on the members,
     as different options may give the same tournament).
+
+    With one optimal ordering of a tall or square matrix, each row's argmins
+    are distinct prefixes of that ordering, so distinct choices give
+    distinct members, and the product of the rows' argmin lists, each sorted
+    by _row_keys, runs through the members in canonical order: they are
+    built one at a time, as the caller takes them, and nothing is collected
+    or sorted. Otherwise two orderings may give the same member, or the
+    product runs over the dual's rows, whose order is not the canonical one,
+    so the distinct members are collected and sorted.
     """
     options = tuple(options)  # no copy of a _factored result
     count = sum(math.prod(map(len, per_row)) for per_row in options)
@@ -208,18 +233,31 @@ def _members(options, m: int, n: int) -> tuple[Tournament, ...]:
             f"the optimum set has up to {count} members which exceeds the member "
             f"cap of {MEMBER_CAP}"
         )
+    tall = n <= m
+    if len(options) == 1 and tall:
+        rows = set().union(*options[0])
+        _check_rows(rows, n)
+        key = _row_keys(rows, n).__getitem__
+        per_row = [sorted(argmins, key=key) for argmins in options[0]]
+        return (Tournament._unchecked(m, n, masks) for masks in itertools.product(*per_row))
     seen: set[tuple[int, ...]] = set()
     for per_row in options:
         seen.update(itertools.product(*per_row))
-    if n > m:
-        out = [dual(Tournament(n, m, masks)) for masks in seen]
+    rows = set().union(*seen)
+    _check_rows(rows, n if tall else m)
+    if tall:
+        out = [Tournament._unchecked(m, n, masks) for masks in seen]
     else:
-        out = [Tournament(m, n, masks) for masks in seen]
-    # row-major cells, 0 before 1, are ordered as the rows' bit-reversed masks
-    # are, so each distinct row mask gets one integer key
-    rows = set().union(*(M.row_masks for M in out))
-    key = {mask: int(f"{mask:0{n}b}"[::-1], 2) for mask in rows}
-    return tuple(sorted(out, key=lambda M: tuple(map(key.__getitem__, M.row_masks))))
+        out = [dual(Tournament._unchecked(n, m, masks)) for masks in seen]
+        rows = set().union(*(M.row_masks for M in out))
+    key = _row_keys(rows, n).__getitem__
+    return tuple(sorted(out, key=lambda M: tuple(map(key, M.row_masks))))
+
+
+def _members(options, m: int, n: int) -> tuple[Tournament, ...]:
+    """_expand's members as a tuple: the distinct m-by-n tournaments the
+    options combine to, canonically ordered."""
+    return tuple(_expand(options, m, n))
 
 
 def least_member(K: Tournament, order, flip: Tournament, cap: int | None = None) -> Tournament:
@@ -330,7 +368,9 @@ def monotone_min_chain(K: Tournament, cap: int | None = None) -> Tournament:
 
     At least one member of the optimum set extends the neighbourhood-subset
     relation of K (successive row swaps repair any inversion without raising
-    the distance), so some member always qualifies.
+    the distance), so some member always qualifies. The members are tried in
+    canonical order as _expand yields them, so the search stops at the first
+    that qualifies, and MEMBER_CAP applies as it does to min_chain_set.
     """
     masks = K.row_masks
     subsets = [
@@ -339,7 +379,7 @@ def monotone_min_chain(K: Tournament, cap: int | None = None) -> Tournament:
         for j, kj in enumerate(masks)
         if i != j and ki & kj == ki
     ]
-    for M in min_chain_set(K, cap).members:
+    for M in _expand(_factored(K, _EDIT, cap)[1], K.rows, K.cols):
         # the rows of a chain are nested: M_i is inside M_j iff it is no larger
         sizes = [mask.bit_count() for mask in M.row_masks]
         if all(sizes[i] <= sizes[j] for i, j in subsets):

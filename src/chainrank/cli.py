@@ -9,6 +9,7 @@ and can be overridden with the CHAINRANK_ENUM_CAP environment variable.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import os
@@ -53,24 +54,24 @@ def _ranks_json(order: TotalPreorder) -> list[list[int]]:
     return [sorted(rank) for rank in order.ranks]
 
 
-def _render_members(members, cols: int, cell_sep: str, row_sep: str) -> list[str]:
-    """Each member as text, every distinct row mask rendered once and shared by all."""
-    rows = {
-        mask: cell_sep.join(str(mask >> b & 1) for b in range(cols))
-        for mask in set().union(*(M.row_masks for M in members))
-    }
-    return [row_sep.join(map(rows.__getitem__, M.row_masks)) for M in members]
+def _write_members(members, cols: int, as_json: bool) -> None:
+    """Write the members one at a time, without going through Tournament.__str__.
 
-
-def _print_members(members, cols: int) -> None:
-    """print("-"); print(M) for every member, without going through Tournament.__str__."""
-    sys.stdout.write("".join(f"-\n{text}\n" for text in _render_members(members, cols, " ", "\n")))
-
-
-def _members_json(members, cols: int) -> str:
-    """json.dumps of every member's cell lists, every distinct row encoded once."""
-    texts = _render_members(members, cols, ", ", "], [")
-    return "[" + ", ".join(f"[[{text}]]" for text in texts) + "]"
+    The JSON form is json.dumps of the list of every member's cell lists,
+    the text form print("-"); print(M) per member. Each distinct row mask is
+    rendered once, when a member first uses it.
+    """
+    sep = ", " if as_json else " "
+    row = functools.cache(lambda mask: sep.join(str(mask >> b & 1) for b in range(cols)))
+    write = sys.stdout.write
+    if as_json:
+        write("[")
+        for i, M in enumerate(members):
+            write(f"{', ' if i else ''}[[{'], ['.join(map(row, M.row_masks))}]]")
+        write("]")
+    else:
+        for M in members:
+            write("-\n" + "\n".join(map(row, M.row_masks)) + "\n")
 
 
 def cmd_rank(args) -> int:
@@ -128,11 +129,13 @@ def cmd_edit(args) -> int:
         result = min_chain_set(K, cap)
     if args.json:
         # json.dumps({"distance": ..., "members": ...}, sort_keys=True)
-        print(f'{{"distance": {result.distance}, "members": {_members_json(result.members, K.cols)}}}')
+        sys.stdout.write(f'{{"distance": {result.distance}, "members": ')
+        _write_members(result.members, K.cols, as_json=True)
+        sys.stdout.write("}\n")
         return 0
     print(f"distance: {result.distance}")
     print(f"members: {len(result.members)}")
-    _print_members(result.members, K.cols)
+    _write_members(result.members, K.cols, as_json=False)
     return 0
 
 
@@ -377,13 +380,14 @@ def cmd_likelihood(args) -> int:
     )
     if args.json:
         # json.dumps({"mle": ..., "equals_min_chain_set": ..., "min_distance": ...}, sort_keys=True)
-        print(
-            f'{{"equals_min_chain_set": {json.dumps(same)}, "min_distance": {exact.distance}, '
-            f'"mle": {_members_json(members, K.cols)}}}'
+        sys.stdout.write(
+            f'{{"equals_min_chain_set": {json.dumps(same)}, "min_distance": {exact.distance}, "mle": '
         )
+        _write_members(members, K.cols, as_json=True)
+        sys.stdout.write("}\n")
         return 0
     print(f"MLE tournaments: {len(members)}  [{note}]")
-    _print_members(members, K.cols)
+    _write_members(members, K.cols, as_json=False)
     return 0
 
 

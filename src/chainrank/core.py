@@ -12,7 +12,6 @@ matching the usual matrix convention; masks are the internal representation.
 
 from __future__ import annotations
 
-from functools import cached_property
 from typing import Iterable, Sequence
 
 from .errors import InputError, NotChainError
@@ -31,6 +30,28 @@ OPERATOR_NAMES = (
 
 # sets a field past a value type's frozen __setattr__
 _set = object.__setattr__
+
+
+class _lazy:
+    """An attribute computed on its first read and then stored on the instance.
+
+    A non-data descriptor: the value is stored with _set, past the frozen
+    __setattr__, under the method's own name, so every later read finds it in
+    the instance and never calls this again. Unlike functools.cached_property,
+    which takes a lock on every first read before Python 3.12, it takes none:
+    two threads that race on a first read compute the same value twice.
+    """
+
+    def __init__(self, func):
+        self.func = func
+        self.name = func.__name__
+
+    def __get__(self, obj, cls=None):
+        if obj is None:
+            return self
+        value = self.func(obj)
+        _set(obj, self.name, value)
+        return value
 
 
 class _Value:
@@ -143,6 +164,14 @@ class Tournament(_Value):
         _set(self, "cols", cols)
         _set(self, "row_masks", row_masks)
 
+    @classmethod
+    def _unchecked(cls, rows: int, cols: int, row_masks: tuple[int, ...]) -> "Tournament":
+        """A tournament built without __init__'s checks, for a caller that builds
+        many from row masks it has already checked as __init__ would."""
+        K = object.__new__(cls)
+        _set(K, "__dict__", {"rows": rows, "cols": cols, "row_masks": row_masks})
+        return K
+
     def __eq__(self, other):
         if other.__class__ is self.__class__:
             return (
@@ -189,7 +218,7 @@ class Tournament(_Value):
         self._check_row(a)
         return self.row_masks[a - 1]
 
-    @cached_property
+    @_lazy
     def col_masks(self) -> tuple[int, ...]:
         masks = [0] * self.cols
         for a0, row in enumerate(self.row_masks):
@@ -279,7 +308,7 @@ class TotalPreorder(_Value):
     def from_ranks(cls, ranks: Iterable[Iterable[int]]) -> "TotalPreorder":
         return cls(tuple(frozenset(r) for r in ranks))
 
-    @cached_property
+    @_lazy
     def _rank_index(self) -> dict[int, int]:
         return {p: i for i, rank in enumerate(self.ranks) for p in rank}
 

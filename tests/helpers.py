@@ -115,6 +115,40 @@ def monotone_oracle(K):
     return None
 
 
+def planted_chain(rng, n, k):
+    """A chain over n columns observed with k adjacent-swap error rows, and its optimum.
+
+    Every inner prefix p_1..p_{n-1} of the column order 1..n appears k+1
+    times, so a chain tournament within distance k keeps a copy of each and
+    uses that order: it is the one optimal ordering. An error row p_i plus
+    column i+2 is one edit from exactly p_i and p_{i+2}, so the closest chain
+    tournaments are every choice of those two per error row: 2^k members at
+    distance k, completion picking p_{i+2} and deletion p_i. Rows are
+    shuffled. Returns (K, members, completion, deletion), the members in
+    canonical order.
+    """
+    prefix = [(1 << j) - 1 for j in range(n + 1)]
+    rows = [(prefix[j],) for j in range(1, n) for _ in range(k + 1)]
+    for _ in range(k):
+        i = rng.randrange(n - 1)
+        rows.append((prefix[i] | 1 << (i + 1), prefix[i], prefix[i + 2]))
+    rng.shuffle(rows)
+    m = len(rows)
+    options = [r[1:] or r for r in rows]
+    members = [Tournament(m, n, masks) for masks in itertools.product(*options)]
+    return (
+        Tournament(m, n, tuple(r[0] for r in rows)),
+        tuple(sorted(members, key=canonical_key)),
+        Tournament(m, n, tuple(o[-1] for o in options)),
+        Tournament(m, n, tuple(o[0] for o in options)),
+    )
+
+
+def transpose(K):
+    """K with rows and columns exchanged (no complement): chains stay chains."""
+    return Tournament.from_cells(list(zip(*K.cells)))
+
+
 def permutation_search(c0, c1):
     """Reference for chain_edit._search: score every column ordering of every row.
 

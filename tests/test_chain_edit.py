@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from chainrank import (
     AmbiguityError,
     InputError,
+    MinChainSet,
     ResourceCapError,
     Tournament,
     all_tournaments,
@@ -43,9 +44,11 @@ from helpers import (
     match_pref_oracle,
     monotone_oracle,
     permutation_search,
+    planted_chain,
     random_tournament,
     subset_of,
     superset_of,
+    transpose,
     weighted_distance,
 )
 
@@ -334,6 +337,44 @@ class TestChainEnumeration:
             for M in result.members:
                 assert has_chain_property(M)
                 assert hamming(K, M) == result.distance
+
+
+class TestOneOptimalOrdering:
+    """Planted chains: one optimal ordering and exactly 2^k members, listed
+    lazily from the factored form; their transposes are wide and take the
+    collect-and-sort path."""
+
+    @pytest.mark.parametrize("n, k", [(2, 3), (3, 6), (4, 9), (6, 11), (5, 11)])
+    def test_planted(self, n, k):
+        K, members, complete, delete = planted_chain(random.Random(n * 100 + k), n, k)
+        assert len(chain_edit._factored(K, chain_edit._EDIT, None)[1]) == 1
+        assert len(members) == 1 << k
+        assert min_chain_set(K) == MinChainSet(k, members)
+        assert chain_completion(K).members == (complete,)
+        assert chain_deletion(K).members == (delete,)
+        assert monotone_min_chain(K) == monotone_oracle(K)
+
+    @pytest.mark.parametrize("n, k", [(2, 3), (3, 6), (4, 9), (6, 11)])
+    def test_planted_transpose(self, n, k):
+        K, members, complete, delete = planted_chain(random.Random(n * 100 + k), n, k)
+        KT = transpose(K)
+        expected = tuple(sorted(map(transpose, members), key=canonical_key))
+        assert min_chain_set(KT) == MinChainSet(k, expected)
+        assert chain_completion(KT).members == (transpose(complete),)
+        assert chain_deletion(KT).members == (transpose(delete),)
+        assert monotone_min_chain(KT) == monotone_oracle(KT)
+
+    def test_monotone_stops_at_first_qualifier(self, monkeypatch):
+        # the first member qualifies, so no later one is built
+        K, members, _, _ = planted_chain(random.Random(1), 6, 11)
+        assert monotone_oracle(K) == members[0]
+        built = []
+        unchecked = Tournament._unchecked.__func__
+        monkeypatch.setattr(
+            Tournament, "_unchecked", classmethod(lambda cls, *a: built.append(a) or unchecked(cls, *a))
+        )
+        assert monotone_min_chain(K) == members[0]
+        assert len(built) == 1
 
 
 class TestMemberCap:

@@ -93,7 +93,9 @@ class TestImportFootprint:
         assert not {f"chainrank.{name}" for name in ENGINES} & loaded
 
 
-RANK_HELP = """\
+# Python 3.13's argparse prints a metavar shared by an option's flags once
+OPERATOR_FLAGS = "--operator, -o OPERATOR" if sys.version_info >= (3, 13) else "--operator OPERATOR, -o OPERATOR"
+RANK_HELP = f"""\
 usage: chainrank rank [-h] --operator OPERATOR [--json] input
 
 positional arguments:
@@ -101,7 +103,7 @@ positional arguments:
 
 options:
   -h, --help            show this help message and exit
-  --operator OPERATOR, -o OPERATOR
+  {OPERATOR_FLAGS}
                         one of: count, chain-min-lex, chain-min-mon, chain-
                         min-dual, match-pref:<row-major|col-major|file.json>,
                         ci
