@@ -5,23 +5,28 @@ single column ordering: nested neighbourhoods extend to a maximal chain, and
 a maximal chain of column subsets is a permutation. Every problem here is
 one search: each result cell has an exact-integer cost of being 0 and of
 being 1 (None where that value is not allowed), and the search ranges over
-column orderings of the smaller side, letting every row independently pick
-a least-cost prefix. On a wide matrix it searches the dual, whose cells are
-complements, so each cell's two costs swap. The orderings are walked depth
-first over their prefixes with a branch-and-bound cut that never drops a
-tied optimum (see _search). Every optimum arises from some (optimal
-ordering, per-row argmin prefix) combination, so the search returns the
-optimum set in factored form: per optimal ordering, each row's tied argmin
-prefixes. Expanding them yields the complete optimum set in canonical
-order, one member at a time when a single ordering is optimal on a tall or
-square matrix (see _expand), and MEMBER_CAP bounds that expansion. A single
-member picked by a lexicographic order on its cells (the canonical pick and
-the match-preference pick) is read off the factored form instead, row by
-row, without expanding it (see least_member).
+column orderings, letting every row independently pick a least-cost prefix.
+The orderings are walked depth first over their prefixes with a
+branch-and-bound cut that never drops a tied optimum (see _search). Every
+optimum arises from some (optimal ordering, per-row argmin prefix)
+combination, so the search returns the optimum set in factored form: per
+optimal ordering, each row's tied argmin prefixes. Expanding them yields the
+complete optimum set in canonical order, one member at a time when a single
+ordering is optimal (see _expand), and MEMBER_CAP bounds that expansion. A
+single member picked by a lexicographic order on its cells (the canonical
+pick and the match-preference pick) is read off the factored form instead,
+row by row, without expanding it (see least_member).
+
+Every problem is solved tall, searching orderings of the smaller side.
+dual(K) transposes and complements K and maps its chain tournaments one to
+one onto those of dual(K), so a wide K is solved as dual(K), with cost[o][r]
+taken as cost[1 - o][1 - r] and the weights transposed, and the members are
+mapped back by dual. _optimum, the entry of every problem, applies this rule,
+and least_member applies it to its picks.
 
 One solve serves every exact pick of a tournament: _solve keeps the last
-factored optimum it found, keyed on (tournament, cost table, cap) in the
-tall orientation, so the optimum set, the canonical, monotone and
+factored optimum it found, keyed on (tournament, cost table, cap, weights) in
+the tall orientation, so the optimum set, the canonical, monotone and
 match-preference picks, and a symmetric-noise MLE of one matrix or of its
 dual share one search. The memo holds a single entry, so its memory is that
 of one solve whatever a process goes on to solve, and it is
@@ -44,7 +49,7 @@ from .core import Tournament, _Value, dual
 from .errors import AmbiguityError, InputError, ResourceCapError
 
 DEFAULT_ENUM_CAP = 8
-# most (ordering, argmin) combinations _members expands before it refuses
+# most (ordering, argmin) combinations _expand expands before it refuses
 MEMBER_CAP = 1 << 16
 
 # cost[observed][result] of one cell
@@ -60,12 +65,17 @@ class MinChainSet(_Value):
     members: tuple[Tournament, ...]
 
 
-def _cell_costs(K: Tournament, cost):
-    """The cost matrices (c0, c1) of K under cost[observed][result], rows as tuples."""
+def _cell_costs(K: Tournament, cost, weights):
+    """The cost matrices (c0, c1) of K under cost[observed][result], rows as
+    tuples; when weights are given, each cell's costs times its weight (the
+    cost table must then allow every value)."""
     (z0, z1), (o0, o1) = cost
     cols = range(K.cols)
     c0 = [tuple(o0 if mask >> b & 1 else z0 for b in cols) for mask in K.row_masks]
     c1 = [tuple(o1 if mask >> b & 1 else z1 for b in cols) for mask in K.row_masks]
+    if weights is not None:
+        c0 = [tuple(c * w for c, w in zip(row, ws)) for row, ws in zip(c0, weights)]
+        c1 = [tuple(c * w for c, w in zip(row, ws)) for row, ws in zip(c1, weights)]
     return c0, c1
 
 
@@ -89,9 +99,8 @@ def _search(c0, c1, cap: int | None):
     c0[a][b] and c1[a][b] are the costs of result cell (a, b) being 0 and 1,
     None where that value is not allowed; rows are tuples. Returns (cost,
     options): options lazily yields, for each optimal column ordering, every
-    row's list of argmin prefix masks on the searched side (the dual when the
-    matrix is wide). The cost is inf, and options empty, when nothing is
-    allowed.
+    row's list of argmin prefix masks. The cost is inf, and options empty,
+    when nothing is allowed.
 
     The orderings are searched depth first over their prefixes, so orderings
     that share a prefix share its work. A node with prefix Q holds each row's
@@ -105,8 +114,6 @@ def _search(c0, c1, cap: int | None):
     equals the best may still hold a tied optimal ordering, and every tied
     ordering's argmins belong to the complete optimum set.
     """
-    if len(c0[0]) > len(c0):
-        c0, c1 = list(zip(*c1)), list(zip(*c0))
     n = len(c0[0])
     cap = DEFAULT_ENUM_CAP if cap is None else cap
     if n > cap:
@@ -173,27 +180,16 @@ def _search(c0, c1, cap: int | None):
 
 
 @functools.lru_cache(maxsize=1)
-def _solve(K: Tournament, cost, cap: int | None):
-    """_search on K's cells under cost[observed][result], its options as a tuple.
+def _solve(K: Tournament, cost, cap: int | None, weights):
+    """_search on the cells of a tall or square K under cost[observed][result]
+    and weights (None, or a tuple of row tuples), its options as a tuple.
 
-    The result is shared by every caller that solves the same input, so no
-    caller may change it.
+    Callers pass all four arguments by position, as lru_cache keys a keyword
+    argument apart and would solve one input twice. The result is shared by
+    every caller that solves the same input, so no caller may change it.
     """
-    distance, options = _search(*_cell_costs(K, cost), cap)
+    distance, options = _search(*_cell_costs(K, cost, weights), cap)
     return distance, tuple(options)
-
-
-def _factored(K: Tournament, cost, cap: int | None):
-    """_solve keyed on the tall orientation, so K and dual(K) share one entry.
-
-    _search searches a wide K as its dual, whose cells are complements, so
-    (z0, z1), (o0, o1) = cost on K is ((o1, o0), (z1, z0)) on dual(K): the
-    same search with the same options (completion becomes deletion).
-    """
-    if K.cols > K.rows:
-        (z0, z1), (o0, o1) = cost
-        K, cost = dual(K), ((o1, o0), (z1, z0))
-    return _solve(K, cost, cap)
 
 
 def _row_keys(masks: set[int], n: int) -> dict[int, int]:
@@ -210,54 +206,63 @@ def _check_rows(masks: set[int], n: int) -> None:
 
 
 def _expand(options, m: int, n: int):
-    """The distinct m-by-n tournaments the options combine to, in canonical
-    order: a generator on the one-ordering path below, else a tuple.
+    """A generator of the distinct m-by-n tournaments the options of a search
+    on an m-by-n matrix combine to, in canonical order.
 
-    Raises ResourceCapError, before expanding anything, when the options
-    combine to more than MEMBER_CAP tuples (an upper bound on the members,
-    as different options may give the same tournament).
+    Raises ResourceCapError, on the first read and before expanding
+    anything, when the options combine to more than MEMBER_CAP tuples (an
+    upper bound on the members, as different options may give the same
+    tournament).
 
-    With one optimal ordering of a tall or square matrix, each row's argmins
-    are distinct prefixes of that ordering, so distinct choices give
-    distinct members, and the product of the rows' argmin lists, each sorted
-    by _row_keys, runs through the members in canonical order: they are
-    built one at a time, as the caller takes them, and nothing is collected
-    or sorted. Otherwise two orderings may give the same member, or the
-    product runs over the dual's rows, whose order is not the canonical one,
-    so the distinct members are collected and sorted.
+    With one optimal ordering, each row's argmins are distinct prefixes of
+    that ordering, so distinct choices give distinct members, and the
+    product of the rows' argmin lists, each sorted by _row_keys, runs
+    through the members in canonical order: they are built one at a time,
+    as the caller takes them, and nothing is collected or sorted. With
+    several, two orderings may give the same member, so the distinct members
+    are collected and sorted.
     """
-    options = tuple(options)  # no copy of a _factored result
     count = sum(math.prod(map(len, per_row)) for per_row in options)
     if count > MEMBER_CAP:
         raise ResourceCapError(
             f"the optimum set has up to {count} members which exceeds the member "
             f"cap of {MEMBER_CAP}"
         )
-    tall = n <= m
-    if len(options) == 1 and tall:
+    if len(options) == 1:
         rows = set().union(*options[0])
         _check_rows(rows, n)
         key = _row_keys(rows, n).__getitem__
         per_row = [sorted(argmins, key=key) for argmins in options[0]]
-        return (Tournament._unchecked(m, n, masks) for masks in itertools.product(*per_row))
+        for masks in itertools.product(*per_row):
+            yield Tournament._unchecked(m, n, masks)
+        return
     seen: set[tuple[int, ...]] = set()
     for per_row in options:
         seen.update(itertools.product(*per_row))
-    rows = set().union(*seen)
-    _check_rows(rows, n if tall else m)
-    if tall:
-        out = [Tournament._unchecked(m, n, masks) for masks in seen]
-    else:
-        out = [dual(Tournament._unchecked(n, m, masks)) for masks in seen]
-        rows = set().union(*(M.row_masks for M in out))
-    key = _row_keys(rows, n).__getitem__
-    return tuple(sorted(out, key=lambda M: tuple(map(key, M.row_masks))))
+    _check_rows(set().union(*seen), n)
+    yield from _canonical_order((Tournament._unchecked(m, n, masks) for masks in seen), n)
 
 
-def _members(options, m: int, n: int) -> tuple[Tournament, ...]:
-    """_expand's members as a tuple: the distinct m-by-n tournaments the
-    options combine to, canonically ordered."""
-    return tuple(_expand(options, m, n))
+def _canonical_order(members, n: int):
+    """A generator of members, distinct tournaments of n columns, in canonical order."""
+    members = list(members)
+    key = _row_keys(set().union(*(M.row_masks for M in members)), n).__getitem__
+    yield from sorted(members, key=lambda M: tuple(map(key, M.row_masks)))
+
+
+def _optimum(K: Tournament, cost, cap: int | None, weights=None):
+    """(distance, members): the least total cost of a chain tournament from K
+    under cost[observed][result] and weights (None, or a tuple of row
+    tuples), and a generator of every chain tournament at that cost, in
+    canonical order and expanded only as it is read."""
+    if K.cols <= K.rows:
+        distance, options = _solve(K, cost, cap, weights)
+        return distance, _expand(options, K.rows, K.cols)
+    (z0, z1), (o0, o1) = cost
+    if weights is not None:
+        weights = tuple(zip(*weights))
+    distance, members = _optimum(dual(K), ((o1, o0), (z1, z0)), cap, weights)
+    return distance, _canonical_order(map(dual, members), K.cols)
 
 
 def least_member(K: Tournament, order, flip: Tournament, cap: int | None = None) -> Tournament:
@@ -269,21 +274,21 @@ def least_member(K: Tournament, order, flip: Tournament, cap: int | None = None)
     match-preference order the match-preference selection.
 
     Nothing is expanded, so MEMBER_CAP does not apply. Every cell belongs to
-    one row of the searched side, and for a fixed optimal ordering those rows
-    pick their argmin prefixes independently, so the least vector of that
-    ordering takes, in every row, the argmin whose own cells are least. The
-    answer is the least of these over the optimal orderings. A wide matrix
-    is searched on its dual, whose row b holds the complements of column b.
+    one row, and for a fixed optimal ordering the rows pick their argmin
+    prefixes independently, so the least vector of that ordering takes, in
+    every row, the argmin whose own cells are least. The answer is the least
+    of these over the optimal orderings. A wide K is answered on its dual:
+    cell (b, a) of dual(M) XOR dual(flip) is cell (a, b) of M XOR flip.
     """
+    if K.cols > K.rows:
+        return dual(least_member(dual(K), [(b, a) for a, b in order], dual(flip), cap))
     m, n = K.rows, K.cols
-    tall = n <= m
-    # weight[r][i]: vector position of bit i of searched row r as a power of
-    # two, the first position most significant; vectors compare as their sums
-    weight = [[0] * (n if tall else m) for _ in range(m if tall else n)]
+    # weight[r][i]: vector position of cell (r + 1, i + 1) as a power of two,
+    # the first position most significant; vectors compare as their sums
+    weight = [[0] * n for _ in range(m)]
     for pos, (a, b) in enumerate(reversed(order)):
-        r, i = (a - 1, b - 1) if tall else (b - 1, a - 1)
-        weight[r][i] = 1 << pos
-    base = flip.row_masks if tall else dual(flip).row_masks
+        weight[a - 1][b - 1] = 1 << pos
+    base = flip.row_masks
 
     @functools.cache
     def value(r: int, prefix: int) -> int:
@@ -297,37 +302,35 @@ def least_member(K: Tournament, order, flip: Tournament, cap: int | None = None)
         return sum(itertools.starmap(value, enumerate(masks))), masks
 
     # equal vectors are the same member, so the masks never decide a tie
-    _, masks = min(map(pick, _factored(K, _EDIT, cap)[1]))
-    return Tournament(m, n, masks) if tall else dual(Tournament(n, m, masks))
-
-
-def _optimum(K: Tournament, cost, cap: int | None) -> MinChainSet:
-    distance, options = _factored(K, cost, cap)
-    return MinChainSet(distance, _members(options, K.rows, K.cols))
+    _, masks = min(map(pick, _solve(K, _EDIT, cap, None)[1]))
+    return Tournament(m, n, masks)
 
 
 def min_chain_set(K: Tournament, cap: int | None = None) -> MinChainSet:
     """The complete set of chain tournaments closest to K in Hamming distance."""
-    return _optimum(K, _EDIT, cap)
+    distance, members = _optimum(K, _EDIT, cap)
+    return MinChainSet(distance, tuple(members))
 
 
 def min_chain_distance(K: Tournament, cap: int | None = None) -> int:
     """Minimum Hamming distance from K to any chain tournament."""
-    return _search(*_cell_costs(K, _EDIT), cap)[0]
+    return _optimum(K, _EDIT, cap)[0]
 
 
 def chain_completion(K: Tournament, cap: int | None = None) -> MinChainSet:
     """Closest chain tournaments reachable by edge additions only."""
-    return _optimum(K, _COMPLETE, cap)
+    distance, members = _optimum(K, _COMPLETE, cap)
+    return MinChainSet(distance, tuple(members))
 
 
 def chain_deletion(K: Tournament, cap: int | None = None) -> MinChainSet:
     """Closest chain tournaments reachable by edge removals only."""
-    return _optimum(K, _DELETE, cap)
+    distance, members = _optimum(K, _DELETE, cap)
+    return MinChainSet(distance, tuple(members))
 
 
-def _check_weights(K: Tournament, weights) -> list[list[int]]:
-    rows = [list(r) for r in weights]
+def _check_weights(K: Tournament, weights) -> tuple[tuple[int, ...], ...]:
+    rows = tuple(map(tuple, weights))
     if len(rows) != K.rows or any(len(r) != K.cols for r in rows):
         raise InputError("weight matrix must match the tournament dimensions")
     for r in rows:
@@ -344,10 +347,7 @@ def weighted_min_chain(K: Tournament, weights, cap: int | None = None) -> Tourna
     A tied optimum raises AmbiguityError listing the tied tournaments; weights
     built by match_pref.weights_for can never tie.
     """
-    wt = _check_weights(K, weights)
-    c0 = [tuple(w * v for v, w in zip(row, ws)) for row, ws in zip(K.cells, wt)]
-    c1 = [tuple(w * (1 - v) for v, w in zip(row, ws)) for row, ws in zip(K.cells, wt)]
-    out = _members(_search(c0, c1, cap)[1], K.rows, K.cols)
+    out = tuple(_optimum(K, _EDIT, cap, _check_weights(K, weights))[1])
     if len(out) != 1:
         listing = "; ".join(str(M.cells) for M in out)
         raise AmbiguityError(f"weighted argmin is not unique: {listing}")
@@ -369,7 +369,7 @@ def monotone_min_chain(K: Tournament, cap: int | None = None) -> Tournament:
     At least one member of the optimum set extends the neighbourhood-subset
     relation of K (successive row swaps repair any inversion without raising
     the distance), so some member always qualifies. The members are tried in
-    canonical order as _expand yields them, so the search stops at the first
+    canonical order as _optimum lists them, so the search stops at the first
     that qualifies, and MEMBER_CAP applies as it does to min_chain_set.
     """
     masks = K.row_masks
@@ -379,7 +379,7 @@ def monotone_min_chain(K: Tournament, cap: int | None = None) -> Tournament:
         for j, kj in enumerate(masks)
         if i != j and ki & kj == ki
     ]
-    for M in _expand(_factored(K, _EDIT, cap)[1], K.rows, K.cols):
+    for M in _optimum(K, _EDIT, cap)[1]:
         # the rows of a chain are nested: M_i is inside M_j iff it is no larger
         sizes = [mask.bit_count() for mask in M.row_masks]
         if all(sizes[i] <= sizes[j] for i, j in subsets):
@@ -390,9 +390,8 @@ def monotone_min_chain(K: Tournament, cap: int | None = None) -> Tournament:
 def all_chain_tournaments(m: int, n: int, cap: int | None = None) -> tuple[Tournament, ...]:
     """Every m-by-n chain tournament, canonically ordered.
 
-    Every row costs nothing whatever its prefix, so the search's optimum set
-    is every chain tournament, and the cap applies to min(m, n) exactly as
-    for editing.
+    Under zero costs every chain tournament is an optimum of any m-by-n
+    tournament, the all-zero one here, and the cap applies to min(m, n)
+    exactly as for editing.
     """
-    zeros = [(0,) * n] * m
-    return _members(_search(zeros, zeros, cap)[1], m, n)
+    return tuple(_optimum(Tournament(m, n, (0,) * m), ((0, 0), (0, 0)), cap)[1])

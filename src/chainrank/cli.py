@@ -270,14 +270,17 @@ def _format_value(value) -> str:
     return "n/a" if value is None else f"{value:.6f}"
 
 
-def cmd_simulate(args) -> int:
+def _noise(args) -> NoiseParams:
     from .prob_model import NoiseParams
 
-    cap = _enum_cap(args)
     if args.beta is not None:
-        alpha = NoiseParams.symmetric(args.beta)
-    else:
-        alpha = NoiseParams(args.alpha_plus, args.alpha_minus)
+        return NoiseParams.symmetric(args.beta)
+    return NoiseParams(args.alpha_plus, args.alpha_minus)
+
+
+def cmd_simulate(args) -> int:
+    cap = _enum_cap(args)
+    alpha = _noise(args)
     metrics = tuple(args.metrics.split(",")) if args.metrics else ALL_METRICS
     config = ExperimentConfig(
         m=args.m,
@@ -337,7 +340,6 @@ def cmd_simulate(args) -> int:
 def cmd_likelihood(args) -> int:
     from .chain_edit import min_chain_set
     from .prob_model import (
-        NoiseParams,
         likelihood,
         log_likelihood,
         mle_is_min_chain_set,
@@ -346,10 +348,7 @@ def cmd_likelihood(args) -> int:
 
     cap = _enum_cap(args)
     K = fileio.load_tournament(args.input).tournament
-    if args.beta is not None:
-        alpha = NoiseParams.symmetric(args.beta)
-    else:
-        alpha = NoiseParams(args.alpha_plus, args.alpha_minus)
+    alpha = _noise(args)
     if args.state:
         theta = fileio.load_state(args.state)
         prob = likelihood(K, theta, alpha)
@@ -372,7 +371,7 @@ def cmd_likelihood(args) -> int:
     else:
         members = mle_search(K, alpha, cap)
         exact = min_chain_set(K, cap)
-    same = members is exact.members or set(members) == set(exact.members)
+    same = members == exact.members
     note = (
         "= minCh(K): MLE set coincides with the closest chain tournaments"
         if same

@@ -152,6 +152,7 @@ class Tournament(_Value):
     row_masks: tuple[int, ...]
 
     def __init__(self, rows: int, cols: int, row_masks: tuple[int, ...]):
+        row_masks = tuple(row_masks)  # a list would be neither hashable nor equal to the tuple
         if rows < 1 or cols < 1:
             raise InputError("a tournament needs at least one row and one column player")
         if len(row_masks) != rows:

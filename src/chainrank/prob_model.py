@@ -23,7 +23,7 @@ import itertools
 import math
 import random
 
-from .chain_edit import _EDIT, _factored, _members
+from .chain_edit import _EDIT, _optimum
 from .core import Tournament, _Value, has_chain_property
 from .errors import InputError, NotChainError
 
@@ -212,12 +212,12 @@ def mle_search(K: Tournament, alpha: NoiseParams, cap: int | None = None) -> tup
     search and its cap are those of chain editing, and under the unit edit
     costs the solve is shared with min_chain_set.
     """
-    cost, options = _factored(K, _mle_costs(alpha), cap)
+    cost, members = _optimum(K, _mle_costs(alpha), cap)
     if cost == math.inf:
         raise InputError(
             "noise rates assign probability zero to this observation under every state"
         )
-    return _members(options, K.rows, K.cols)
+    return tuple(members)
 
 
 def derive_seed(seed: int, *indices: int) -> int:

@@ -26,7 +26,7 @@ from chainrank import (
     weighted_min_chain,
 )
 from chainrank import chain_edit
-from chainrank.chain_edit import _members, _search, all_chain_tournaments, least_member
+from chainrank.chain_edit import _expand, _search, all_chain_tournaments, least_member
 from chainrank.core import canonical_key, dual
 from chainrank.match_pref import MatchPreference, weights_for
 from chainrank.match_pref import select_match_pref
@@ -108,6 +108,15 @@ class TestMinChainDistance:
         for _ in range(25):
             K = random_tournament(rng, 3, 4)
             assert min_chain_distance(K) == min_chain_set(K).distance
+
+    def test_beyond_member_cap(self):
+        # 17 rows 1,0 and 17 rows 0,1: either ordering lets each of one
+        # kind of row pick two prefixes, 2 * 2^17 combinations
+        K = Tournament.from_cells([[1, 0]] * 17 + [[0, 1]] * 17)
+        for L in (K, dual(K)):
+            assert min_chain_distance(L) == 17
+            with pytest.raises(ResourceCapError, match="262144 members"):
+                min_chain_set(L)
 
 
 class TestBruteForceOracle:
@@ -310,6 +319,26 @@ class TestWeighted:
         with pytest.raises(AmbiguityError):
             weighted_min_chain(ANON_K, [[1, 1], [1, 1]])
 
+    def test_wide_ambiguity_lists_members_canonically(self):
+        K = Tournament.from_cells([[1, 0, 0], [0, 1, 0]])
+        listing = ("((0, 0, 0), (0, 1, 0)); ((1, 0, 0), (0, 0, 0)); "
+                   "((1, 0, 0), (1, 1, 0)); ((1, 1, 0), (0, 1, 0))")
+        with pytest.raises(AmbiguityError) as info:
+            weighted_min_chain(K, [[1, 1, 1], [1, 1, 1]])
+        assert str(info.value) == f"weighted argmin is not unique: {listing}"
+
+    def test_wide_input_and_its_dual_share_one_search(self, monkeypatch):
+        K = random_tournament(random.Random(5), 3, 5)
+        weights = weights_for(MatchPreference.col_major(), 3, 5)
+        calls = []
+        search = chain_edit._search
+        monkeypatch.setattr(chain_edit, "_search", lambda *a: calls.append(a) or search(*a))
+        chain_edit._solve.cache_clear()
+        M = weighted_min_chain(K, weights)
+        assert weighted_min_chain(dual(K), [list(col) for col in zip(*weights)]) == dual(M)
+        assert len(calls) == 1
+        assert M == select_match_pref(K, MatchPreference.col_major())
+
     def test_rejects_non_integer_weights(self):
         with pytest.raises(InputError):
             weighted_min_chain(ANON_K, [[1.5, 1], [1, 1]])
@@ -329,6 +358,11 @@ class TestChainEnumeration:
             filtered = {K for K in all_tournaments(m, n) if has_chain_property(K)}
             assert generated == filtered
 
+    @pytest.mark.parametrize("m, n", [(0, 2), (2, 0)])
+    def test_empty_side_refused(self, m, n):
+        with pytest.raises(InputError, match="at least one row and one column"):
+            all_chain_tournaments(m, n)
+
     def test_all_members_everywhere_are_chains(self):
         rng = random.Random(13)
         for _ in range(10):
@@ -347,7 +381,7 @@ class TestOneOptimalOrdering:
     @pytest.mark.parametrize("n, k", [(2, 3), (3, 6), (4, 9), (6, 11), (5, 11)])
     def test_planted(self, n, k):
         K, members, complete, delete = planted_chain(random.Random(n * 100 + k), n, k)
-        assert len(chain_edit._factored(K, chain_edit._EDIT, None)[1]) == 1
+        assert len(chain_edit._solve(K, chain_edit._EDIT, None, None)[1]) == 1
         assert len(members) == 1 << k
         assert min_chain_set(K) == MinChainSet(k, members)
         assert chain_completion(K).members == (complete,)
@@ -418,13 +452,17 @@ class TestSearchOracle:
         c0, c1 = costs
         m, n = len(c0), len(c0[0])
         cost, count, members = permutation_search(c0, c1)
+        wide = n > m
+        if wide:  # searched as the dual: transposed, each cell's two costs swapped
+            c0, c1, m, n = list(zip(*c1)), list(zip(*c0)), n, m
         got, options = _search(c0, c1, None)
         assert got == cost
+        expanded = _expand(tuple(options), m, n)
         if members is None:
             with pytest.raises(ResourceCapError, match=str(count)):
-                _members(options, m, n)
+                next(expanded)
         else:
-            assert {M.row_masks for M in _members(options, m, n)} == members
+            assert {(dual(M) if wide else M).row_masks for M in expanded} == members
 
 
 def _preferences(m, n, rng):
@@ -516,17 +554,19 @@ class TestSolveMemo:
                     self.PICKS[j](refused)
 
     def test_wide_input_solved_as_its_dual(self):
-        # a wide K is searched as its dual anyway, so it is solved and kept
-        # as dual(K) under swapped costs: the same distance and options
+        # a wide K is solved and kept as dual(K) under swapped costs: the
+        # distance and members of a scan of K's own orderings, and one entry
         rng = random.Random(607)
         costs = (chain_edit._EDIT, chain_edit._COMPLETE, chain_edit._DELETE,
                  _mle_costs(NoiseParams(0.1, 0.3)), _mle_costs(NoiseParams(0.0, 0.2)))
         for m, n in ((1, 3), (2, 5), (3, 6), (4, 5)):
             K = random_tournament(rng, m, n)
             for cost in costs:
-                distance, options = _search(*chain_edit._cell_costs(K, cost), None)
+                distance, _, members = permutation_search(*chain_edit._cell_costs(K, cost, None))
                 chain_edit._solve.cache_clear()
-                assert chain_edit._factored(K, cost, None) == (distance, tuple(options))
-            chain_edit._factored(K, chain_edit._EDIT, None)
-            chain_edit._factored(dual(K), chain_edit._EDIT, None)
+                got, expanded = chain_edit._optimum(K, cost, None)
+                assert got == distance
+                assert {M.row_masks for M in expanded} == members
+            chain_edit._optimum(K, chain_edit._EDIT, None)
+            chain_edit._optimum(dual(K), chain_edit._EDIT, None)
             assert chain_edit._solve.cache_info().hits == 1

@@ -17,7 +17,6 @@ from chainrank import (
     chain_edit,
     min_chain_set,
     mle_search,
-    prob_model,
     resolve_operator,
 )
 from chainrank.cli import kendall_tau_b, main
@@ -290,14 +289,13 @@ class TestSolvesOnce:
         self, tmp_path, capsys, monkeypatch, noise, expansions
     ):
         calls = []
-        members = chain_edit._members
+        expand = chain_edit._expand
 
         def counted(*args):
             calls.append(args)
-            return members(*args)
+            return expand(*args)
 
-        monkeypatch.setattr(chain_edit, "_members", counted)
-        monkeypatch.setattr(prob_model, "_members", counted)
+        monkeypatch.setattr(chain_edit, "_expand", counted)
         chain_edit._solve.cache_clear()
         path = tmp_path / "k.csv"
         path.write_text(to_csv(random_tournament(random.Random(31), 7, 7)))

@@ -15,6 +15,7 @@ from chainrank import (
     dual,
     hamming,
     has_chain_property,
+    min_chain_set,
     neighborhood,
     permute,
     phi_count,
@@ -34,6 +35,15 @@ def small_tournaments():
             ).map(lambda rows: Tournament(m, n, tuple(rows)))
         )
     )
+
+
+class TestTournament:
+    def test_list_of_masks_stored_as_tuple(self):
+        K = Tournament(2, 2, [1, 2])
+        assert K == Tournament(2, 2, (1, 2))
+        assert hash(K) == hash(Tournament(2, 2, (1, 2)))
+        assert {K, Tournament(2, 2, (1, 2))} == {K}
+        assert min_chain_set(K).distance == 1
 
 
 class TestNeighborhoods:
