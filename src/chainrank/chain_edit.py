@@ -205,22 +205,23 @@ def _check_rows(masks: set[int], n: int) -> None:
         raise InputError("row mask has bits outside the column range")
 
 
-def _expand(options, m: int, n: int):
+def _expand(options, m: int, n: int, wide: bool):
     """A generator of the distinct m-by-n tournaments the options of a search
-    on an m-by-n matrix combine to, in canonical order.
+    on an m-by-n matrix combine to (their duals when wide), in canonical order.
 
     Raises ResourceCapError, on the first read and before expanding
     anything, when the options combine to more than MEMBER_CAP tuples (an
     upper bound on the members, as different options may give the same
     tournament).
 
-    With one optimal ordering, each row's argmins are distinct prefixes of
-    that ordering, so distinct choices give distinct members, and the
-    product of the rows' argmin lists, each sorted by _row_keys, runs
-    through the members in canonical order: they are built one at a time,
-    as the caller takes them, and nothing is collected or sorted. With
-    several, two orderings may give the same member, so the distinct members
-    are collected and sorted.
+    With one optimal ordering of a tall or square input, each row's argmins
+    are distinct prefixes of that ordering, so distinct choices give
+    distinct members, and the product of the rows' argmin lists, each sorted
+    by _row_keys, runs through the members in canonical order: they are
+    built one at a time, as the caller takes them, and nothing is collected
+    or sorted. Otherwise two orderings may give the same member, or dual may
+    reorder them, so the distinct members are collected, mapped through dual
+    when wide, and sorted once.
     """
     count = sum(math.prod(map(len, per_row)) for per_row in options)
     if count > MEMBER_CAP:
@@ -228,7 +229,7 @@ def _expand(options, m: int, n: int):
             f"the optimum set has up to {count} members which exceeds the member "
             f"cap of {MEMBER_CAP}"
         )
-    if len(options) == 1:
+    if len(options) == 1 and not wide:
         rows = set().union(*options[0])
         _check_rows(rows, n)
         key = _row_keys(rows, n).__getitem__
@@ -240,12 +241,9 @@ def _expand(options, m: int, n: int):
     for per_row in options:
         seen.update(itertools.product(*per_row))
     _check_rows(set().union(*seen), n)
-    yield from _canonical_order((Tournament._unchecked(m, n, masks) for masks in seen), n)
-
-
-def _canonical_order(members, n: int):
-    """A generator of members, distinct tournaments of n columns, in canonical order."""
-    members = list(members)
+    members = [Tournament._unchecked(m, n, masks) for masks in seen]
+    if wide:
+        members, n = list(map(dual, members)), m
     key = _row_keys(set().union(*(M.row_masks for M in members)), n).__getitem__
     yield from sorted(members, key=lambda M: tuple(map(key, M.row_masks)))
 
@@ -255,14 +253,14 @@ def _optimum(K: Tournament, cost, cap: int | None, weights=None):
     under cost[observed][result] and weights (None, or a tuple of row
     tuples), and a generator of every chain tournament at that cost, in
     canonical order and expanded only as it is read."""
-    if K.cols <= K.rows:
-        distance, options = _solve(K, cost, cap, weights)
-        return distance, _expand(options, K.rows, K.cols)
-    (z0, z1), (o0, o1) = cost
-    if weights is not None:
-        weights = tuple(zip(*weights))
-    distance, members = _optimum(dual(K), ((o1, o0), (z1, z0)), cap, weights)
-    return distance, _canonical_order(map(dual, members), K.cols)
+    wide = K.cols > K.rows
+    if wide:
+        (z0, z1), (o0, o1) = cost
+        K, cost = dual(K), ((o1, o0), (z1, z0))
+        if weights is not None:
+            weights = tuple(zip(*weights))
+    distance, options = _solve(K, cost, cap, weights)
+    return distance, _expand(options, K.rows, K.cols, wide)
 
 
 def least_member(K: Tournament, order, flip: Tournament, cap: int | None = None) -> Tournament:

@@ -54,21 +54,22 @@ def _ranks_json(order: TotalPreorder) -> list[list[int]]:
     return [sorted(rank) for rank in order.ranks]
 
 
-def _write_members(members, cols: int, as_json: bool) -> None:
+def _write_members(members, cols: int, head: dict | None = None, key: str = "") -> None:
     """Write the members one at a time, without going through Tournament.__str__.
 
-    The JSON form is json.dumps of the list of every member's cell lists,
-    the text form print("-"); print(M) per member. Each distinct row mask is
-    rendered once, when a member first uses it.
+    With head, the output is json.dumps({**head, key: [every member's cell
+    lists]}, sort_keys=True) and a newline, for a key that sorts after every
+    field of head; without, print("-"); print(M) per member. Each distinct
+    row mask is rendered once, when a member first uses it.
     """
-    sep = ", " if as_json else " "
+    sep = ", " if head else " "
     row = functools.cache(lambda mask: sep.join(str(mask >> b & 1) for b in range(cols)))
     write = sys.stdout.write
-    if as_json:
-        write("[")
+    if head:
+        write(f'{json.dumps(head, sort_keys=True)[:-1]}, "{key}": [')
         for i, M in enumerate(members):
             write(f"{', ' if i else ''}[[{'], ['.join(map(row, M.row_masks))}]]")
-        write("]")
+        write("]}\n")
     else:
         for M in members:
             write("-\n" + "\n".join(map(row, M.row_masks)) + "\n")
@@ -112,11 +113,7 @@ def cmd_edit(args) -> int:
         pref = parse_order_name(args.weighted)
         selected = weighted_min_chain(K, weights_for(pref, K.rows, K.cols), cap)
         if args.json:
-            out = {
-                "distance": hamming(K, selected),
-                "members": [selected.cells],
-            }
-            print(json.dumps(out, sort_keys=True))
+            _write_members([selected], K.cols, {"distance": hamming(K, selected)}, "members")
             return 0
         print(f"weighted selection (distance {hamming(K, selected)}):")
         print(selected)
@@ -128,14 +125,11 @@ def cmd_edit(args) -> int:
     else:
         result = min_chain_set(K, cap)
     if args.json:
-        # json.dumps({"distance": ..., "members": ...}, sort_keys=True)
-        sys.stdout.write(f'{{"distance": {result.distance}, "members": ')
-        _write_members(result.members, K.cols, as_json=True)
-        sys.stdout.write("}\n")
+        _write_members(result.members, K.cols, {"distance": result.distance}, "members")
         return 0
     print(f"distance: {result.distance}")
     print(f"members: {len(result.members)}")
-    _write_members(result.members, K.cols, as_json=False)
+    _write_members(result.members, K.cols)
     return 0
 
 
@@ -378,15 +372,11 @@ def cmd_likelihood(args) -> int:
         else "!= minCh(K): MLE set differs from the closest chain tournaments"
     )
     if args.json:
-        # json.dumps({"mle": ..., "equals_min_chain_set": ..., "min_distance": ...}, sort_keys=True)
-        sys.stdout.write(
-            f'{{"equals_min_chain_set": {json.dumps(same)}, "min_distance": {exact.distance}, "mle": '
-        )
-        _write_members(members, K.cols, as_json=True)
-        sys.stdout.write("}\n")
+        head = {"equals_min_chain_set": same, "min_distance": exact.distance}
+        _write_members(members, K.cols, head, "mle")
         return 0
     print(f"MLE tournaments: {len(members)}  [{note}]")
-    _write_members(members, K.cols, as_json=False)
+    _write_members(members, K.cols)
     return 0
 
 

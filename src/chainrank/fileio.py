@@ -1,4 +1,4 @@
-"""Tournament and state file formats.
+"""The input file formats: tournaments, states and match preferences.
 
 Two tournament formats are supported:
   * csv: one row per line of comma-separated 0/1 cells; blank lines and
@@ -6,7 +6,13 @@ Two tournament formats are supported:
   * json: {"rows": m, "cols": n, "matrix": [[...]]}, optionally with
     "a_labels" and "b_labels" arrays of player names.
 
-A state file is JSON {"x": [...], "y": [...]}.
+A state file is JSON {"x": [...], "y": [...]} of skill levels.
+
+A match-preference file is a JSON list of 1-based [row, col] integer pairs,
+most changeable cell first, listing every cell exactly once.
+
+Every file is read by _read and its JSON parsed by _parse, so each read or
+parse error becomes InputError in one place for all three formats.
 """
 
 from __future__ import annotations
@@ -18,7 +24,27 @@ from .core import Tournament, _Value
 from .errors import InputError
 
 if TYPE_CHECKING:
+    from .match_pref import MatchPreference
     from .prob_model import StateOfWorld
+
+
+def _read(path: str, what: str = "") -> str:
+    """The text of a UTF-8 file; what names the file in the message."""
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            return fh.read()
+    except (OSError, UnicodeDecodeError) as exc:
+        raise InputError(f"cannot read {what}{path}: {exc}") from exc
+
+
+def _parse(text: str, what: str = ""):
+    """The JSON value of text; what names the file in the message. Beyond
+    JSONDecodeError, json.loads raises a plain ValueError for an integer over
+    the interpreter's digit limit."""
+    try:
+        return json.loads(text)
+    except (ValueError, RecursionError) as exc:
+        raise InputError(f"{what}not valid JSON: {exc}") from exc
 
 
 class TournamentFile(_Value):
@@ -54,14 +80,13 @@ def _check_labels(labels, count: int, side: str) -> tuple[str, ...] | None:
     labels = [str(x) for x in labels]
     if len(labels) != count:
         raise InputError(f"{side} labels must list exactly {count} names")
+    if any("\ud800" <= c <= "\udfff" for name in labels for c in name):
+        raise InputError(f"{side} labels must be valid Unicode text")
     return tuple(labels)
 
 
 def parse_json(text: str) -> TournamentFile:
-    try:
-        data = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise InputError(f"not valid JSON: {exc}") from exc
+    data = _parse(text)
     if not isinstance(data, dict) or "matrix" not in data:
         raise InputError('JSON tournament needs a "matrix" field')
     matrix = data["matrix"]
@@ -98,24 +123,24 @@ def parse_tournament(text: str) -> TournamentFile:
 
 
 def load_tournament(path: str) -> TournamentFile:
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            text = fh.read()
-    except OSError as exc:
-        raise InputError(f"cannot read {path}: {exc}") from exc
-    return parse_tournament(text)
+    return parse_tournament(_read(path))
 
 
 def load_state(path: str) -> StateOfWorld:
     from .prob_model import StateOfWorld
 
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            data = json.load(fh)
-    except OSError as exc:
-        raise InputError(f"cannot read {path}: {exc}") from exc
-    except json.JSONDecodeError as exc:
-        raise InputError(f"state file is not valid JSON: {exc}") from exc
+    data = _parse(_read(path), "state file is ")
     if not isinstance(data, dict) or not all(isinstance(data.get(k), list) for k in ("x", "y")):
         raise InputError('a state file needs "x" and "y" arrays')
     return StateOfWorld(tuple(data["x"]), tuple(data["y"]))
+
+
+def load_match_preference(path: str) -> MatchPreference:
+    from .match_pref import MatchPreference
+
+    pairs = _parse(_read(path, "match-preference file "), f"match-preference file {path} is ")
+    if not isinstance(pairs, list) or not all(
+        isinstance(p, list) and len(p) == 2 and all(type(v) is int for v in p) for p in pairs
+    ):
+        raise InputError("match-preference file must hold a JSON list of [row, col] pairs")
+    return MatchPreference.from_pairs(pairs)

@@ -12,10 +12,10 @@ first), one global reproducible convention.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from typing import Callable
 
+from . import fileio
 from . import match_pref as mp
 from .chain_edit import least_member, monotone_min_chain
 from .core import (
@@ -138,21 +138,6 @@ def dual_symmetrized(base: OperatorSpec) -> OperatorSpec:
     return _exact_operator(f"dual-sym({base.name})", choice)
 
 
-def _load_explicit_pref(path: str) -> mp.MatchPreference:
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            pairs = json.load(fh)
-    except OSError as exc:
-        raise InputError(f"cannot read match-preference file {path}: {exc}") from exc
-    except json.JSONDecodeError as exc:
-        raise InputError(f"match-preference file {path} is not valid JSON: {exc}") from exc
-    if not isinstance(pairs, list) or not all(
-        isinstance(p, list) and len(p) == 2 for p in pairs
-    ):
-        raise InputError("match-preference file must hold a JSON list of [row, col] pairs")
-    return mp.MatchPreference.from_pairs(pairs)
-
-
 def resolve_operator(name: str, cap: int | None = None) -> OperatorSpec:
     """Look up an operator by CLI name."""
     if name == "count":
@@ -171,7 +156,7 @@ def resolve_operator(name: str, cap: int | None = None) -> OperatorSpec:
         if rest in mp.ORDER_ALIASES:
             pref = mp.parse_order_name(rest)
         else:
-            pref = _load_explicit_pref(rest)
+            pref = fileio.load_match_preference(rest)
         return match_pref_operator(pref, cap, label=name)
     raise InputError(
         f"unknown operator {name!r}; known operators: {', '.join(OPERATOR_NAMES)}"

@@ -45,7 +45,7 @@ class StateOfWorld(_Value):
         if not x or not y:
             raise InputError("a state needs at least one skill level per side")
         for xa in list(x) + list(y):
-            if not isinstance(xa, (int, float)) or isinstance(xa, bool):
+            if not isinstance(xa, (int, float)) or isinstance(xa, bool) or xa != xa:
                 raise InputError("skill levels must be numbers")
         for a, xa in enumerate(x, start=1):
             for a2, xa2 in enumerate(x, start=1):

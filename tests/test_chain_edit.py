@@ -457,12 +457,12 @@ class TestSearchOracle:
             c0, c1, m, n = list(zip(*c1)), list(zip(*c0)), n, m
         got, options = _search(c0, c1, None)
         assert got == cost
-        expanded = _expand(tuple(options), m, n)
+        expanded = _expand(tuple(options), m, n, wide)
         if members is None:
             with pytest.raises(ResourceCapError, match=str(count)):
                 next(expanded)
         else:
-            assert {(dual(M) if wide else M).row_masks for M in expanded} == members
+            assert {M.row_masks for M in expanded} == members
 
 
 def _preferences(m, n, rng):

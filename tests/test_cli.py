@@ -15,13 +15,16 @@ from chainrank import (
     chain_completion,
     chain_deletion,
     chain_edit,
+    hamming,
     min_chain_set,
     mle_search,
     resolve_operator,
+    select_match_pref,
 )
 from chainrank.cli import kendall_tau_b, main
 from chainrank.core import TotalPreorder
 from chainrank.fileio import parse_tournament, to_csv, to_json
+from chainrank.match_pref import parse_order_name
 from chainrank.prob_model import k_theta, sample_state
 
 from helpers import EX2, TABLE1, preorder, random_tournament
@@ -511,6 +514,66 @@ class TestRefusals:
             axiom_lab.Scope(exhaustive=((1, 13),))
 
 
+DEEP = "[" * 100_000 + "]" * 100_000
+
+# (file contents, the command reading it with FILE in its place)
+MALFORMED = {
+    "tournament-not-utf8": (b"\xff", ["edit", "FILE"]),
+    "state-not-utf8": (b"\xff", ["likelihood", "k.csv", "--state", "FILE", "--beta", "0.1"]),
+    "pref-not-utf8": (b"\xff", ["rank", "k.csv", "-o", "match-pref:FILE"]),
+    "tournament-deep": (b'{"matrix": ' + DEEP.encode() + b"}", ["edit", "FILE"]),
+    "state-deep": (DEEP.encode(), ["likelihood", "k.csv", "--state", "FILE", "--beta", "0.1"]),
+    "pref-deep": (DEEP.encode(), ["rank", "k.csv", "-o", "match-pref:FILE"]),
+    "tournament-long-integer": (b'{"matrix": [[1' + b"0" * 5000 + b"]]}", ["edit", "FILE"]),
+    "pref-string-label": (b'[["x", 1]]', ["rank", "k.csv", "-o", "match-pref:FILE"]),
+    "pref-null-label": (b"[[null, 1]]", ["rank", "k.csv", "-o", "match-pref:FILE"]),
+    "pref-float-label": (
+        b"[[1.5, 1], [1, 2], [1, 3], [2, 1], [2, 2], [2, 3], [3, 1], [3, 2], [3, 3]]",
+        ["rank", "k.csv", "-o", "match-pref:FILE"],
+    ),
+    "pref-bool-label": (
+        b"[[true, 1], [1, 2], [1, 3], [2, 1], [2, 2], [2, 3], [3, 1], [3, 2], [3, 3]]",
+        ["rank", "k.csv", "-o", "match-pref:FILE"],
+    ),
+    "state-nan": (
+        b'{"x": [NaN, 1, 2], "y": [1, 2, 3]}',
+        ["likelihood", "k.csv", "--state", "FILE", "--beta", "0.1"],
+    ),
+    "label-surrogate": (b'{"matrix": [[1]], "a_labels": ["\\ud800"]}', ["rank", "FILE", "-o", "ci"]),
+}
+
+
+class TestMalformedFiles:
+    @pytest.mark.parametrize("case", sorted(MALFORMED))
+    def test_one_error_line_and_exit_2(self, tmp_path, case):
+        content, args = MALFORMED[case]
+        (tmp_path / "k.csv").write_text("1,0,1\n0,1,1\n1,1,0\n")
+        (tmp_path / "bad").write_bytes(content)
+        args = [arg.replace("FILE", "bad") for arg in args]
+        proc = subprocess.run(
+            [sys.executable, "-m", "chainrank", *args], cwd=tmp_path, capture_output=True, text=True
+        )
+        assert (proc.returncode, proc.stdout) == (2, "")
+        assert proc.stderr.startswith("error: ") and proc.stderr.count("\n") == 1
+        assert "Traceback" not in proc.stderr
+
+    @pytest.mark.parametrize("args, what", [
+        (["edit", "FILE"], ""),
+        (["likelihood", "k.csv", "--state", "FILE", "--beta", "0.1"], ""),
+        (["rank", "k.csv", "-o", "match-pref:FILE"], "match-preference file "),
+    ])
+    def test_missing_file_and_directory_messages(self, tmp_path, capsys, monkeypatch, args, what):
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "k.csv").write_text("1,0\n0,1\n")
+        (tmp_path / "sub").mkdir()
+        for path, reason in (
+            ("nope", "[Errno 2] No such file or directory: 'nope'"),
+            ("sub", "[Errno 21] Is a directory: 'sub'"),
+        ):
+            assert main([arg.replace("FILE", path) for arg in args]) == 2
+            assert capsys.readouterr().err == f"error: cannot read {what}{path}: {reason}\n"
+
+
 def same_text(out, expected):
     # a bare `==` would make a failure diff thousands of near-identical lines
     return out == expected
@@ -552,6 +615,16 @@ class TestMemberRendering:
                 assert main(["edit", path, flag, "--json"]) == 0
                 out = {"distance": result.distance, "members": old_members_json(result.members)}
                 assert same_text(capsys.readouterr().out, json.dumps(out, sort_keys=True) + "\n")
+
+    def test_edit_weighted(self, tmp_path, capsys):
+        for K, path in self.inputs(tmp_path):
+            if K.rows * K.cols > 120:
+                continue
+            for order in ("row-major", "col-major"):
+                selected = select_match_pref(K, parse_order_name(order))
+                assert main(["edit", path, "--weighted", order, "--json"]) == 0
+                out = {"distance": hamming(K, selected), "members": [selected.cells]}
+                assert capsys.readouterr().out == json.dumps(out, sort_keys=True) + "\n"
 
     def test_likelihood_mle(self, tmp_path, capsys):
         for K, path in self.inputs(tmp_path):
