@@ -12,10 +12,10 @@ optimum arises from some (optimal ordering, per-row argmin prefix)
 combination, so the search returns the optimum set in factored form: per
 optimal ordering, each row's tied argmin prefixes. Expanding them yields the
 complete optimum set in canonical order, one member at a time when a single
-ordering is optimal (see _expand), and MEMBER_CAP bounds that expansion. A
-single member picked by a lexicographic order on its cells (the canonical
-pick and the match-preference pick) is read off the factored form instead,
-row by row, without expanding it (see least_member).
+ordering is optimal (see _expand); only listings expand, and MEMBER_CAP
+bounds them. Single picks are read off the factored form unexpanded: the
+canonical pick, which is also the monotone one, by monotone_min_chain, and
+any lexicographic pick, such as the match-preference one, by least_member.
 
 Every problem is solved tall, searching orderings of the smaller side.
 dual(K) transposes and complements K and maps its chain tournaments one to
@@ -364,25 +364,31 @@ def swap_rows(K: Tournament, a1: int, a2: int) -> Tournament:
 def monotone_min_chain(K: Tournament, cap: int | None = None) -> Tournament:
     """The canonically least closest chain tournament whose row order extends K's.
 
-    At least one member of the optimum set extends the neighbourhood-subset
-    relation of K (successive row swaps repair any inversion without raising
-    the distance), so some member always qualifies. The members are tried in
-    canonical order as _optimum lists them, so the search stops at the first
-    that qualifies, and MEMBER_CAP applies as it does to min_chain_set.
+    This is the canonically least closest chain tournament M itself, so it
+    is also operators.canonical_min_choice. M's rows are prefixes of an
+    optimal ordering, each at its row's smallest argmin there: a smaller
+    argmin would give a smaller member at the same distance. If K_i is
+    inside K_j, a column added to a prefix raises row i's cost at least as
+    much as row j's, so row i's smallest argmin is no longer than row j's,
+    and M_i is inside M_j.
+
+    Nothing is expanded, so MEMBER_CAP does not apply. Each optimal
+    ordering's least member takes every row's smallest argmin or, for a wide
+    K solved as dual(K), every dual row's largest (the fewest ones in its
+    column of M), and M is the least of these. Rows with equal masks have
+    equal argmins, so each ordering is read on the distinct masks only.
     """
-    masks = K.row_masks
-    subsets = [
-        (i, j)
-        for i, ki in enumerate(masks)
-        for j, kj in enumerate(masks)
-        if i != j and ki & kj == ki
-    ]
-    for M in _optimum(K, _EDIT, cap)[1]:
-        # the rows of a chain are nested: M_i is inside M_j iff it is no larger
-        sizes = [mask.bit_count() for mask in M.row_masks]
-        if all(sizes[i] <= sizes[j] for i, j in subsets):
-            return M
-    raise AssertionError("no order-extending optimum exists; solver invariant broken")
+    wide = K.cols > K.rows
+    S = dual(K) if wide else K
+    heads = {mask: r for r, mask in enumerate(S.row_masks)}  # a row of each distinct mask
+    end = -1 if wide else 0  # argmins are listed smallest first
+    options = _solve(S, _EDIT, cap, None)[1]
+    picks = {tuple(per_row[r][end] for r in heads.values()) for per_row in options}
+    members = [tuple(map(dict(zip(heads, p)).__getitem__, S.row_masks)) for p in picks]
+    if wide:
+        members = [dual(Tournament._unchecked(S.rows, S.cols, M)).row_masks for M in members]
+    key = _row_keys(set().union(*members), K.cols).__getitem__
+    return Tournament._unchecked(K.rows, K.cols, min(members, key=lambda M: tuple(map(key, M))))
 
 
 def all_chain_tournaments(m: int, n: int, cap: int | None = None) -> tuple[Tournament, ...]:

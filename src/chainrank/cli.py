@@ -12,6 +12,7 @@ import argparse
 import functools
 import json
 import math
+import operator
 import os
 import sys
 from typing import TYPE_CHECKING
@@ -253,8 +254,10 @@ def run_simulation(config: ExperimentConfig, cap: int | None = None):
         aggregated: dict[str, float | None] = {}
         for metric in config.metrics:
             values = [row[spec.name][metric] for row in rows]
+            # added left to right from 0, as sum() adds before Python 3.12, so
+            # the means are bit-identical on every version
             aggregated[metric] = (
-                None if values[0] is None else sum(values) / len(values)
+                None if values[0] is None else functools.reduce(operator.add, values, 0) / len(values)
             )
         results[spec.name] = aggregated
     return results

@@ -366,8 +366,16 @@ def co_neighborhood(K: Tournament, b: int) -> frozenset[int]:
 
 
 def chain_violation(K: Tournament) -> tuple[int, int] | None:
-    """First row pair (1-based) with incomparable neighbourhoods, or None."""
+    """First row pair (1-based) with incomparable neighbourhoods, or None.
+
+    The rows form a chain exactly when the distinct masks, fewest bits first,
+    are each inside the next, which takes a sort; only a non-chain is scanned
+    pair by pair, in index order, for the pair to name.
+    """
     masks = K.row_masks
+    distinct = sorted(set(masks), key=int.bit_count)
+    if all(low & high == low for low, high in zip(distinct, distinct[1:])):
+        return None
     for i in range(K.rows):
         for j in range(i + 1, K.rows):
             inter = masks[i] & masks[j]

@@ -4,7 +4,7 @@ Two tournament formats are supported:
   * csv: one row per line of comma-separated 0/1 cells; blank lines and
     lines starting with '#' are ignored.
   * json: {"rows": m, "cols": n, "matrix": [[...]]}, optionally with
-    "a_labels" and "b_labels" arrays of player names.
+    "a_labels" and "b_labels" arrays of player names, strings or integers.
 
 A state file is JSON {"x": [...], "y": [...]} of skill levels.
 
@@ -77,6 +77,8 @@ def _check_labels(labels, count: int, side: str) -> tuple[str, ...] | None:
         return None
     if not isinstance(labels, list):
         raise InputError(f"{side} labels must be a list of names")
+    if not all(isinstance(x, (str, int)) and not isinstance(x, bool) for x in labels):
+        raise InputError(f"{side} labels must be strings or integers")
     labels = [str(x) for x in labels]
     if len(labels) != count:
         raise InputError(f"{side} labels must list exactly {count} names")

@@ -17,7 +17,7 @@ from typing import Callable
 
 from . import fileio
 from . import match_pref as mp
-from .chain_edit import least_member, monotone_min_chain
+from .chain_edit import monotone_min_chain
 from .core import (
     OPERATOR_NAMES,
     RankingPair,
@@ -84,9 +84,12 @@ def _exact_operator(name: str, choice: Callable[[Tournament], Tournament]) -> Op
 
 
 def canonical_min_choice(K: Tournament, cap: int | None = None) -> Tournament:
-    """The canonically least closest chain tournament."""
-    order = [(a, b) for a in range(1, K.rows + 1) for b in range(1, K.cols + 1)]
-    return least_member(K, order, Tournament(K.rows, K.cols, (0,) * K.rows), cap)
+    """The canonically least closest chain tournament.
+
+    It always keeps every row inclusion of K, so it is chain-min-mon's pick
+    as well, and monotone_min_chain reads it off the factored optimum.
+    """
+    return monotone_min_chain(K, cap)
 
 
 def phi_ci(K: Tournament) -> RankingPair:

@@ -47,18 +47,39 @@ class StateOfWorld(_Value):
         for xa in list(x) + list(y):
             if not isinstance(xa, (int, float)) or isinstance(xa, bool) or xa != xa:
                 raise InputError("skill levels must be numbers")
-        for a, xa in enumerate(x, start=1):
-            for a2, xa2 in enumerate(x, start=1):
-                if xa < xa2 and not any(xa < yb <= xa2 for yb in y):
-                    raise InputError(
-                        f"rows {a} and {a2} have a skill gap no column level explains"
-                    )
-        for b, yb in enumerate(y, start=1):
-            for b2, yb2 in enumerate(y, start=1):
-                if yb < yb2 and not any(yb <= xa < yb2 for xa in x):
-                    raise InputError(
-                        f"columns {b} and {b2} have a skill gap no row level explains"
-                    )
+        for levels, other, count, side, explainer in (
+            (x, y, bisect.bisect_right, "rows", "column"),
+            (y, x, bisect.bisect_left, "columns", "row"),
+        ):
+            pair = _unexplained_gap(levels, sorted(other), count)
+            if pair:
+                raise InputError(
+                    f"{side} {pair[0]} and {pair[1]} have a skill gap no {explainer} level explains"
+                )
+
+
+def _unexplained_gap(levels, other, count) -> tuple[int, int] | None:
+    """The first pair (a, a2) of 1-based indices, ordered by a and then a2,
+    with levels[a] < levels[a2] and no level of the sorted other in the gap
+    between them: (u, w] when count is bisect_right, [u, w) when it is
+    bisect_left.
+
+    Consecutive distinct levels whose gap holds no other level are joined
+    into blocks. A gap between two levels is the union of the consecutive
+    gaps between them, so a pair fails exactly when its two levels differ
+    and lie in one block, and a fails with some a2 exactly when its level is
+    not its block's top.
+    """
+    ranks = sorted(set(levels))
+    block = {ranks[0]: ranks[0]}  # each distinct level's block, named by its least level
+    for low, high in zip(ranks, ranks[1:]):
+        block[high] = high if count(other, high) > count(other, low) else block[low]
+    top = {start: level for level, start in block.items()}  # levels rise, so the last is the top
+    for a, u in enumerate(levels, start=1):
+        if u < top[block[u]]:
+            a2 = next(a2 for a2, w in enumerate(levels, start=1) if u < w and block[w] == block[u])
+            return a, a2
+    return None
 
 
 class NoiseParams(_Value):

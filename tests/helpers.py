@@ -304,3 +304,30 @@ def cellwise_likelihood(K, theta, alpha):
 def random_tournament(rng, m, n):
     full = (1 << n) - 1
     return Tournament(m, n, tuple(rng.randint(0, full) for _ in range(m)))
+
+
+def state_gap_by_pairs(x, y):
+    """The message StateOfWorld's check gives a state with numeric levels x and
+    y, or None: every ordered pair of same-side levels against every level of
+    the other side, the first failing pair in index order."""
+    for a, xa in enumerate(x, start=1):
+        for a2, xa2 in enumerate(x, start=1):
+            if xa < xa2 and not any(xa < yb <= xa2 for yb in y):
+                return f"rows {a} and {a2} have a skill gap no column level explains"
+    for b, yb in enumerate(y, start=1):
+        for b2, yb2 in enumerate(y, start=1):
+            if yb < yb2 and not any(yb <= xa < yb2 for xa in x):
+                return f"columns {b} and {b2} have a skill gap no row level explains"
+    return None
+
+
+def chain_violation_by_pairs(K):
+    """The first row pair (1-based) with incomparable neighbourhoods, or None,
+    by scanning every pair in index order."""
+    masks = K.row_masks
+    for i in range(K.rows):
+        for j in range(i + 1, K.rows):
+            inter = masks[i] & masks[j]
+            if inter != masks[i] and inter != masks[j]:
+                return (i + 1, j + 1)
+    return None

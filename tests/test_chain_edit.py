@@ -245,6 +245,52 @@ class TestMonotone:
                     if neighborhood(K, a) <= neighborhood(K, a2):
                         assert neighborhood(M, a) <= neighborhood(M, a2)
 
+    def test_canonical_least_member_qualifies(self):
+        # the oracles alone: the first member in canonical order always keeps
+        # every row inclusion, which is why the pick never filters
+        for m, n in [(1, 3), (2, 2), (2, 3), (3, 2), (3, 3), (2, 5), (5, 2)]:
+            for K in all_tournaments(m, n):
+                assert monotone_oracle(K) == canonical_min_oracle(K)
+
+    def test_matches_pairwise_filter_wide_exhaustive(self):
+        # wide inputs are solved as their dual, each dual row at its largest argmin
+        for m, n in [(1, 2), (1, 3), (1, 4), (1, 5), (1, 6), (2, 3), (2, 4), (2, 5), (2, 6), (3, 4)]:
+            for K in all_tournaments(m, n):
+                assert monotone_min_chain(K) == monotone_oracle(K)
+
+    def test_matches_pairwise_filter_seeded_tall_and_wide(self):
+        rng = random.Random(67)
+        checked = 0
+        for _ in range(200):
+            small, large = rng.randint(1, 7), rng.randint(1, 10)
+            m, n = (small, large) if rng.random() < 0.5 else (large, small)
+            K = random_tournament(rng, m, n)
+            try:
+                expected = monotone_oracle(K)
+            except ResourceCapError:  # the oracle lists the optimum set
+                continue
+            assert monotone_min_chain(K) == expected
+            checked += 1
+        assert checked > 150
+
+    def test_picks_beyond_member_cap_without_expanding(self, monkeypatch):
+        rng = random.Random(68)
+        inputs = []
+        while len(inputs) < 12:
+            m, n = (7, 3) if len(inputs) % 2 else (3, 7)
+            K = random_tournament(rng, m, n)
+            if len(min_chain_set(K).members) >= 4:
+                inputs.append(K)
+        expected = [monotone_oracle(K) for K in inputs]
+        monkeypatch.setattr(chain_edit, "MEMBER_CAP", 2)
+
+        def refuse(*args):
+            raise AssertionError("the monotone pick expanded the optimum set")
+
+        monkeypatch.setattr(chain_edit, "_expand", refuse)
+        monkeypatch.setattr(chain_edit, "_optimum", refuse)
+        assert [monotone_min_chain(K) for K in inputs] == expected
+
 
 class TestCompletionDeletion:
     def test_chain_fixed_points(self):

@@ -1,4 +1,5 @@
 import itertools
+import random
 
 import pytest
 from hypothesis import given, settings
@@ -23,8 +24,20 @@ from chainrank import (
     xor,
 )
 from chainrank.chain_edit import all_chain_tournaments
+from chainrank.core import chain_violation
 
-from helpers import EX1, EX2, IMPOSS_K, K4, TABLE1, chains_by_definition, pair, preorder
+from helpers import (
+    EX1,
+    EX2,
+    IMPOSS_K,
+    K4,
+    TABLE1,
+    chain_violation_by_pairs,
+    chains_by_definition,
+    pair,
+    preorder,
+    random_tournament,
+)
 
 
 def small_tournaments():
@@ -100,6 +113,25 @@ class TestChainProperty:
                 for b, b2 in itertools.combinations(range(1, 4), 2)
             )
             assert has_chain_property(K) == rows_nested == cols_nested
+
+    def test_violation_matches_pairwise_scan_exhaustive(self):
+        # the first pair, which NotChainError names, as well as the verdict
+        for m, n in itertools.product(range(1, 5), repeat=2):
+            for K in all_tournaments(m, n):
+                assert chain_violation(K) == chain_violation_by_pairs(K)
+
+    def test_violation_matches_pairwise_scan_seeded(self):
+        rng = random.Random(77)
+        for _ in range(300):
+            m, n = rng.randint(1, 60), rng.randint(1, 6)
+            if rng.random() < 0.5:  # a chain, perhaps with one row spoiled
+                prefix = [(1 << j) - 1 for j in range(n + 1)]
+                K = Tournament(m, n, tuple(rng.choice(prefix) for _ in range(m)))
+                if rng.random() < 0.5:
+                    K = K.with_cell(rng.randint(1, m), rng.randint(1, n), rng.randint(0, 1))
+            else:
+                K = random_tournament(rng, m, n)
+            assert chain_violation(K) == chain_violation_by_pairs(K)
 
 
 class TestChainRankings:

@@ -1,20 +1,33 @@
-"""Peak traced memory of the member-listing commands on a planted 71x6 chain.
+"""Peak traced memory of the member-listing commands and of chain-min-mon.
 
-The optimum set has 2,048 members, and its JSON listing is about 2.9 MB.
-The commands write it one member at a time, and chain-min-mon stops at its
-first qualifying member, so neither may hold the whole listing or expand
-the whole set.
+On a planted 71x6 chain the optimum set has 2,048 members, and its JSON
+listing is about 2.9 MB. The commands write it one member at a time, and
+chain-min-mon reads its pick off the factored optimum, so neither may hold
+the whole listing or expand the whole set. On a tall 2,000x8 input drawn
+from the noise model, the optimum set is far beyond MEMBER_CAP, and a list
+of the row pairs with nested neighbourhoods would take over 100 MB.
 """
 
 import contextlib
 import hashlib
+import itertools
 import json
 import random
 import tracemalloc
 
 import pytest
 
-from chainrank import chain_edit, chain_rankings
+from chainrank import (
+    NoiseParams,
+    chain_edit,
+    chain_rankings,
+    hamming,
+    has_chain_property,
+    min_chain_distance,
+    monotone_min_chain,
+    sample_state,
+    sample_tournament,
+)
 from chainrank.cli import main
 from chainrank.fileio import to_csv
 
@@ -89,3 +102,32 @@ def test_peak(planted_71x6, args, limit):
         }
     assert digest == _digest(expected)
     assert peak <= limit, f"peak traced memory {peak / MB:.2f} MB exceeds {limit / MB:.0f} MB"
+
+
+def test_monotone_pick_on_tall_input(tmp_path):
+    K = sample_tournament(sample_state(2000, 8, 1), NoiseParams.symmetric(0.1), 8)
+    path = tmp_path / "planted-2000x8.csv"
+    path.write_text(to_csv(K))
+    argv = ["rank", str(path), "-o", "chain-min-mon", "--json"]
+    _traced(argv)
+    code, digest, peak = _traced(argv)
+    assert code == 0
+    chain = monotone_min_chain(K)
+    distance = min_chain_distance(K)
+    assert has_chain_property(chain) and hamming(K, chain) == distance
+    # equal rows pick alike, and every row inclusion of K is kept
+    pick = {}
+    for k, c in zip(K.row_masks, chain.row_masks):
+        assert pick.setdefault(k, c) == c
+    for k1, k2 in itertools.permutations(pick, 2):
+        assert k1 & k2 != k1 or pick[k1] & pick[k2] == pick[k1]
+    pair = chain_rankings(chain)
+    expected = {
+        "operator": "chain-min-mon",
+        "a_ranks": [sorted(rank) for rank in pair.a_order.ranks],
+        "b_ranks": [sorted(rank) for rank in pair.b_order.ranks],
+        "chain": chain.cells,
+        "distance": distance,
+    }
+    assert digest == _digest(expected)
+    assert peak <= 8 * MB, f"peak traced memory {peak / MB:.2f} MB exceeds 8 MB"

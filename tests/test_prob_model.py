@@ -1,3 +1,4 @@
+import itertools
 import math
 import random
 
@@ -28,7 +29,15 @@ from chainrank.chain_edit import all_chain_tournaments
 from chainrank.core import canonical_key
 from chainrank.prob_model import derive_seed
 
-from helpers import EX1, EX2, brute_force_mle, cellwise_likelihood, chains_by_definition, random_tournament
+from helpers import (
+    EX1,
+    EX2,
+    brute_force_mle,
+    cellwise_likelihood,
+    chains_by_definition,
+    random_tournament,
+    state_gap_by_pairs,
+)
 
 # the oracle grid of noise rates; pairs summing to one carry no information
 # and are covered separately
@@ -68,6 +77,37 @@ class TestKTheta:
         for seed in range(30):
             theta = sample_state(3, 4, seed)
             assert has_chain_property(k_theta(theta))
+
+
+def _state_message(x, y):
+    try:
+        StateOfWorld(x, y)
+    except InputError as exc:
+        return str(exc)
+    return None
+
+
+class TestStateCheck:
+    """The sorted gap check names the pair the pairwise definition names."""
+
+    LEVELS = (0, 1, 2, 3, math.inf)
+
+    def test_every_small_state(self):
+        # up to 4 levels per side and 6 in all, with ties and inf
+        for lx, ly in itertools.product(range(1, 5), repeat=2):
+            if lx + ly > 6:
+                continue
+            for x in itertools.product(self.LEVELS, repeat=lx):
+                for y in itertools.product(self.LEVELS, repeat=ly):
+                    assert _state_message(x, y) == state_gap_by_pairs(x, y), (x, y)
+
+    def test_seeded_states(self):
+        rng = random.Random(88)
+        levels = (-math.inf, 0, 0.5, 1, 1.0, 2, 3, math.inf)
+        for _ in range(400):
+            x = tuple(rng.choice(levels) for _ in range(rng.randint(1, 12)))
+            y = tuple(rng.choice(levels) for _ in range(rng.randint(1, 12)))
+            assert _state_message(x, y) == state_gap_by_pairs(x, y), (x, y)
 
 
 class TestCanonicalState:
