@@ -13,9 +13,11 @@ combination, so the search returns the optimum set in factored form: per
 optimal ordering, each row's tied argmin prefixes. Expanding them yields the
 complete optimum set in canonical order, one member at a time when a single
 ordering is optimal (see _expand); only listings expand, and MEMBER_CAP
-bounds them. Single picks are read off the factored form unexpanded: the
-canonical pick, which is also the monotone one, by monotone_min_chain, and
-any lexicographic pick, such as the match-preference one, by least_member.
+bounds them. Single picks are read off the factored form unexpanded by
+least_member, the lexicographic pick behind match-preference and, with no
+flip in row-major order, monotone_min_chain: per optimal ordering, each
+class of rows sharing a mask, a flip row and an order of their own cells
+takes its least argmin, so a pick is linear in rows.
 
 Every problem is solved tall, searching orderings of the smaller side.
 dual(K) transposes and complements K and maps its chain tournaments one to
@@ -44,6 +46,7 @@ from __future__ import annotations
 import functools
 import itertools
 import math
+import operator
 
 from .core import Tournament, _Value, dual
 from .errors import AmbiguityError, InputError, ResourceCapError
@@ -263,45 +266,86 @@ def _optimum(K: Tournament, cost, cap: int | None, weights=None):
     return distance, _expand(options, K.rows, K.cols, wide)
 
 
-def least_member(K: Tournament, order, flip: Tournament, cap: int | None = None) -> Tournament:
+def least_member(K: Tournament, order, flip: Tournament | None, cap: int | None = None) -> Tournament:
     """The member M of min_chain_set(K) whose cells XOR flip, listed in order, are least.
 
-    order lists every cell (a, b) of K exactly once, 1-based, so distinct
-    members give distinct vectors and the least one is unique: zero flip
-    with row-major order gives the canonically least member, flip = K with a
-    match-preference order the match-preference selection.
+    order lists every cell (a, b) of K exactly once, 1-based, or is None for
+    row-major order, so distinct members give distinct vectors and the least
+    one is unique; flip None flips nothing. No flip with row-major order
+    gives the canonically least member, flip = K with a match-preference
+    order the match-preference selection.
 
-    Nothing is expanded, so MEMBER_CAP does not apply. Every cell belongs to
-    one row, and for a fixed optimal ordering the rows pick their argmin
-    prefixes independently, so the least vector of that ordering takes, in
-    every row, the argmin whose own cells are least. The answer is the least
-    of these over the optimal orderings. A wide K is answered on its dual:
-    cell (b, a) of dual(M) XOR dual(flip) is cell (a, b) of M XOR flip.
+    Nothing is expanded, so MEMBER_CAP does not apply. A wide K is answered
+    on its dual: cell (b, a) of dual(M) XOR dual(flip) is cell (a, b) of M
+    XOR flip. For a fixed optimal ordering the rows pick their argmin
+    prefixes independently, and every cell belongs to one row, so the least
+    vector of that ordering takes, in every row, the argmin whose own cells
+    are least (see _least_prefix). Rows with the same mask, the same flip
+    row and the same order of their own cells pick alike, so each ordering
+    is read once per class of such rows, and the orderings' picks are
+    compared cell by cell only when they differ.
     """
-    if K.cols > K.rows:
-        return dual(least_member(dual(K), [(b, a) for a, b in order], dual(flip), cap))
+    rows, cols = K.rows, K.cols
+    wide = cols > rows
+    if wide:
+        K = dual(K)
+    options = _solve(K, _EDIT, cap, None)[1]
     m, n = K.rows, K.cols
-    # weight[r][i]: vector position of cell (r + 1, i + 1) as a power of two,
-    # the first position most significant; vectors compare as their sums
-    weight = [[0] * n for _ in range(m)]
-    for pos, (a, b) in enumerate(reversed(order)):
-        weight[a - 1][b - 1] = 1 << pos
-    base = flip.row_masks
+    full = (1 << n) - 1
+    if flip is None:
+        flips = (full if wide else 0,) * m
+    else:
+        flips = (dual(flip) if wide else flip).row_masks
+    if order is None:
+        ranked = itertools.repeat(tuple(range(1, n + 1)))
+    else:
+        # each row's columns in order: a stable sort by row keeps the order of
+        # each row's n cells
+        row_at, col_at = map(operator.itemgetter, (1, 0) if wide else (0, 1))
+        by_row = list(map(col_at, sorted(order, key=row_at)))
+        ranked = (tuple(by_row[i : i + n]) for i in range(0, m * n, n))
+    classes: dict = {}  # (mask, flip row, columns in order): index
+    row_class = [classes.setdefault(key, len(classes)) for key in zip(K.row_masks, flips, ranked)]
+    row_of = {mask: r for r, mask in enumerate(K.row_masks)}  # argmins depend on the mask only
+    smallest, largest = operator.itemgetter(0), operator.itemgetter(-1)
 
-    @functools.cache
-    def value(r: int, prefix: int) -> int:
-        cells = prefix ^ base[r]
-        return sum(w for i, w in enumerate(weight[r]) if cells >> i & 1)
+    def picked(mask, f, ranks):
+        # the class's pick in every optimal ordering: a smaller argmin is
+        # inside a larger one, so with f empty the smallest is least, and
+        # with f full the largest
+        argmins = map(operator.itemgetter(row_of[mask]), options)
+        if f == 0 or f == full:
+            return map(largest if f else smallest, argmins)
+        return (_least_prefix(a, f, ranks) for a in argmins)
 
-    def pick(per_row):
-        masks = tuple(
-            min(prefixes, key=functools.partial(value, r)) for r, prefixes in enumerate(per_row)
-        )
-        return sum(itertools.starmap(value, enumerate(masks))), masks
+    picks = set(zip(*itertools.starmap(picked, classes)))
+    if len(picks) == 1:
+        (pick,) = picks
+    else:
+        grid = itertools.product(range(1, rows + 1), range(1, cols + 1)) if order is None else order
+        if wide:
+            grid = ((b, a) for a, b in grid)
+        cells = [(row_class[a - 1], flips[a - 1], b - 1) for a, b in grid]
+        pick = min(picks, key=lambda p: [(p[i] ^ f) >> b & 1 for i, f, b in cells])
+    M = Tournament._unchecked(m, n, tuple(map(pick.__getitem__, row_class)))
+    return dual(M) if wide else M
 
-    # equal vectors are the same member, so the masks never decide a tie
-    _, masks = min(map(pick, _solve(K, _EDIT, cap, None)[1]))
-    return Tournament(m, n, masks)
+
+def _least_prefix(argmins, flip: int, ranks) -> int:
+    """The argmin prefix whose cells XOR flip are least, compared in the order of
+    the 1-based columns ranks.
+
+    The argmins of one ordering are nested, smallest first, so two of them
+    differ exactly in the columns the larger adds, and the larger is less
+    when flip holds the first of those.
+    """
+    least = argmins[0]
+    for prefix in argmins[1:]:
+        added = prefix ^ least
+        first = next(b for b in ranks if added >> b - 1 & 1)
+        if flip >> first - 1 & 1:
+            least = prefix
+    return least
 
 
 def min_chain_set(K: Tournament, cap: int | None = None) -> MinChainSet:
@@ -372,23 +416,12 @@ def monotone_min_chain(K: Tournament, cap: int | None = None) -> Tournament:
     much as row j's, so row i's smallest argmin is no longer than row j's,
     and M_i is inside M_j.
 
-    Nothing is expanded, so MEMBER_CAP does not apply. Each optimal
-    ordering's least member takes every row's smallest argmin or, for a wide
-    K solved as dual(K), every dual row's largest (the fewest ones in its
-    column of M), and M is the least of these. Rows with equal masks have
-    equal argmins, so each ordering is read on the distinct masks only.
+    Nothing is expanded, so MEMBER_CAP does not apply: this is least_member
+    with no flip in row-major order, whose pick in every row is its smallest
+    argmin or, for a wide K solved as dual(K), every dual row's largest (the
+    fewest ones in its column of M).
     """
-    wide = K.cols > K.rows
-    S = dual(K) if wide else K
-    heads = {mask: r for r, mask in enumerate(S.row_masks)}  # a row of each distinct mask
-    end = -1 if wide else 0  # argmins are listed smallest first
-    options = _solve(S, _EDIT, cap, None)[1]
-    picks = {tuple(per_row[r][end] for r in heads.values()) for per_row in options}
-    members = [tuple(map(dict(zip(heads, p)).__getitem__, S.row_masks)) for p in picks]
-    if wide:
-        members = [dual(Tournament._unchecked(S.rows, S.cols, M)).row_masks for M in members]
-    key = _row_keys(set().union(*members), K.cols).__getitem__
-    return Tournament._unchecked(K.rows, K.cols, min(members, key=lambda M: tuple(map(key, M))))
+    return least_member(K, None, None, cap)
 
 
 def all_chain_tournaments(m: int, n: int, cap: int | None = None) -> tuple[Tournament, ...]:

@@ -1,7 +1,8 @@
 """Command-line interface.
 
 Subcommands: rank, edit, axioms, simulate, likelihood, weights.
-Exit codes: 0 ok, 2 input error, 3 resource cap exceeded, 4 internal assertion.
+Exit codes: 0 ok, 1 standard output closed early (nothing is written to
+stderr), 2 input error, 3 resource cap exceeded, 4 internal assertion.
 The enumeration cap for exact chain editing defaults to 8 on the smaller side
 and can be overridden with the CHAINRANK_ENUM_CAP environment variable.
 """
@@ -17,8 +18,8 @@ import os
 import sys
 from typing import TYPE_CHECKING
 
-# each subcommand imports the engine it runs, so a command loads only that
-from . import fileio
+# each subcommand imports the engine it runs, and the file reader if it reads
+# a file, so a command loads only those
 from .core import (
     OPERATOR_NAMES,
     TotalPreorder,
@@ -77,6 +78,7 @@ def _write_members(members, cols: int, head: dict | None = None, key: str = "") 
 
 
 def cmd_rank(args) -> int:
+    from . import fileio
     from .operators import resolve_operator
 
     cap = _enum_cap(args)
@@ -104,6 +106,7 @@ def cmd_rank(args) -> int:
 
 
 def cmd_edit(args) -> int:
+    from . import fileio
     from .chain_edit import chain_completion, chain_deletion, min_chain_set, weighted_min_chain
 
     cap = _enum_cap(args)
@@ -335,7 +338,7 @@ def cmd_simulate(args) -> int:
 
 
 def cmd_likelihood(args) -> int:
-    from .chain_edit import min_chain_set
+    from . import fileio
     from .prob_model import (
         likelihood,
         log_likelihood,
@@ -361,6 +364,8 @@ def cmd_likelihood(args) -> int:
             print(f"likelihood: {prob!r}")
             print(f"log-likelihood: {ll!r}")
         return 0
+    from .chain_edit import min_chain_set
+
     if mle_is_min_chain_set(alpha):
         # the MLE set is the closest chain tournaments: expand it once
         exact = min_chain_set(K, cap)
@@ -484,7 +489,14 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.func(args)
+        code = args.func(args)
+        sys.stdout.flush()
+        return code
+    except BrokenPipeError:
+        # the reader closed stdout early: what is still buffered goes nowhere,
+        # so the interpreter's last flush cannot fail again
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 1
     except InputError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

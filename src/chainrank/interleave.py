@@ -144,12 +144,13 @@ def greedy_chain_tournament(K: Tournament, fg: SelectionFunctionPair) -> Tournam
     neighbourhood, so neighbourhoods are nested by construction. A heuristic:
     its edit cost can exceed the exact minimum.
     """
-    _, trace = interleave(K, fg)
-    masks = [0] * K.rows
-    b_masks = {rnd.index: mask_of(rnd.b_remaining) for rnd in trace.rounds}
-    for a in range(1, K.rows + 1):
-        masks[a - 1] = b_masks[trace.r(a)]
-    return Tournament(K.rows, K.cols, tuple(masks))
+    return _greedy_chain(K, interleave(K, fg)[1])
+
+
+def _greedy_chain(K: Tournament, trace: InterleaveTrace) -> Tournament:
+    """greedy_chain_tournament along a trace already run on K."""
+    b_masks = [mask_of(rnd.b_remaining) for rnd in trace.rounds]
+    return Tournament(K.rows, K.cols, tuple(b_masks[r] for r in trace.a_round))
 
 
 def is_chain_definable(pair: RankingPair) -> bool:

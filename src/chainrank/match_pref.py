@@ -15,6 +15,7 @@ which floating point would destroy.
 
 from __future__ import annotations
 
+import itertools
 from typing import TYPE_CHECKING
 
 from .chain_edit import least_member
@@ -57,12 +58,12 @@ class MatchPreference(_Value):
 
     def order(self, m: int, n: int) -> tuple[tuple[int, int], ...]:
         """The cell pairs of [m]x[n] in ascending priority order."""
-        grid = [(a, b) for a in range(1, m + 1) for b in range(1, n + 1)]
+        rows, cols = range(1, m + 1), range(1, n + 1)
         if self.kind == ROW_MAJOR:
-            return tuple(grid)
+            return tuple(itertools.product(rows, cols))
         if self.kind == COL_MAJOR:
-            return tuple(sorted(grid, key=lambda ab: (ab[1], ab[0])))
-        if set(self.explicit) != set(grid) or len(self.explicit) != m * n:
+            return tuple((a, b) for b, a in itertools.product(cols, rows))
+        if set(self.explicit) != set(itertools.product(rows, cols)) or len(self.explicit) != m * n:
             raise InputError(
                 f"explicit match preference must list every cell of a {m}x{n} "
                 "matrix exactly once"

@@ -13,11 +13,9 @@ first), one global reproducible convention.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable
+from typing import TYPE_CHECKING, Callable
 
-from . import fileio
-from . import match_pref as mp
-from .chain_edit import monotone_min_chain
+# each operator imports the engine it runs, so resolving one loads only that
 from .core import (
     OPERATOR_NAMES,
     RankingPair,
@@ -28,7 +26,9 @@ from .core import (
     phi_count,
 )
 from .errors import InputError
-from .interleave import ci_selection, greedy_chain_tournament, interleave
+
+if TYPE_CHECKING:
+    from .match_pref import MatchPreference
 
 
 @dataclass(frozen=True)
@@ -58,23 +58,26 @@ def _well_formed(name: str, fn: Callable[[Tournament], RankingPair]):
     return evaluate
 
 
-def _exact_operator(name: str, choice: Callable[[Tournament], Tournament]) -> OperatorSpec:
-    """An operator that ranks by its chosen chain tournament.
-
-    evaluate, choice and edit_chain share one solve: the last (tournament,
-    chain) pair is kept as one tuple, so a thread never reads half of an
-    update, and a miss only solves again.
-    """
+def _remembered(fn: Callable[[Tournament], object]):
+    """fn, keeping its last (tournament, result) pair as one tuple, so a thread
+    never reads half of an update, and a miss only computes again."""
     last = (None, None)
 
-    def once(K: Tournament) -> Tournament:
+    def once(K: Tournament):
         nonlocal last
-        seen, chain = last
+        seen, value = last
         if seen != K:
-            chain = choice(K)
-            last = (K, chain)
-        return chain
+            value = fn(K)
+            last = (K, value)
+        return value
 
+    return once
+
+
+def _exact_operator(name: str, choice: Callable[[Tournament], Tournament]) -> OperatorSpec:
+    """An operator that ranks by its chosen chain tournament; evaluate, choice
+    and edit_chain share one solve."""
+    once = _remembered(choice)
     return OperatorSpec(
         name,
         _well_formed(name, lambda K: chain_rankings(once(K))),
@@ -89,10 +92,14 @@ def canonical_min_choice(K: Tournament, cap: int | None = None) -> Tournament:
     It always keeps every row inclusion of K, so it is chain-min-mon's pick
     as well, and monotone_min_chain reads it off the factored optimum.
     """
+    from .chain_edit import monotone_min_chain
+
     return monotone_min_chain(K, cap)
 
 
 def phi_ci(K: Tournament) -> RankingPair:
+    from .interleave import ci_selection, interleave
+
     pair, _ = interleave(K, ci_selection())
     return pair
 
@@ -106,16 +113,27 @@ def chain_min_lex_operator(cap: int | None = None) -> OperatorSpec:
 
 
 def chain_min_mon_operator(cap: int | None = None) -> OperatorSpec:
+    from .chain_edit import monotone_min_chain
+
     return _exact_operator("chain-min-mon", lambda K: monotone_min_chain(K, cap))
 
 
-def match_pref_operator(pref: mp.MatchPreference, cap: int | None = None, label: str = "") -> OperatorSpec:
-    return _exact_operator(label or "match-pref", lambda K: mp.select_match_pref(K, pref, cap))
+def match_pref_operator(pref: MatchPreference, cap: int | None = None, label: str = "") -> OperatorSpec:
+    from .match_pref import select_match_pref
+
+    return _exact_operator(label or "match-pref", lambda K: select_match_pref(K, pref, cap))
 
 
 def ci_operator() -> OperatorSpec:
-    greedy = lambda K: greedy_chain_tournament(K, ci_selection())
-    return OperatorSpec("ci", _well_formed("ci", phi_ci), edit_chain=greedy)
+    """ci's rankings, and its greedy chain for edit costs, from one interleaving run."""
+    from .interleave import _greedy_chain, ci_selection, interleave
+
+    run = _remembered(lambda K: interleave(K, ci_selection()))
+    return OperatorSpec(
+        "ci",
+        _well_formed("ci", lambda K: run(K)[0]),
+        edit_chain=lambda K: _greedy_chain(K, run(K)[1]),
+    )
 
 
 def dual_symmetrized(base: OperatorSpec) -> OperatorSpec:
@@ -155,11 +173,15 @@ def resolve_operator(name: str, cap: int | None = None) -> OperatorSpec:
     if name == "ci":
         return ci_operator()
     if name.startswith("match-pref:"):
+        from .match_pref import ORDER_ALIASES, parse_order_name
+
         rest = name.split(":", 1)[1]
-        if rest in mp.ORDER_ALIASES:
-            pref = mp.parse_order_name(rest)
+        if rest in ORDER_ALIASES:
+            pref = parse_order_name(rest)
         else:
-            pref = fileio.load_match_preference(rest)
+            from .fileio import load_match_preference
+
+            pref = load_match_preference(rest)
         return match_pref_operator(pref, cap, label=name)
     raise InputError(
         f"unknown operator {name!r}; known operators: {', '.join(OPERATOR_NAMES)}"

@@ -23,7 +23,6 @@ import itertools
 import math
 import random
 
-from .chain_edit import _EDIT, _optimum
 from .core import Tournament, _Value, has_chain_property
 from .errors import InputError, NotChainError
 
@@ -212,6 +211,8 @@ def _mle_costs(alpha: NoiseParams):
     distance d from K is m*n*match + d*(mismatch - match), so the MLE set is
     the closest chain tournaments: the unit edit costs of min_chain_set.
     """
+    from .chain_edit import _EDIT
+
     table = _cell_cost_table(alpha)
     (match0, miss0), (miss1, match1) = table
     if None not in (match0, miss0, miss1, match1) and match0 == match1 < miss0 == miss1:
@@ -221,6 +222,8 @@ def _mle_costs(alpha: NoiseParams):
 
 def mle_is_min_chain_set(alpha: NoiseParams) -> bool:
     """True when mle_search(K, alpha) is min_chain_set(K).members for every K."""
+    from .chain_edit import _EDIT
+
     return _mle_costs(alpha) is _EDIT
 
 
@@ -233,6 +236,8 @@ def mle_search(K: Tournament, alpha: NoiseParams, cap: int | None = None) -> tup
     search and its cap are those of chain editing, and under the unit edit
     costs the solve is shared with min_chain_set.
     """
+    from .chain_edit import _optimum
+
     cost, members = _optimum(K, _mle_costs(alpha), cap)
     if cost == math.inf:
         raise InputError(

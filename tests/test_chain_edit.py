@@ -521,6 +521,16 @@ def _preferences(m, n, rng):
     )
 
 
+def _orders(m, n, rng):
+    """Row-major, col-major and a shuffled order of the cells of an m x n matrix."""
+    return [pref.order(m, n) for pref in _preferences(m, n, rng)]
+
+
+def least_oracle(K, order, flip):
+    """The member whose cells XOR flip, listed in order, are least, from the expanded set."""
+    return min(min_chain_set(K).members, key=lambda M: [M.cell(a, b) ^ flip.cell(a, b) for a, b in order])
+
+
 class TestLeastMember:
     """The factored picks against the expanded optimum set."""
 
@@ -554,6 +564,58 @@ class TestLeastMember:
         zero = Tournament(3, 4, (0, 0, 0))
         assert least_member(EX2, order, zero) == canonical_min_oracle(EX2)
         assert least_member(EX2, order, EX2) == EX2_MINCH[3]
+
+    def test_tall_with_equal_rows_and_tied_orderings(self):
+        # a few distinct masks, each repeated: many equal rows, and often
+        # several optimal orderings whose picks differ; their transposes are wide
+        rng = random.Random(505)
+        checked = tied = 0
+        for _ in range(300):
+            n = rng.randint(2, 4)
+            masks = [rng.getrandbits(n) for _ in range(rng.randint(2, 3))]
+            rows = [rng.choice(masks) for _ in range(rng.randint(6, 14))]
+            K = Tournament(len(rows), n, tuple(rows))
+            try:
+                min_chain_set(K)
+            except ResourceCapError:
+                continue
+            tied += len(chain_edit._solve(K, chain_edit._EDIT, None, None)[1]) > 1
+            for L in (K, transpose(K)):
+                zero = Tournament(L.rows, L.cols, (0,) * L.rows)
+                noise = random_tournament(rng, L.rows, L.cols)
+                for order in _orders(L.rows, L.cols, rng):
+                    for flip in (zero, L, noise):
+                        assert least_member(L, order, flip) == least_oracle(L, order, flip)
+            checked += 1
+        assert checked > 200 and tied > 50
+
+    def test_equal_rows_ordered_apart(self):
+        # equal rows whose own cells come in different orders may pick
+        # different prefixes, so rows are classed by that order too
+        rng = random.Random(506)
+        apart = 0
+        for _ in range(300):
+            n = rng.randint(2, 4)
+            masks = [rng.getrandbits(n) for _ in range(2)]
+            rows = [rng.choice(masks) for _ in range(rng.randint(3, 8))]
+            K = Tournament(len(rows), n, tuple(rows))
+            try:
+                min_chain_set(K)
+            except ResourceCapError:
+                continue
+            # each row ranks its own cells in a random order, the rows interleaved at random
+            ranked = [rng.sample(range(1, n + 1), n) for _ in rows]
+            turns = [a for a in range(1, len(rows) + 1) for _ in range(n)]
+            rng.shuffle(turns)
+            order = [(a, ranked[a - 1].pop()) for a in turns]
+            for flip in (K, Tournament(K.rows, n, (0,) * K.rows)):
+                M = least_member(K, order, flip)
+                assert M == least_oracle(K, order, flip)
+                picks = {}
+                for k, f, r in zip(K.row_masks, flip.row_masks, M.row_masks):
+                    picks.setdefault((k, f), set()).add(r)
+                apart += any(len(p) > 1 for p in picks.values())
+        assert apart > 10
 
     def test_picks_beyond_member_cap(self, monkeypatch):
         rng = random.Random(9)

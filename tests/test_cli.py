@@ -27,7 +27,7 @@ from chainrank.fileio import parse_tournament, to_csv, to_json
 from chainrank.match_pref import parse_order_name
 from chainrank.prob_model import k_theta, sample_state
 
-from helpers import EX2, TABLE1, preorder, random_tournament
+from helpers import EX2, TABLE1, planted_chain, preorder, random_tournament
 
 
 @pytest.fixture
@@ -264,6 +264,25 @@ class TestSolvesOnce:
         assert main(args) == 0
         assert len(search_calls) == searches
 
+    def test_ci_interleaves_once_per_trial(self, capsys):
+        # ci's rankings and its greedy chain, for the edit cost, come from one run
+        from chainrank.interleave import interleave
+
+        runs = []
+
+        def count(frame, event, arg):
+            if event == "call" and frame.f_code is interleave.__code__:
+                runs.append(1)
+
+        args = ["simulate", "--m", "6", "--n", "6", "--beta", "0.1", "--trials", "20",
+                "--seed", "1", "--operators", "ci"]
+        sys.setprofile(count)
+        try:
+            assert main(args) == 0
+        finally:
+            sys.setprofile(None)
+        assert len(runs) == 20
+
     def test_axioms_scope_once_per_tournament(self, capsys, search_calls):
         # 16 + 64 + 512 tournaments; the chain-min check reuses each evaluation's solve
         assert main(["axioms", "-o", "chain-min-lex", "--scope", "2x2,2x3,3x3"]) == 0
@@ -481,6 +500,22 @@ class TestExitCodes:
             path.write_text('{"matrix": %s}' % matrix)
             assert main(["edit", str(path)]) == 2
             assert capsys.readouterr().err.count("\n") == 1
+
+    def test_closed_stdout_exits_1_quietly(self, tmp_path):
+        # the reader stops after 10 bytes of a 2.9 MB listing
+        K, _, _, _ = planted_chain(random.Random(71), 6, 11)
+        path = tmp_path / "planted-71x6.csv"
+        path.write_text(to_csv(K))
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "chainrank", "edit", str(path), "--all", "--json"],
+            stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+        )
+        assert len(proc.stdout.read(10)) == 10
+        proc.stdout.close()
+        err = proc.stderr.read()
+        proc.stderr.close()
+        assert proc.wait() == 1
+        assert err == b""
 
     def test_console_entry_point(self, table1_file):
         proc = subprocess.run(

@@ -1,11 +1,12 @@
-"""Peak traced memory of the member-listing commands and of chain-min-mon.
+"""Peak traced memory of the member-listing commands and of the single picks.
 
 On a planted 71x6 chain the optimum set has 2,048 members, and its JSON
 listing is about 2.9 MB. The commands write it one member at a time, and
 chain-min-mon reads its pick off the factored optimum, so neither may hold
 the whole listing or expand the whole set. On a tall 2,000x8 input drawn
 from the noise model, the optimum set is far beyond MEMBER_CAP, and a list
-of the row pairs with nested neighbourhoods would take over 100 MB.
+of the row pairs with nested neighbourhoods would take over 100 MB; the
+monotone and match-preference picks read each class of equal rows once.
 """
 
 import contextlib
@@ -27,9 +28,11 @@ from chainrank import (
     monotone_min_chain,
     sample_state,
     sample_tournament,
+    select_match_pref,
 )
 from chainrank.cli import main
 from chainrank.fileio import to_csv
+from chainrank.match_pref import parse_order_name
 
 from helpers import planted_chain
 
@@ -104,11 +107,17 @@ def test_peak(planted_71x6, args, limit):
     assert peak <= limit, f"peak traced memory {peak / MB:.2f} MB exceeds {limit / MB:.0f} MB"
 
 
-def test_monotone_pick_on_tall_input(tmp_path):
+@pytest.fixture(scope="module")
+def planted_2000x8(tmp_path_factory):
     K = sample_tournament(sample_state(2000, 8, 1), NoiseParams.symmetric(0.1), 8)
-    path = tmp_path / "planted-2000x8.csv"
+    path = tmp_path_factory.mktemp("planted") / "planted-2000x8.csv"
     path.write_text(to_csv(K))
-    argv = ["rank", str(path), "-o", "chain-min-mon", "--json"]
+    return str(path), K
+
+
+def test_monotone_pick_on_tall_input(planted_2000x8):
+    path, K = planted_2000x8
+    argv = ["rank", path, "-o", "chain-min-mon", "--json"]
     _traced(argv)
     code, digest, peak = _traced(argv)
     assert code == 0
@@ -124,6 +133,34 @@ def test_monotone_pick_on_tall_input(tmp_path):
     pair = chain_rankings(chain)
     expected = {
         "operator": "chain-min-mon",
+        "a_ranks": [sorted(rank) for rank in pair.a_order.ranks],
+        "b_ranks": [sorted(rank) for rank in pair.b_order.ranks],
+        "chain": chain.cells,
+        "distance": distance,
+    }
+    assert digest == _digest(expected)
+    assert peak <= 8 * MB, f"peak traced memory {peak / MB:.2f} MB exceeds 8 MB"
+
+
+@pytest.mark.parametrize("order", ["row-major", "col-major"])
+def test_match_pref_pick_on_tall_input(planted_2000x8, order):
+    # each distinct row is read once per optimal ordering; summing mn-bit
+    # cell weights per row and prefix took about 20 MB here
+    path, K = planted_2000x8
+    argv = ["rank", path, "-o", f"match-pref:{order}", "--json"]
+    _traced(argv)
+    code, digest, peak = _traced(argv)
+    assert code == 0
+    chain = select_match_pref(K, parse_order_name(order))
+    distance = min_chain_distance(K)
+    assert has_chain_property(chain) and hamming(K, chain) == distance
+    # equal rows rank their own cells alike under both orders, so they pick alike
+    pick = {}
+    for k, c in zip(K.row_masks, chain.row_masks):
+        assert pick.setdefault(k, c) == c
+    pair = chain_rankings(chain)
+    expected = {
+        "operator": f"match-pref:{order}",
         "a_ranks": [sorted(rank) for rank in pair.a_order.ranks],
         "b_ranks": [sorted(rank) for rank in pair.b_order.ranks],
         "chain": chain.cells,

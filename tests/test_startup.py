@@ -88,6 +88,38 @@ class TestImportFootprint:
         assert "chainrank.operators" in loaded and "chainrank.axiom_lab" not in loaded
         assert "concurrent.futures" not in loaded
 
+    def test_likelihood_state_solves_nothing(self, square, tmp_path):
+        state = tmp_path / "state.json"
+        state.write_text('{"x": [1, 2, 2, 3], "y": [1, 2, 3]}')
+        loaded = loaded_by(["likelihood", square, "--state", str(state), "--beta", "0.1"])
+        assert "chainrank.prob_model" in loaded and "chainrank.chain_edit" not in loaded
+
+    @pytest.mark.parametrize("op, engine", [("count", None), ("ci", "chainrank.interleave")])
+    def test_rank_without_chain_editing(self, square, op, engine):
+        loaded = loaded_by(["rank", square, "-o", op])
+        assert "chainrank.operators" in loaded
+        engines = {f"chainrank.{name}" for name in ENGINES} - {"chainrank.operators"}
+        assert engines & loaded == ({engine} if engine else set())
+
+    @pytest.mark.parametrize("op", ["chain-min-lex", "chain-min-mon", "chain-min-dual"])
+    def test_rank_chain_min(self, square, op):
+        loaded = loaded_by(["rank", square, "-o", op])
+        assert "chainrank.chain_edit" in loaded
+        for name in ("chainrank.interleave", "chainrank.match_pref", "chainrank.prob_model",
+                     "chainrank.axiom_lab"):
+            assert name not in loaded
+
+    def test_simulate_reads_no_file(self):
+        loaded = loaded_by(["simulate", "--m", "3", "--n", "3", "--beta", "0.1",
+                            "--operators", "ci,chain-min-lex", "--trials", "2", "--seed", "1"])
+        assert "chainrank.prob_model" in loaded and "chainrank.fileio" not in loaded
+
+    def test_axioms_reads_no_file(self):
+        loaded = loaded_by(["axioms", "-o", "ci", "--scope", "2x2"])
+        assert "chainrank.axiom_lab" in loaded and "chainrank.fileio" not in loaded
+        loaded = loaded_by(["axioms", "--paper-suite"])
+        assert "chainrank.axiom_lab" in loaded and "chainrank.fileio" not in loaded
+
     def test_help_builds_parser_without_engines(self):
         loaded = loaded_by(["rank", "--help"])
         assert not {f"chainrank.{name}" for name in ENGINES} & loaded
