@@ -10,14 +10,19 @@ The orderings are walked depth first over their prefixes with a
 branch-and-bound cut that never drops a tied optimum (see _search). Every
 optimum arises from some (optimal ordering, per-row argmin prefix)
 combination, so the search returns the optimum set in factored form: per
-optimal ordering, each row's tied argmin prefixes. Expanding them yields the
-complete optimum set in canonical order, one member at a time when a single
-ordering is optimal (see _expand); only listings expand, and MEMBER_CAP
-bounds them. Single picks are read off the factored form unexpanded by
-least_member, the lexicographic pick behind match-preference and, with no
-flip in row-major order, monotone_min_chain: per optimal ordering, each
-class of rows sharing a mask, a flip row and an order of their own cells
-takes its least argmin, so a pick is linear in rows.
+optimal ordering, each row's tied argmin prefixes. A listing of the complete
+optimum set, in canonical order, is read off it as blocks (see _expand):
+per row, a tuple of row masks, standing for every member that takes one of
+them in each row. One optimal ordering of a tall or square input is one
+block, so its members are never collected; otherwise each distinct member
+is a block of its own. min_chain_set and its siblings build their members
+from the blocks, the command line counts and writes a listing from them
+without building any, and MEMBER_CAP bounds every listing. Single picks are
+read off the factored form unexpanded by least_member, the lexicographic
+pick behind match-preference and, with no flip in row-major order,
+monotone_min_chain: per optimal ordering, each class of rows sharing a mask,
+a flip row and an order of their own cells takes its least argmin, so a pick
+is linear in rows.
 
 Every problem is solved tall, searching orderings of the smaller side.
 dual(K) transposes and complements K and maps its chain tournaments one to
@@ -209,22 +214,25 @@ def _check_rows(masks: set[int], n: int) -> None:
 
 
 def _expand(options, m: int, n: int, wide: bool):
-    """A generator of the distinct m-by-n tournaments the options of a search
-    on an m-by-n matrix combine to (their duals when wide), in canonical order.
+    """A generator of the blocks listing the distinct m-by-n tournaments the
+    options of a search on an m-by-n matrix combine to (their duals when
+    wide), in canonical order.
 
-    Raises ResourceCapError, on the first read and before expanding
-    anything, when the options combine to more than MEMBER_CAP tuples (an
-    upper bound on the members, as different options may give the same
-    tournament).
+    A block holds, per row, a tuple of row masks, and stands for the members
+    that take one of them in every row, in itertools.product order (see
+    _rows); blocks never share a member. Raises ResourceCapError, on the
+    first read and before expanding anything, when the options combine to
+    more than MEMBER_CAP tuples (an upper bound on the members, as different
+    options may give the same tournament).
 
     With one optimal ordering of a tall or square input, each row's argmins
     are distinct prefixes of that ordering, so distinct choices give
-    distinct members, and the product of the rows' argmin lists, each sorted
-    by _row_keys, runs through the members in canonical order: they are
-    built one at a time, as the caller takes them, and nothing is collected
-    or sorted. Otherwise two orderings may give the same member, or dual may
+    distinct members, and one block of each row's argmins, sorted by
+    _row_keys, lists the members in canonical order: nothing is collected or
+    sorted. Otherwise two orderings may give the same member, or dual may
     reorder them, so the distinct members are collected, mapped through dual
-    when wide, and sorted once.
+    when wide, sorted once and given as one block each, every row with a
+    single choice.
     """
     count = sum(math.prod(map(len, per_row)) for per_row in options)
     if count > MEMBER_CAP:
@@ -236,26 +244,36 @@ def _expand(options, m: int, n: int, wide: bool):
         rows = set().union(*options[0])
         _check_rows(rows, n)
         key = _row_keys(rows, n).__getitem__
-        per_row = [sorted(argmins, key=key) for argmins in options[0]]
-        for masks in itertools.product(*per_row):
-            yield Tournament._unchecked(m, n, masks)
+        yield tuple(tuple(sorted(argmins, key=key)) for argmins in options[0])
         return
     seen: set[tuple[int, ...]] = set()
     for per_row in options:
         seen.update(itertools.product(*per_row))
     _check_rows(set().union(*seen), n)
-    members = [Tournament._unchecked(m, n, masks) for masks in seen]
     if wide:
-        members, n = list(map(dual, members)), m
-    key = _row_keys(set().union(*(M.row_masks for M in members)), n).__getitem__
-    yield from sorted(members, key=lambda M: tuple(map(key, M.row_masks)))
+        seen, n = {dual(Tournament._unchecked(m, n, masks)).row_masks for masks in seen}, m
+    single = {mask: (mask,) for mask in set().union(*seen)}
+    key = _row_keys(single, n).__getitem__
+    for masks in sorted(seen, key=lambda masks: tuple(map(key, masks))):
+        yield tuple(map(single.__getitem__, masks))
+
+
+def _rows(blocks):
+    """The row masks of every member the blocks list, in order."""
+    for block in blocks:
+        yield from itertools.product(*block)
+
+
+def _members(K: Tournament, blocks) -> tuple[Tournament, ...]:
+    """The K-sized tournaments the blocks list."""
+    return tuple(Tournament._unchecked(K.rows, K.cols, masks) for masks in _rows(blocks))
 
 
 def _optimum(K: Tournament, cost, cap: int | None, weights=None):
-    """(distance, members): the least total cost of a chain tournament from K
+    """(distance, blocks): the least total cost of a chain tournament from K
     under cost[observed][result] and weights (None, or a tuple of row
-    tuples), and a generator of every chain tournament at that cost, in
-    canonical order and expanded only as it is read."""
+    tuples), and _expand's generator of the blocks listing every chain
+    tournament at that cost, in canonical order."""
     wide = K.cols > K.rows
     if wide:
         (z0, z1), (o0, o1) = cost
@@ -350,8 +368,8 @@ def _least_prefix(argmins, flip: int, ranks) -> int:
 
 def min_chain_set(K: Tournament, cap: int | None = None) -> MinChainSet:
     """The complete set of chain tournaments closest to K in Hamming distance."""
-    distance, members = _optimum(K, _EDIT, cap)
-    return MinChainSet(distance, tuple(members))
+    distance, blocks = _optimum(K, _EDIT, cap)
+    return MinChainSet(distance, _members(K, blocks))
 
 
 def min_chain_distance(K: Tournament, cap: int | None = None) -> int:
@@ -361,14 +379,14 @@ def min_chain_distance(K: Tournament, cap: int | None = None) -> int:
 
 def chain_completion(K: Tournament, cap: int | None = None) -> MinChainSet:
     """Closest chain tournaments reachable by edge additions only."""
-    distance, members = _optimum(K, _COMPLETE, cap)
-    return MinChainSet(distance, tuple(members))
+    distance, blocks = _optimum(K, _COMPLETE, cap)
+    return MinChainSet(distance, _members(K, blocks))
 
 
 def chain_deletion(K: Tournament, cap: int | None = None) -> MinChainSet:
     """Closest chain tournaments reachable by edge removals only."""
-    distance, members = _optimum(K, _DELETE, cap)
-    return MinChainSet(distance, tuple(members))
+    distance, blocks = _optimum(K, _DELETE, cap)
+    return MinChainSet(distance, _members(K, blocks))
 
 
 def _check_weights(K: Tournament, weights) -> tuple[tuple[int, ...], ...]:
@@ -389,7 +407,7 @@ def weighted_min_chain(K: Tournament, weights, cap: int | None = None) -> Tourna
     A tied optimum raises AmbiguityError listing the tied tournaments; weights
     built by match_pref.weights_for can never tie.
     """
-    out = tuple(_optimum(K, _EDIT, cap, _check_weights(K, weights))[1])
+    out = _members(K, _optimum(K, _EDIT, cap, _check_weights(K, weights))[1])
     if len(out) != 1:
         listing = "; ".join(str(M.cells) for M in out)
         raise AmbiguityError(f"weighted argmin is not unique: {listing}")
@@ -431,4 +449,5 @@ def all_chain_tournaments(m: int, n: int, cap: int | None = None) -> tuple[Tourn
     tournament, the all-zero one here, and the cap applies to min(m, n)
     exactly as for editing.
     """
-    return tuple(_optimum(Tournament(m, n, (0,) * m), ((0, 0), (0, 0)), cap)[1])
+    zero = Tournament(m, n, (0,) * m)
+    return _members(zero, _optimum(zero, ((0, 0), (0, 0)), cap)[1])

@@ -5,12 +5,15 @@ Exit codes: 0 ok, 1 standard output closed early (nothing is written to
 stderr), 2 input error, 3 resource cap exceeded, 4 internal assertion.
 The enumeration cap for exact chain editing defaults to 8 on the smaller side
 and can be overridden with the CHAINRANK_ENUM_CAP environment variable.
+main returns the exit code; the process entry, chainrank.__main__.run, exits
+with it.
 """
 
 from __future__ import annotations
 
 import argparse
 import functools
+import itertools
 import json
 import math
 import operator
@@ -56,25 +59,45 @@ def _ranks_json(order: TotalPreorder) -> list[list[int]]:
     return [sorted(rank) for rank in order.ranks]
 
 
-def _write_members(members, cols: int, head: dict | None = None, key: str = "") -> None:
-    """Write the members one at a time, without going through Tournament.__str__.
+def _count(blocks) -> int:
+    """How many members the blocks of a listing (see chain_edit._expand) stand for."""
+    return sum(math.prod(map(len, block)) for block in blocks)
+
+
+def _write_members(blocks, cols: int, head: dict | None = None, key: str = "") -> None:
+    """Write the members the blocks of a listing stand for, without building them.
 
     With head, the output is json.dumps({**head, key: [every member's cell
     lists]}, sort_keys=True) and a newline, for a key that sorts after every
     field of head; without, print("-"); print(M) per member. Each distinct
-    row mask is rendered once, when a member first uses it.
+    row mask is rendered once, each run of a block's rows that have one
+    choice is joined once, and one product over the rows that have several
+    gives the block's members.
     """
-    sep = ", " if head else " "
-    row = functools.cache(lambda mask: sep.join(str(mask >> b & 1) for b in range(cols)))
+    sep, between_rows = (", ", "], [") if head else (" ", "\n")
+    opening, closing, between = ("[[", "]]", ", ") if head else ("-\n", "\n", "")
+    text = functools.cache(lambda mask: sep.join(str(mask >> b & 1) for b in range(cols)))
     write = sys.stdout.write
     if head:
         write(f'{json.dumps(head, sort_keys=True)[:-1]}, "{key}": [')
-        for i, M in enumerate(members):
-            write(f"{', ' if i else ''}[[{'], ['.join(map(row, M.row_masks))}]]")
+    lead = ""
+    for block in blocks:
+        parts, run = [], []  # each part: the texts its rows may take
+        for choices in block:
+            if len(choices) == 1:
+                run.append(text(choices[0]))
+                continue
+            if run:
+                parts.append((between_rows.join(run),))
+                run = []
+            parts.append(tuple(map(text, choices)))
+        if run:
+            parts.append((between_rows.join(run),))
+        for rows in itertools.product(*parts):
+            write(f"{lead}{opening}{between_rows.join(rows)}{closing}")
+            lead = between
+    if head:
         write("]}\n")
-    else:
-        for M in members:
-            write("-\n" + "\n".join(map(row, M.row_masks)) + "\n")
 
 
 def cmd_rank(args) -> int:
@@ -107,7 +130,7 @@ def cmd_rank(args) -> int:
 
 def cmd_edit(args) -> int:
     from . import fileio
-    from .chain_edit import chain_completion, chain_deletion, min_chain_set, weighted_min_chain
+    from .chain_edit import _COMPLETE, _DELETE, _EDIT, _optimum, weighted_min_chain
 
     cap = _enum_cap(args)
     K = fileio.load_tournament(args.input).tournament
@@ -117,23 +140,21 @@ def cmd_edit(args) -> int:
         pref = parse_order_name(args.weighted)
         selected = weighted_min_chain(K, weights_for(pref, K.rows, K.cols), cap)
         if args.json:
-            _write_members([selected], K.cols, {"distance": hamming(K, selected)}, "members")
+            block = tuple(zip(selected.row_masks))  # a single choice in every row
+            _write_members([block], K.cols, {"distance": hamming(K, selected)}, "members")
             return 0
         print(f"weighted selection (distance {hamming(K, selected)}):")
         print(selected)
         return 0
-    if args.complete:
-        result = chain_completion(K, cap)
-    elif args.delete:
-        result = chain_deletion(K, cap)
-    else:
-        result = min_chain_set(K, cap)
+    cost = _COMPLETE if args.complete else _DELETE if args.delete else _EDIT
+    distance, blocks = _optimum(K, cost, cap)
+    blocks = list(blocks)  # a listing over MEMBER_CAP is refused here, before any output
     if args.json:
-        _write_members(result.members, K.cols, {"distance": result.distance}, "members")
+        _write_members(blocks, K.cols, {"distance": distance}, "members")
         return 0
-    print(f"distance: {result.distance}")
-    print(f"members: {len(result.members)}")
-    _write_members(result.members, K.cols)
+    print(f"distance: {distance}")
+    print(f"members: {_count(blocks)}")
+    _write_members(blocks, K.cols)
     return 0
 
 
@@ -339,12 +360,7 @@ def cmd_simulate(args) -> int:
 
 def cmd_likelihood(args) -> int:
     from . import fileio
-    from .prob_model import (
-        likelihood,
-        log_likelihood,
-        mle_is_min_chain_set,
-        mle_search,
-    )
+    from .prob_model import likelihood, log_likelihood, mle_is_min_chain_set, mle_optimum
 
     cap = _enum_cap(args)
     K = fileio.load_tournament(args.input).tournament
@@ -364,27 +380,28 @@ def cmd_likelihood(args) -> int:
             print(f"likelihood: {prob!r}")
             print(f"log-likelihood: {ll!r}")
         return 0
-    from .chain_edit import min_chain_set
+    from .chain_edit import _EDIT, _optimum, _rows
 
+    cost, blocks = mle_optimum(K, alpha, cap)
+    blocks = list(blocks)
     if mle_is_min_chain_set(alpha):
-        # the MLE set is the closest chain tournaments: expand it once
-        exact = min_chain_set(K, cap)
-        members = exact.members
+        # the MLE set is the closest chain tournaments, at cost the distance
+        distance, same = cost, True
     else:
-        members = mle_search(K, alpha, cap)
-        exact = min_chain_set(K, cap)
-    same = members == exact.members
+        distance, exact = _optimum(K, _EDIT, cap)
+        exact = list(exact)
+        same = _count(blocks) == _count(exact) and all(map(operator.eq, _rows(blocks), _rows(exact)))
     note = (
         "= minCh(K): MLE set coincides with the closest chain tournaments"
         if same
         else "!= minCh(K): MLE set differs from the closest chain tournaments"
     )
     if args.json:
-        head = {"equals_min_chain_set": same, "min_distance": exact.distance}
-        _write_members(members, K.cols, head, "mle")
+        head = {"equals_min_chain_set": same, "min_distance": distance}
+        _write_members(blocks, K.cols, head, "mle")
         return 0
-    print(f"MLE tournaments: {len(members)}  [{note}]")
-    _write_members(members, K.cols)
+    print(f"MLE tournaments: {_count(blocks)}  [{note}]")
+    _write_members(blocks, K.cols)
     return 0
 
 
@@ -507,6 +524,3 @@ def main(argv=None) -> int:
         print(f"internal error: {exc}", file=sys.stderr)
         return 4
 
-
-if __name__ == "__main__":
-    sys.exit(main())

@@ -98,9 +98,11 @@ def select_match_pref(K: Tournament, pref: MatchPreference, cap: int | None = No
 
     Distinct matrices at equal distance differ somewhere, so their difference
     vectors never coincide; the pick is read off the factored optimum set
-    without expanding it.
+    without expanding it. Row-major order is least_member's own (order None),
+    so it builds no list of the m*n cells.
     """
-    return least_member(K, pref.order(K.rows, K.cols), K, cap)
+    order = None if pref.kind == ROW_MAJOR else pref.order(K.rows, K.cols)
+    return least_member(K, order, K, cap)
 
 
 def rank_match_pref(K: Tournament, pref: MatchPreference, cap: int | None = None) -> RankingPair:

@@ -118,6 +118,27 @@ def chain_min_mon_operator(cap: int | None = None) -> OperatorSpec:
     return _exact_operator("chain-min-mon", lambda K: monotone_min_chain(K, cap))
 
 
+def chain_min_dual_operator(cap: int | None = None) -> OperatorSpec:
+    """dual_symmetrized(chain_min_lex_operator(cap)), from one solve per tournament.
+
+    A non-canonical K takes dual(M) for the canonically least member M of
+    min_chain_set(dual(K)) = dual(min_chain_set(K)). Cell (b, a) of M is cell
+    (a, b) of dual(M) flipped, so M's cells in row-major order are dual(M)'s
+    in column-major order, flipped: dual(M) is read off K's own solve as
+    least_member with that order and an all-ones flip.
+    """
+    from .chain_edit import least_member
+
+    def choice(K: Tournament) -> Tournament:
+        if canonical_key(K) < canonical_key(dual(K)):
+            return canonical_min_choice(K, cap)
+        m, n = K.rows, K.cols
+        col_major = [(a, b) for b in range(1, n + 1) for a in range(1, m + 1)]
+        return least_member(K, col_major, Tournament(m, n, ((1 << n) - 1,) * m), cap)
+
+    return _exact_operator("chain-min-dual", choice)
+
+
 def match_pref_operator(pref: MatchPreference, cap: int | None = None, label: str = "") -> OperatorSpec:
     from .match_pref import select_match_pref
 
@@ -168,8 +189,7 @@ def resolve_operator(name: str, cap: int | None = None) -> OperatorSpec:
     if name == "chain-min-mon":
         return chain_min_mon_operator(cap)
     if name == "chain-min-dual":
-        spec = dual_symmetrized(chain_min_lex_operator(cap))
-        return OperatorSpec("chain-min-dual", spec.evaluate, spec.choice, spec.edit_chain)
+        return chain_min_dual_operator(cap)
     if name == "ci":
         return ci_operator()
     if name.startswith("match-pref:"):

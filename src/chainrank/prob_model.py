@@ -227,6 +227,20 @@ def mle_is_min_chain_set(alpha: NoiseParams) -> bool:
     return _mle_costs(alpha) is _EDIT
 
 
+def mle_optimum(K: Tournament, alpha: NoiseParams, cap: int | None = None):
+    """(cost, blocks): the least total cost -log P(observed | truth), in exact
+    integers, and chain_edit._expand's generator of the blocks listing
+    mle_search(K, alpha, cap) in order."""
+    from .chain_edit import _optimum
+
+    cost, blocks = _optimum(K, _mle_costs(alpha), cap)
+    if cost == math.inf:
+        raise InputError(
+            "noise rates assign probability zero to this observation under every state"
+        )
+    return cost, blocks
+
+
 def mle_search(K: Tournament, alpha: NoiseParams, cap: int | None = None) -> tuple[Tournament, ...]:
     """Deterministic tournaments of the states maximising the likelihood of K.
 
@@ -236,14 +250,9 @@ def mle_search(K: Tournament, alpha: NoiseParams, cap: int | None = None) -> tup
     search and its cap are those of chain editing, and under the unit edit
     costs the solve is shared with min_chain_set.
     """
-    from .chain_edit import _optimum
+    from .chain_edit import _members
 
-    cost, members = _optimum(K, _mle_costs(alpha), cap)
-    if cost == math.inf:
-        raise InputError(
-            "noise rates assign probability zero to this observation under every state"
-        )
-    return tuple(members)
+    return _members(K, mle_optimum(K, alpha, cap)[1])
 
 
 def derive_seed(seed: int, *indices: int) -> int:

@@ -1,11 +1,18 @@
+import contextlib
 import hashlib
+import io
 import json
 import math
+import os
 import random
 import subprocess
 import sys
+import tempfile
+from unittest import mock
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from chainrank import (
     NoiseParams,
@@ -255,10 +262,10 @@ class TestSolvesOnce:
         assert main(args) == 0
         assert len(search_calls) == 5
 
-    @pytest.mark.parametrize("m, n, searches", [(6, 4, 20), (4, 6, 20), (6, 6, 38)])
+    @pytest.mark.parametrize("m, n, searches", [(6, 4, 20), (4, 6, 20), (6, 6, 20)])
     def test_simulate_dual_shares_the_solve(self, capsys, search_calls, m, n, searches):
-        # a non-square tournament and its dual are one search; a square
-        # non-canonical one is solved again as its dual
+        # a non-square tournament and its dual are one search, and chain-min-dual
+        # reads a square non-canonical tournament's pick off its own solve
         args = ["simulate", "--m", str(m), "--n", str(n), "--beta", "0.1", "--trials", "20",
                 "--seed", "1", "--operators", "chain-min-lex,chain-min-dual,chain-min-mon"]
         assert main(args) == 0
@@ -526,6 +533,53 @@ class TestExitCodes:
         assert proc.returncode == 0
         assert "4" in proc.stdout
 
+    # block-buffered standard output, as when PYTHONUNBUFFERED is unset, so
+    # that what the process flushes before os._exit is what arrives
+    BUFFERED = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+
+    def test_listing_read_whole_through_a_pipe(self, tmp_path):
+        # the process ends by os._exit once main returns, after flushing the
+        # 2.9 MB listing
+        K, _, _, _ = planted_chain(random.Random(71), 6, 11)
+        path = tmp_path / "planted-71x6.csv"
+        path.write_text(to_csv(K))
+        proc = subprocess.run(
+            [sys.executable, "-m", "chainrank", "edit", str(path), "--all", "--json"],
+            capture_output=True, env=self.BUFFERED,
+        )
+        assert (proc.returncode, proc.stderr) == (0, b"")
+        assert json.loads(proc.stdout)["members"] == old_members_json(min_chain_set(K).members)
+
+    @pytest.mark.parametrize("launch", [
+        ["-m", "chainrank"],
+        # what the installed console script runs
+        ["-c", "import sys; from chainrank.__main__ import run; sys.exit(run())"],
+    ])
+    @pytest.mark.parametrize("args, code", [
+        (["rank", "K", "-o", "ci"], 0),
+        (["rank", "K", "--bogus"], 2),  # refused by argparse
+        (["edit", "BIG"], 3),  # 9 columns, over the enumeration cap
+    ])
+    def test_process_exit_codes(self, tmp_path, launch, args, code):
+        files = {"K": to_csv(TABLE1), "BIG": to_csv(random_tournament(random.Random(9), 9, 9))}
+        for name, text in files.items():
+            (tmp_path / name).write_text(text)
+        proc = subprocess.run(
+            [sys.executable, *launch, *args], cwd=tmp_path, capture_output=True, text=True, env=self.BUFFERED
+        )
+        assert proc.returncode == code
+        assert bool(proc.stdout) == (code == 0) and bool(proc.stderr) == (code != 0)
+        assert "Traceback" not in proc.stderr
+
+    def test_profiler_reports_after_the_command(self, table1_file):
+        proc = subprocess.run(
+            [sys.executable, "-m", "cProfile", "-m", "chainrank", "rank", table1_file, "-o", "ci"],
+            capture_output=True, text=True, env=self.BUFFERED,
+        )
+        assert proc.returncode == 0
+        assert 0 <= proc.stdout.find("operator: ci") < proc.stdout.find("ncalls")
+        assert proc.stdout.endswith("\n\n")  # the table's last row, then blank lines: none of it lost
+
 
 class TestRefusals:
     def one_line_error(self, capsys, code, args):
@@ -638,6 +692,17 @@ def old_members_json(members):
     return [[list(row) for row in M.cells] for M in members]
 
 
+@st.composite
+def listing_inputs(draw):
+    """Tall, square and wide tournaments up to 6x6; a copied column gives
+    several optimal orderings."""
+    m, n = draw(st.integers(1, 6)), draw(st.integers(1, 6))
+    rows = draw(st.lists(st.integers(0, (1 << n) - 1), min_size=m, max_size=m))
+    if n > 1 and draw(st.booleans()):
+        rows = [r & ~2 | (r & 1) << 1 for r in rows]  # column 2 copies column 1
+    return Tournament(m, n, tuple(rows))
+
+
 class TestMemberRendering:
     """edit and likelihood --mle print what print(M) and json.dumps printed."""
 
@@ -676,6 +741,38 @@ class TestMemberRendering:
                 assert main(["edit", path, "--weighted", order, "--json"]) == 0
                 out = {"distance": hamming(K, selected), "members": [selected.cells]}
                 assert capsys.readouterr().out == json.dumps(out, sort_keys=True) + "\n"
+
+    @settings(max_examples=150, deadline=None)
+    @given(listing_inputs(), st.sampled_from(["--all", "--complete", "--delete"]), st.sampled_from([None, 3]))
+    @example(Tournament.from_cells([[1, 0], [0, 1]]), "--all", None)  # two optimal orderings
+    @example(Tournament.from_cells([[1, 0, 1, 0], [0, 1, 1, 1]]), "--all", None)  # wide
+    @example(EX2, "--all", 3)  # four members, over a member cap of 3
+    def test_writer_matches_per_member_rendering(self, K, flag, cap):
+        solve = {"--all": min_chain_set, "--complete": chain_completion, "--delete": chain_deletion}[flag]
+        with tempfile.TemporaryDirectory() as tmp, mock.patch.object(
+            chain_edit, "MEMBER_CAP", cap or chain_edit.MEMBER_CAP
+        ):
+            path = os.path.join(tmp, "k.csv")
+            with open(path, "w") as fh:
+                fh.write(to_csv(K))
+            try:
+                result = solve(K)
+            except ResourceCapError:
+                result = None
+            for form in ([], ["--json"]):
+                out, err = io.StringIO(), io.StringIO()
+                with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+                    code = main(["edit", path, flag, *form])
+                if result is None:
+                    assert (code, out.getvalue()) == (3, "") and "member cap" in err.getvalue()
+                elif form:
+                    expected = {"distance": result.distance, "members": old_members_json(result.members)}
+                    assert same_text(out.getvalue(), json.dumps(expected, sort_keys=True) + "\n")
+                else:
+                    assert same_text(out.getvalue(), (
+                        f"distance: {result.distance}\nmembers: {len(result.members)}\n"
+                        + old_members_text(result.members)
+                    ))
 
     def test_likelihood_mle(self, tmp_path, capsys):
         for K, path in self.inputs(tmp_path):

@@ -150,6 +150,16 @@ class TestDualSymmetrized:
         assert canonical_key(K) < canonical_key(dual(K))
         assert spec.choice(K) == base.choice(K) == K
 
+    def test_chain_min_dual_is_the_symmetrized_lex_pick(self):
+        # chain-min-dual reads a non-canonical K's pick off K's own solve
+        rng = random.Random(41)
+        spec = dual_symmetrized(chain_min_lex_operator())
+        dual_spec = resolve_operator("chain-min-dual")
+        for m, n in ((2, 2), (3, 3), (5, 5), (6, 6), (6, 4), (4, 6), (7, 2), (1, 5)):
+            for _ in range(30):
+                K = random_tournament(rng, m, n)
+                assert dual_spec.choice(K) == spec.choice(K)
+
     def test_still_chain_minimal(self):
         spec = dual_symmetrized(chain_min_lex_operator())
         for K in all_tournaments(2, 2):
