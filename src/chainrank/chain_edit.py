@@ -9,8 +9,10 @@ column orderings, letting every row independently pick a least-cost prefix.
 The orderings are walked depth first over their prefixes with a
 branch-and-bound cut that never drops a tied optimum (see _search). Every
 optimum arises from some (optimal ordering, per-row argmin prefix)
-combination, so the search returns the optimum set in factored form: per
-optimal ordering, each row's tied argmin prefixes. A listing of the complete
+combination, and rows with equal costs have equal argmins, so the search
+returns the optimum set in factored form per row class: each row's class
+(its distinct cost row; for unit costs, its distinct mask) and, per optimal
+ordering, each class's tied argmin prefixes. A listing of the complete
 optimum set, in canonical order, is read off it as blocks (see _expand):
 per row, a tuple of row masks, standing for every member that takes one of
 them in each row. One optimal ordering of a tall or square input is one
@@ -20,9 +22,9 @@ from the blocks, the command line counts and writes a listing from them
 without building any, and MEMBER_CAP bounds every listing. Single picks are
 read off the factored form unexpanded by least_member, the lexicographic
 pick behind match-preference and, with no flip in row-major order,
-monotone_min_chain: per optimal ordering, each class of rows sharing a mask,
-a flip row and an order of their own cells takes its least argmin, so a pick
-is linear in rows.
+monotone_min_chain: per optimal ordering, each class of rows sharing a search
+class, a flip row and an order of their own cells takes its least argmin, so
+a pick is linear in rows.
 
 Every problem is solved tall, searching orderings of the smaller side.
 dual(K) transposes and complements K and maps its chain tournaments one to
@@ -48,6 +50,7 @@ from the cost -log P(observed | truth). No float ever enters an argmin.
 
 from __future__ import annotations
 
+import collections
 import functools
 import itertools
 import math
@@ -106,9 +109,12 @@ def _search(c0, c1, cap: int | None):
 
     c0[a][b] and c1[a][b] are the costs of result cell (a, b) being 0 and 1,
     None where that value is not allowed; rows are tuples. Returns (cost,
-    options): options lazily yields, for each optimal column ordering, every
-    row's list of argmin prefix masks. The cost is inf, and options empty,
-    when nothing is allowed.
+    row_class, orderings). Rows with the same pair of cost rows form a class,
+    numbered in order of first appearance, and row_class holds each row's
+    class. orderings holds, for each optimal column ordering, a tuple with
+    each class's tuple of argmin prefix masks, smallest first: equal rows
+    have equal argmins, so each is kept once per class, not once per row.
+    The cost is inf, and orderings empty, when nothing is allowed.
 
     The orderings are searched depth first over their prefixes, so orderings
     that share a prefix share its work. A node with prefix Q holds each row's
@@ -129,13 +135,12 @@ def _search(c0, c1, cap: int | None):
             f"exact search ranges over {n}! column orderings which exceeds the "
             f"cap of {cap}; raise the cap or use an interleaving operator"
         )
-    # identical rows pick identical prefixes: one cost table per distinct row,
-    # multiplied by its multiplicity (which keeps every argmin)
-    rows = list(zip(c0, c1))
-    counts = dict.fromkeys(rows, 0)
-    for row in rows:
-        counts[row] += 1
-    tables = [_prefix_costs(*row, count) for row, count in counts.items()]
+    # identical rows pick identical prefixes: one cost table per class of
+    # equal rows, multiplied by its size (which keeps every argmin)
+    classes: dict = {}
+    row_class = tuple(classes.setdefault(row, len(classes)) for row in zip(c0, c1))
+    counts = collections.Counter(row_class)
+    tables = [_prefix_costs(*row, counts[i]) for i, row in enumerate(classes)]
     by_prefix = list(zip(*[costs for costs, _ in tables]))
     lower = list(zip(*[low for _, low in tables]))
     full = (1 << n) - 1
@@ -173,31 +178,28 @@ def _search(c0, c1, cap: int | None):
         visit((0,), run)
     if best == math.inf:
         optimal = []
-
-    def options():
-        index = {row: i for i, row in enumerate(counts)}
-        row_class = [index[row] for row in rows]
-        for prefixes in optimal:
-            argmins = []
-            for costs in zip(*map(by_prefix.__getitem__, prefixes)):
-                low = min(costs)
-                argmins.append([p for p, c in zip(prefixes, costs) if c == low])
-            yield [argmins[i] for i in row_class]
-
-    return best, options()
+    orderings = []
+    for prefixes in optimal:
+        argmins = []
+        for costs in zip(*map(by_prefix.__getitem__, prefixes)):
+            low = min(costs)
+            argmins.append(tuple(p for p, c in zip(prefixes, costs) if c == low))
+        orderings.append(tuple(argmins))
+    return best, row_class, tuple(orderings)
 
 
 @functools.lru_cache(maxsize=1)
 def _solve(K: Tournament, cost, cap: int | None, weights):
-    """_search on the cells of a tall or square K under cost[observed][result]
-    and weights (None, or a tuple of row tuples), its options as a tuple.
+    """_search's (cost, row_class, orderings) on the cells of a tall or square
+    K under cost[observed][result] and weights (None, or a tuple of row
+    tuples): the optimum set factored per row class, whose size grows with
+    the rows plus the classes times the optimal orderings.
 
     Callers pass all four arguments by position, as lru_cache keys a keyword
     argument apart and would solve one input twice. The result is shared by
     every caller that solves the same input, so no caller may change it.
     """
-    distance, options = _search(*_cell_costs(K, cost, weights), cap)
-    return distance, tuple(options)
+    return _search(*_cell_costs(K, cost, weights), cap)
 
 
 def _row_keys(masks: set[int], n: int) -> dict[int, int]:
@@ -206,50 +208,45 @@ def _row_keys(masks: set[int], n: int) -> dict[int, int]:
     return {mask: int(f"{mask:0{n}b}"[::-1], 2) for mask in masks}
 
 
-def _check_rows(masks: set[int], n: int) -> None:
-    """Tournament's range check on row masks of n columns, made once per mask
-    rather than once per member that has it."""
-    if masks and not 0 <= min(masks) <= max(masks) < 1 << n:
-        raise InputError("row mask has bits outside the column range")
-
-
-def _expand(options, m: int, n: int, wide: bool):
-    """A generator of the blocks listing the distinct m-by-n tournaments the
-    options of a search on an m-by-n matrix combine to (their duals when
-    wide), in canonical order.
+def _expand(row_class, orderings, m: int, n: int, wide: bool):
+    """A generator of the blocks listing the distinct m-by-n tournaments that
+    the factored optimum (row_class, orderings) of a search on an m-by-n
+    matrix combines to (their duals when wide), in canonical order.
 
     A block holds, per row, a tuple of row masks, and stands for the members
     that take one of them in every row, in itertools.product order (see
     _rows); blocks never share a member. Raises ResourceCapError, on the
-    first read and before expanding anything, when the options combine to
-    more than MEMBER_CAP tuples (an upper bound on the members, as different
-    options may give the same tournament).
+    first read and before expanding anything, when the orderings combine to
+    more than MEMBER_CAP tuples: the sum over orderings of the product over
+    classes of |argmins| to the power of the class's size, an upper bound
+    on the members, as different orderings may give the same tournament.
 
     With one optimal ordering of a tall or square input, each row's argmins
     are distinct prefixes of that ordering, so distinct choices give
-    distinct members, and one block of each row's argmins, sorted by
-    _row_keys, lists the members in canonical order: nothing is collected or
-    sorted. Otherwise two orderings may give the same member, or dual may
-    reorder them, so the distinct members are collected, mapped through dual
-    when wide, sorted once and given as one block each, every row with a
-    single choice.
+    distinct members, and one block of each row's argmins, each class's
+    sorted once by _row_keys, lists the members in canonical order: nothing
+    is collected or sorted. Otherwise two orderings may give the same
+    member, or dual may reorder them, so the distinct members are collected
+    from each ordering's product over its classes' argmins, mapped through
+    dual when wide, sorted once and given as one block each, every row with
+    a single choice.
     """
-    count = sum(math.prod(map(len, per_row)) for per_row in options)
+    sizes = collections.Counter(row_class)
+    count = sum(math.prod(len(a) ** sizes[i] for i, a in enumerate(argmins)) for argmins in orderings)
     if count > MEMBER_CAP:
         raise ResourceCapError(
             f"the optimum set has up to {count} members which exceeds the member "
             f"cap of {MEMBER_CAP}"
         )
-    if len(options) == 1 and not wide:
-        rows = set().union(*options[0])
-        _check_rows(rows, n)
-        key = _row_keys(rows, n).__getitem__
-        yield tuple(tuple(sorted(argmins, key=key)) for argmins in options[0])
+    if len(orderings) == 1 and not wide:
+        (argmins,) = orderings
+        key = _row_keys(set().union(*argmins), n).__getitem__
+        choices = [tuple(sorted(a, key=key)) for a in argmins]
+        yield tuple(map(choices.__getitem__, row_class))
         return
     seen: set[tuple[int, ...]] = set()
-    for per_row in options:
-        seen.update(itertools.product(*per_row))
-    _check_rows(set().union(*seen), n)
+    for argmins in orderings:
+        seen.update(itertools.product(*map(argmins.__getitem__, row_class)))
     if wide:
         seen, n = {dual(Tournament._unchecked(m, n, masks)).row_masks for masks in seen}, m
     single = {mask: (mask,) for mask in set().union(*seen)}
@@ -280,8 +277,8 @@ def _optimum(K: Tournament, cost, cap: int | None, weights=None):
         K, cost = dual(K), ((o1, o0), (z1, z0))
         if weights is not None:
             weights = tuple(zip(*weights))
-    distance, options = _solve(K, cost, cap, weights)
-    return distance, _expand(options, K.rows, K.cols, wide)
+    distance, row_class, orderings = _solve(K, cost, cap, weights)
+    return distance, _expand(row_class, orderings, K.rows, K.cols, wide)
 
 
 def least_member(K: Tournament, order, flip: Tournament | None, cap: int | None = None) -> Tournament:
@@ -298,16 +295,16 @@ def least_member(K: Tournament, order, flip: Tournament | None, cap: int | None 
     XOR flip. For a fixed optimal ordering the rows pick their argmin
     prefixes independently, and every cell belongs to one row, so the least
     vector of that ordering takes, in every row, the argmin whose own cells
-    are least (see _least_prefix). Rows with the same mask, the same flip
-    row and the same order of their own cells pick alike, so each ordering
-    is read once per class of such rows, and the orderings' picks are
-    compared cell by cell only when they differ.
+    are least (see _least_prefix). Rows with the same search class (equal
+    argmins), the same flip row and the same order of their own cells pick
+    alike, so each ordering is read once per class of such rows, and the
+    orderings' picks are compared cell by cell only when they differ.
     """
     rows, cols = K.rows, K.cols
     wide = cols > rows
     if wide:
         K = dual(K)
-    options = _solve(K, _EDIT, cap, None)[1]
+    _, search_class, orderings = _solve(K, _EDIT, cap, None)
     m, n = K.rows, K.cols
     full = (1 << n) - 1
     if flip is None:
@@ -322,16 +319,15 @@ def least_member(K: Tournament, order, flip: Tournament | None, cap: int | None 
         row_at, col_at = map(operator.itemgetter, (1, 0) if wide else (0, 1))
         by_row = list(map(col_at, sorted(order, key=row_at)))
         ranked = (tuple(by_row[i : i + n]) for i in range(0, m * n, n))
-    classes: dict = {}  # (mask, flip row, columns in order): index
-    row_class = [classes.setdefault(key, len(classes)) for key in zip(K.row_masks, flips, ranked)]
-    row_of = {mask: r for r, mask in enumerate(K.row_masks)}  # argmins depend on the mask only
+    classes: dict = {}  # (search class, flip row, columns in order): index
+    row_class = [classes.setdefault(key, len(classes)) for key in zip(search_class, flips, ranked)]
     smallest, largest = operator.itemgetter(0), operator.itemgetter(-1)
 
-    def picked(mask, f, ranks):
+    def picked(c, f, ranks):
         # the class's pick in every optimal ordering: a smaller argmin is
         # inside a larger one, so with f empty the smallest is least, and
         # with f full the largest
-        argmins = map(operator.itemgetter(row_of[mask]), options)
+        argmins = map(operator.itemgetter(c), orderings)
         if f == 0 or f == full:
             return map(largest if f else smallest, argmins)
         return (_least_prefix(a, f, ranks) for a in argmins)

@@ -272,19 +272,19 @@ def run_simulation(config: ExperimentConfig, cap: int | None = None):
     from .operators import resolve_operator
 
     specs = [resolve_operator(name, cap) for name in config.operator_names]
-    rows = [_run_trial(config, specs, t) for t in range(config.trials)]
-    results: dict[str, dict[str, float | None]] = {}
-    for spec in specs:
-        aggregated: dict[str, float | None] = {}
-        for metric in config.metrics:
-            values = [row[spec.name][metric] for row in rows]
-            # added left to right from 0, as sum() adds before Python 3.12, so
-            # the means are bit-identical on every version
-            aggregated[metric] = (
-                None if values[0] is None else functools.reduce(operator.add, values, 0) / len(values)
-            )
-        results[spec.name] = aggregated
-    return results
+    # a running total per operator and metric, added in trial order from 0 as
+    # sum() adds before Python 3.12, so the means are bit-identical on every
+    # version and memory does not grow with the trials
+    totals = {spec.name: dict.fromkeys(config.metrics, 0) for spec in specs}
+    for trial in range(config.trials):
+        for name, values in _run_trial(config, specs, trial).items():
+            total = totals[name]
+            for metric, value in values.items():
+                total[metric] = None if value is None else total[metric] + value
+    return {
+        name: {metric: None if t is None else t / config.trials for metric, t in total.items()}
+        for name, total in totals.items()
+    }
 
 
 def _format_value(value) -> str:

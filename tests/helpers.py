@@ -115,6 +115,12 @@ def monotone_oracle(K):
     return None
 
 
+def two_patterns(m, n):
+    """Cells of m rows alternating between the first n and the last n of 2n
+    columns. For n = 4, 4,608 of the 40,320 column orderings are optimal."""
+    return [[int((b < n) == (a % 2 == 0)) for b in range(2 * n)] for a in range(m)]
+
+
 def planted_chain(rng, n, k):
     """A chain over n columns observed with k adjacent-swap error rows, and its optimum.
 

@@ -49,6 +49,7 @@ from helpers import (
     subset_of,
     superset_of,
     transpose,
+    two_patterns,
     weighted_distance,
 )
 
@@ -427,7 +428,7 @@ class TestOneOptimalOrdering:
     @pytest.mark.parametrize("n, k", [(2, 3), (3, 6), (4, 9), (6, 11), (5, 11)])
     def test_planted(self, n, k):
         K, members, complete, delete = planted_chain(random.Random(n * 100 + k), n, k)
-        assert len(chain_edit._solve(K, chain_edit._EDIT, None, None)[1]) == 1
+        assert len(chain_edit._solve(K, chain_edit._EDIT, None, None)[2]) == 1
         assert len(members) == 1 << k
         assert min_chain_set(K) == MinChainSet(k, members)
         assert chain_completion(K).members == (complete,)
@@ -501,9 +502,9 @@ class TestSearchOracle:
         wide = n > m
         if wide:  # searched as the dual: transposed, each cell's two costs swapped
             c0, c1, m, n = list(zip(*c1)), list(zip(*c0)), n, m
-        got, options = _search(c0, c1, None)
+        got, row_class, orderings = _search(c0, c1, None)
         assert got == cost
-        expanded = _expand(tuple(options), m, n, wide)
+        expanded = _expand(row_class, orderings, m, n, wide)
         if members is None:
             with pytest.raises(ResourceCapError, match=str(count)):
                 next(expanded)
@@ -579,7 +580,7 @@ class TestLeastMember:
                 min_chain_set(K)
             except ResourceCapError:
                 continue
-            tied += len(chain_edit._solve(K, chain_edit._EDIT, None, None)[1]) > 1
+            tied += len(chain_edit._solve(K, chain_edit._EDIT, None, None)[2]) > 1
             for L in (K, transpose(K)):
                 zero = Tournament(L.rows, L.cols, (0,) * L.rows)
                 noise = random_tournament(rng, L.rows, L.cols)
@@ -678,3 +679,14 @@ class TestSolveMemo:
             chain_edit._optimum(K, chain_edit._EDIT, None)
             chain_edit._optimum(dual(K), chain_edit._EDIT, None)
             assert chain_edit._solve.cache_info().hits == 1
+
+
+def test_solve_keeps_each_class_once_per_ordering():
+    # 2,000 rows of two masks: one entry per class, not per row, in each of
+    # the 4,608 tied optimal orderings
+    K = Tournament.from_cells(two_patterns(2000, 4))
+    distance, row_class, orderings = chain_edit._solve(K, chain_edit._EDIT, None, None)
+    assert distance == 4000
+    assert row_class == (0, 1) * 1000
+    assert len(orderings) == 4608
+    assert all(len(argmins) == 2 for argmins in orderings)

@@ -1,0 +1,137 @@
+"""Recorded digests of the commands that read the factored optimum.
+
+Every entry of golden_cli.json is an argv, the exit code cli.main returns for
+it, and the SHA-256 of what it writes to stdout and to stderr. The test runs
+each entry in-process, in a directory holding the input files built below, so
+a change to any listing, pick, count or refusal message fails it. Digests
+cannot tell a right answer from a wrong one: the oracle tests check
+correctness, and this test guards against unintended change.
+
+The inputs are built from random.Random(seed).random() alone, whose sequence
+Python keeps the same across versions. They are tall, square and wide, with
+one or several optimal orderings, and two of them are beyond a cap: rows of
+two disjoint column patterns, whose optimum set is beyond MEMBER_CAP, and an
+input over a lowered --cap.
+
+A change that alters an output on purpose re-records the file with
+
+    PYTHONPATH=src python tests/test_golden.py
+
+and lists each changed digest, and why, with the change.
+"""
+
+import contextlib
+import hashlib
+import io
+import json
+import random
+import sys
+from pathlib import Path
+
+from chainrank.cli import main
+
+from helpers import two_patterns
+
+CORPUS = Path(__file__).with_name("golden_cli.json")
+
+
+def _uniform(seed, m, n, p=0.5):
+    rng = random.Random(seed)
+    return [[int(rng.random() < p) for _ in range(n)] for _ in range(m)]
+
+
+def _planted(seed, m, n, beta=0.1):
+    """Rows that are prefixes of columns 1..n, each cell then flipped with probability beta."""
+    rng = random.Random(seed)
+    rows = []
+    for _ in range(m):
+        k = int(rng.random() * (n + 1))
+        rows.append([int(b < k) ^ (rng.random() < beta) for b in range(n)])
+    return rows
+
+
+INPUTS = {
+    "tall": _uniform(1, 9, 4),
+    "square": _uniform(2, 5, 5),
+    "wide": _uniform(3, 3, 7),
+    "tied": _uniform(12, 8, 5),  # 38 optimal orderings
+    "planted": _planted(2, 30, 5),  # one optimal ordering, 48 members
+    "planted-wide": [list(col) for col in zip(*_planted(6, 24, 4))],  # one ordering of its dual
+    "two-patterns": two_patterns(100, 4),  # 4,608 optimal orderings
+}
+
+COMMANDS = [
+    ["edit"],
+    ["edit", "--all"],
+    ["edit", "--complete"],
+    ["edit", "--delete"],
+    ["edit", "--weighted", "row-major"],
+    ["edit", "--weighted", "col-major"],
+    ["rank", "-o", "chain-min-lex"],
+    ["rank", "-o", "chain-min-mon"],
+    ["rank", "-o", "chain-min-dual"],
+    ["rank", "-o", "match-pref:row-major"],
+    ["rank", "-o", "match-pref:col-major"],
+    ["rank", "-o", "match-pref:{name}-order.json"],
+    ["likelihood", "--mle", "--beta", "0.1"],
+    ["likelihood", "--mle", "--alpha-plus", "0.1", "--alpha-minus", "0.2"],
+]
+
+
+def write_inputs(directory: Path) -> None:
+    """Each input as NAME.csv, and a shuffled order of its cells as NAME-order.json."""
+    for seed, (name, rows) in enumerate(INPUTS.items()):
+        (directory / f"{name}.csv").write_text("".join(",".join(map(str, r)) + "\n" for r in rows))
+        rng = random.Random(seed)
+        cells = [[a, b] for a in range(1, len(rows) + 1) for b in range(1, len(rows[0]) + 1)]
+        cells.sort(key=lambda _: rng.random())
+        (directory / f"{name}-order.json").write_text(json.dumps(cells))
+
+
+def commands():
+    """Every argv of the corpus: each command on each input, in text and JSON,
+    and two refusals of the lowered enumeration cap."""
+    for name in INPUTS:
+        for command in COMMANDS:
+            argv = [command[0], f"{name}.csv", *(arg.format(name=name) for arg in command[1:])]
+            yield argv
+            yield [*argv, "--json"]
+    yield ["--cap", "4", "edit", "square.csv"]
+    yield ["--cap", "4", "rank", "square.csv", "-o", "chain-min-lex", "--json"]
+
+
+def run(argv) -> dict:
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    return {
+        "argv": argv,
+        "code": code,
+        "stdout": hashlib.sha256(out.getvalue().encode()).hexdigest(),
+        "stderr": hashlib.sha256(err.getvalue().encode()).hexdigest(),
+    }
+
+
+def test_corpus_unchanged(tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.delenv("CHAINRANK_ENUM_CAP", raising=False)
+    write_inputs(tmp_path)
+    recorded = json.loads(CORPUS.read_text())
+    assert [entry["argv"] for entry in recorded] == list(commands())
+    changed = [entry["argv"] for entry in recorded if run(entry["argv"]) != entry]
+    assert not changed, f"{len(changed)} outputs differ from the recording, first {changed[0]}"
+
+
+if __name__ == "__main__":
+    import os
+    import tempfile
+
+    os.environ.pop("CHAINRANK_ENUM_CAP", None)
+    here = Path.cwd()
+    with tempfile.TemporaryDirectory() as tmp:
+        os.chdir(tmp)
+        write_inputs(Path(tmp))
+        entries = [run(argv) for argv in commands()]
+        os.chdir(here)
+    CORPUS.write_text("[\n" + ",\n".join(json.dumps(e) for e in entries) + "\n]\n")
+    print(f"recorded {len(entries)} commands to {CORPUS}", file=sys.stderr)

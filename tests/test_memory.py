@@ -6,7 +6,10 @@ chain-min-mon reads its pick off the factored optimum, so neither may hold
 the whole listing or expand the whole set. On a tall 2,000x8 input drawn
 from the noise model, the optimum set is far beyond MEMBER_CAP, and a list
 of the row pairs with nested neighbourhoods would take over 100 MB; the
-monotone and match-preference picks read each class of equal rows once.
+monotone and match-preference picks read each class of equal rows once. On
+2,000 rows alternating between two disjoint patterns of four columns, the
+search keeps 4,608 tied optimal orderings, so the optimum it holds must keep
+each class's argmins once per ordering, not each row's.
 """
 
 import contextlib
@@ -20,6 +23,7 @@ import pytest
 
 from chainrank import (
     NoiseParams,
+    Tournament,
     chain_edit,
     chain_rankings,
     hamming,
@@ -34,7 +38,7 @@ from chainrank.cli import main
 from chainrank.fileio import to_csv
 from chainrank.match_pref import parse_order_name
 
-from helpers import planted_chain
+from helpers import planted_chain, two_patterns
 
 MB = 1 << 20
 
@@ -167,4 +171,43 @@ def test_match_pref_pick_on_tall_input(planted_2000x8, order):
         "distance": distance,
     }
     assert digest == _digest(expected)
+    assert peak <= 8 * MB, f"peak traced memory {peak / MB:.2f} MB exceeds 8 MB"
+
+
+@pytest.fixture(scope="module")
+def two_patterns_2000x8(tmp_path_factory):
+    K = Tournament.from_cells(two_patterns(2000, 4))
+    path = tmp_path_factory.mktemp("tied") / "two-patterns-2000x8.csv"
+    path.write_text(to_csv(K))
+    return str(path), K
+
+
+def test_lex_pick_on_tied_orderings(two_patterns_2000x8):
+    path, K = two_patterns_2000x8
+    argv = ["rank", path, "-o", "chain-min-lex", "--json"]
+    _traced(argv)
+    code, digest, peak = _traced(argv)
+    assert code == 0
+    # the least member empties the rows of the first pattern and keeps the others
+    chain = monotone_min_chain(K)
+    assert chain.row_masks == tuple(0 if a % 2 == 0 else k for a, k in enumerate(K.row_masks))
+    pair = chain_rankings(chain)
+    expected = {
+        "operator": "chain-min-lex",
+        "a_ranks": [sorted(rank) for rank in pair.a_order.ranks],
+        "b_ranks": [sorted(rank) for rank in pair.b_order.ranks],
+        "chain": chain.cells,
+        "distance": 4000,
+    }
+    assert digest == _digest(expected)
+    assert peak <= 8 * MB, f"peak traced memory {peak / MB:.2f} MB exceeds 8 MB"
+
+
+def test_listing_refused_on_tied_orderings(two_patterns_2000x8, capsys):
+    path, _ = two_patterns_2000x8
+    _traced(["edit", path])
+    code, digest, peak = _traced(["edit", path])
+    assert code == 3
+    assert digest == hashlib.sha256().hexdigest()
+    assert "exceeds the member cap of 65536" in capsys.readouterr().err
     assert peak <= 8 * MB, f"peak traced memory {peak / MB:.2f} MB exceeds 8 MB"
