@@ -16,7 +16,6 @@ import functools
 import itertools
 import json
 import math
-import operator
 import os
 import sys
 from typing import TYPE_CHECKING
@@ -130,15 +129,15 @@ def cmd_rank(args) -> int:
 
 def cmd_edit(args) -> int:
     from . import fileio
-    from .chain_edit import _COMPLETE, _DELETE, _EDIT, _optimum, weighted_min_chain
+    from .chain_edit import _COMPLETE, _DELETE, _EDIT, _optimum
 
     cap = _enum_cap(args)
     K = fileio.load_tournament(args.input).tournament
     if args.weighted:
-        from .match_pref import parse_order_name, weights_for
+        # the unique weighted optimum is the match-preference pick, which needs no weights
+        from .match_pref import parse_order_name, select_match_pref
 
-        pref = parse_order_name(args.weighted)
-        selected = weighted_min_chain(K, weights_for(pref, K.rows, K.cols), cap)
+        selected = select_match_pref(K, parse_order_name(args.weighted), cap)
         if args.json:
             block = tuple(zip(selected.row_masks))  # a single choice in every row
             _write_members([block], K.cols, {"distance": hamming(K, selected)}, "members")
@@ -360,7 +359,7 @@ def cmd_simulate(args) -> int:
 
 def cmd_likelihood(args) -> int:
     from . import fileio
-    from .prob_model import likelihood, log_likelihood, mle_is_min_chain_set, mle_optimum
+    from .prob_model import closest_chain_cost, likelihood, log_likelihood, mle_optimum
 
     cap = _enum_cap(args)
     K = fileio.load_tournament(args.input).tournament
@@ -380,17 +379,13 @@ def cmd_likelihood(args) -> int:
             print(f"likelihood: {prob!r}")
             print(f"log-likelihood: {ll!r}")
         return 0
-    from .chain_edit import _EDIT, _optimum, _rows
-
     cost, blocks = mle_optimum(K, alpha, cap)
     blocks = list(blocks)
-    if mle_is_min_chain_set(alpha):
-        # the MLE set is the closest chain tournaments, at cost the distance
-        distance, same = cost, True
-    else:
-        distance, exact = _optimum(K, _EDIT, cap)
-        exact = list(exact)
-        same = _count(blocks) == _count(exact) and all(map(operator.eq, _rows(blocks), _rows(exact)))
+    distance, worst = closest_chain_cost(K, alpha, cost, cap)
+    # the sets are equal when no closest chain tournament costs more than the
+    # MLE set, and no block of the MLE set holds one farther than the distance
+    far = (sum(max((c ^ r).bit_count() for c in cs) for cs, r in zip(block, K.row_masks)) for block in blocks)
+    same = worst == cost and max(far) == distance
     note = (
         "= minCh(K): MLE set coincides with the closest chain tournaments"
         if same

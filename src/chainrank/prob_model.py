@@ -220,11 +220,26 @@ def _mle_costs(alpha: NoiseParams):
     return table
 
 
-def mle_is_min_chain_set(alpha: NoiseParams) -> bool:
-    """True when mle_search(K, alpha) is min_chain_set(K).members for every K."""
-    from .chain_edit import _EDIT
+def closest_chain_cost(K: Tournament, alpha: NoiseParams, cost: int, cap: int | None = None):
+    """(d, worst): the distance d from K to its closest chain tournaments and
+    their largest total cost -log P(observed | truth), given mle_optimum's cost.
 
-    return _mle_costs(alpha) is _EDIT
+    Under the unit edit costs that cost is the distance. Otherwise one search
+    under scale * unit - c, with c a cell's cost (more than any allowed total
+    where impossible) and scale above every total, has least value scale * d - worst.
+    """
+    from .chain_edit import _EDIT, _optimum
+
+    table = _mle_costs(alpha)
+    if table is _EDIT:
+        return cost, cost
+    cells = K.rows * K.cols
+    zero = cells * max(c for row in table for c in row if c is not None) + 1
+    scale = cells * zero + 1
+    table = tuple(tuple(scale * u - (zero if c is None else c) for u, c in zip(*p)) for p in zip(_EDIT, table))
+    value = _optimum(K, table, cap)[0]
+    d = -(-value // scale)
+    return d, scale * d - value
 
 
 def mle_optimum(K: Tournament, alpha: NoiseParams, cap: int | None = None):

@@ -34,7 +34,7 @@ from chainrank.fileio import parse_tournament, to_csv, to_json
 from chainrank.match_pref import parse_order_name
 from chainrank.prob_model import k_theta, sample_state
 
-from helpers import EX2, TABLE1, planted_chain, preorder, random_tournament
+from helpers import EX2, TABLE1, planted_chain, preorder, random_tournament, two_patterns
 
 
 @pytest.fixture
@@ -156,6 +156,15 @@ class TestEdit:
         assert main(["edit", ex2_file, "--weighted", "row-major", "--json"]) == 0
         data = json.loads(capsys.readouterr().out)
         assert data["members"] == [[[1, 0, 1, 0], [1, 1, 1, 0], [1, 1, 1, 1]]]
+
+    def test_weighted_beyond_the_weight_budget(self, tmp_path, capsys):
+        # 128 cells would need 128-bit weights: the pick needs none
+        path = tmp_path / "k.csv"
+        path.write_text(to_csv(random_tournament(random.Random(16), 16, 8)))
+        assert main(["rank", str(path), "-o", "match-pref:row-major", "--json"]) == 0
+        chain = json.loads(capsys.readouterr().out)["chain"]
+        assert main(["edit", str(path), "--weighted", "row-major", "--json"]) == 0
+        assert json.loads(capsys.readouterr().out)["members"] == [chain]
 
 
 class TestAxiomsCommand:
@@ -424,6 +433,15 @@ class TestLikelihoodCommand:
         assert data["equals_min_chain_set"] is True
         assert len(data["mle"]) == 4
         assert data["min_distance"] == 2
+
+    def test_mle_lists_only_its_own_set(self, tmp_path, capsys):
+        # listing the closest chain tournaments is refused; the MLE set has two members
+        path = tmp_path / "k.csv"
+        path.write_text(to_csv(Tournament.from_cells(two_patterns(40, 4))))
+        args = ["likelihood", str(path), "--mle", "--alpha-plus", "0.1", "--alpha-minus", "0.2", "--json"]
+        assert main(args) == 0
+        data = json.loads(capsys.readouterr().out)
+        assert (len(data["mle"]), data["min_distance"], data["equals_min_chain_set"]) == (2, 80, False)
 
     def test_state_closed_form(self, tmp_path, capsys):
         chain = tmp_path / "chain.csv"
@@ -734,8 +752,6 @@ class TestMemberRendering:
 
     def test_edit_weighted(self, tmp_path, capsys):
         for K, path in self.inputs(tmp_path):
-            if K.rows * K.cols > 120:
-                continue
             for order in ("row-major", "col-major"):
                 selected = select_match_pref(K, parse_order_name(order))
                 assert main(["edit", path, "--weighted", order, "--json"]) == 0
@@ -778,15 +794,20 @@ class TestMemberRendering:
         for K, path in self.inputs(tmp_path):
             if K.rows * K.cols > 16:
                 continue
-            for beta in ("0.1", "0.5"):
-                members = mle_search(K, NoiseParams.symmetric(float(beta)))
+            # symmetric noise, rates whose MLE set is or is not the closest chains
+            # or is every chain, and a rate of one, which makes every cell of an
+            # all-zero input's one closest chain impossible
+            rates = ((0.1, 0.1), (0.5, 0.5), (0.1, 0.3), (0.0, 0.2), (0.2, 0.0), (0.7, 0.3), (1.0, 0.5))
+            for ap, am in rates:
+                noise = ["--beta", str(ap)] if ap == am else ["--alpha-plus", str(ap), "--alpha-minus", str(am)]
+                members = mle_search(K, NoiseParams(ap, am))
                 exact = min_chain_set(K)
                 same = set(members) == set(exact.members)
-                assert main(["likelihood", path, "--mle", "--beta", beta]) == 0
+                assert main(["likelihood", path, "--mle", *noise]) == 0
                 text = capsys.readouterr().out
                 assert text.startswith(f"MLE tournaments: {len(members)}  [{'=' if same else '!='} minCh(K)")
                 assert same_text(text.split("\n", 1)[1], old_members_text(members))
-                assert main(["likelihood", path, "--mle", "--beta", beta, "--json"]) == 0
+                assert main(["likelihood", path, "--mle", *noise, "--json"]) == 0
                 out = {"mle": old_members_json(members), "equals_min_chain_set": same,
                        "min_distance": exact.distance}
                 assert same_text(capsys.readouterr().out, json.dumps(out, sort_keys=True) + "\n")
