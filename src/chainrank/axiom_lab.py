@@ -125,9 +125,6 @@ def _pair_witness(K: Tournament, bad) -> dict | None:
     return None if bad is None else {"tournament": _cells(K), "pair": list(bad)}
 
 
-# -- single-instance predicates (used by the scoped checks and by recheck) --
-
-
 def _relabel_violation(before, after, sigma):
     """First pair (a, a2) that before orders unlike after orders (sigma(a), sigma(a2))."""
     rows = range(1, len(sigma) + 1)
@@ -136,18 +133,6 @@ def _relabel_violation(before, after, sigma):
             if a != a2 and before.le(a, a2) != after.le(sigma[a - 1], sigma[a2 - 1]):
                 return (a, a2)
     return None
-
-
-def anon_instance_violation(op, K, sigma, pi):
-    """First (a, a2) row pair breaking label-invariance, or None."""
-    ev = _memoized(op)
-    return _relabel_violation(ev(K).a_order, ev(permute(K, sigma, pi)).a_order, sigma)
-
-
-def dual_instance_violation(op, K):
-    """First (b, b2) pair where the B ranking disagrees with the dual's A ranking."""
-    ev = _memoized(op)
-    return _relabel_violation(ev(K).b_order, ev(dual(K)).a_order, tuple(range(1, K.cols + 1)))
 
 
 def iim_instance_violates(op, K1, K2, a, a2) -> bool:
@@ -168,79 +153,109 @@ def _iim_witness(ev, K1, K2, a, a2) -> dict | None:
     return {"tournament": _cells(K1), "tournament_2": _cells(K2), "pair": [a, a2]}
 
 
-def mon_instance_violation(op, K):
-    """First (a, a2) with nested neighbourhoods ranked the wrong way, or None."""
-    pair = _memoized(op)(K)
-    for a in range(1, K.rows + 1):
+# -- one case stream per single-tournament axiom: from a memoized evaluate, the
+# tournaments and the enumeration cap, None per passing case, a witness per failing one --
+
+
+def _anon(ev, tournaments, cap=None):
+    """One case per relabelling (sigma, pi) of each tournament's rows and columns."""
+    for K in tournaments:
+        before = ev(K).a_order
+        for sigma in itertools.permutations(range(1, K.rows + 1)):
+            for pi in itertools.permutations(range(1, K.cols + 1)):
+                bad = _relabel_violation(before, ev(permute(K, sigma, pi)).a_order, sigma)
+                yield None if bad is None else {
+                    "tournament": _cells(K),
+                    "sigma": list(sigma),
+                    "pi": list(pi),
+                    "pair": list(bad),
+                }
+
+
+def _dual(ev, tournaments, cap=None):
+    """One case per tournament: its B ranking against its dual's A ranking."""
+    for K in tournaments:
+        identity = tuple(range(1, K.cols + 1))
+        yield _pair_witness(K, _relabel_violation(ev(K).b_order, ev(dual(K)).a_order, identity))
+
+
+def _mon(ev, tournaments, cap=None):
+    """One case per tournament: its first nested row pair ranked the wrong way."""
+    for K in tournaments:
+        a_order, masks = ev(K).a_order, K.row_masks
+        wrong = (
+            (a, a2)
+            for a, a2 in itertools.permutations(range(1, K.rows + 1), 2)
+            if masks[a - 1] & masks[a2 - 1] == masks[a - 1] and not a_order.le(a, a2)
+        )
+        yield _pair_witness(K, next(wrong, None))
+
+
+def _pos_resp(ev, tournaments, cap=None):
+    """One case per lost cell (a2, b) and row a ranked weakly below a2."""
+    for K in tournaments:
+        a_order = ev(K).a_order
         for a2 in range(1, K.rows + 1):
-            if a == a2:
-                continue
-            nested = K.row_masks[a - 1] & K.row_masks[a2 - 1] == K.row_masks[a - 1]
-            if nested and not pair.a_order.le(a, a2):
-                return (a, a2)
-    return None
+            for b in range(1, K.cols + 1):
+                if K.cell(a2, b) != 0:
+                    continue
+                bumped = None
+                for a in range(1, K.rows + 1):
+                    if a == a2 or not a_order.le(a, a2):
+                        continue
+                    if bumped is None:
+                        bumped = ev(K.with_cell(a2, b, 1)).a_order
+                    yield None if bumped.strictly_below(a, a2) else {
+                        "tournament": _cells(K),
+                        "pair": [a, a2],
+                        "cell": [a2, b],
+                    }
 
 
-def pos_resp_instance_violates(op, K, a, a2, b) -> bool:
-    """True when granting a2 the extra win at (a2, b) fails to put it strictly above a."""
-    if K.cell(a2, b) != 0:
-        raise InputError(f"cell ({a2}, {b}) already holds a win")
-    ev = _memoized(op)
-    if not ev(K).a_order.le(a, a2):
-        raise InputError(f"{a} is not ranked weakly below {a2} in the base tournament")
-    bumped = ev(K.with_cell(a2, b, 1)).a_order
-    return not bumped.strictly_below(a, a2)
+def _chain_min(ev, tournaments, cap=None):
+    """One case per tournament: its rankings among those of its closest chain tournaments."""
+    for K in tournaments:
+        pair = ev(K)  # first: an exact operator's solve is then min_chain_set's too
+        yield None if pair in {chain_rankings(M) for M in min_chain_set(K, cap).members} else {
+            "tournament": _cells(K),
+            "a_ranks": [sorted(r) for r in pair.a_order.ranks],
+            "b_ranks": [sorted(r) for r in pair.b_order.ranks],
+        }
 
 
-def _chain_min_witness(ev, K: Tournament, cap: int | None) -> dict | None:
-    pair = ev(K)  # first: an exact operator's solve is then min_chain_set's too
-    if pair in {chain_rankings(M) for M in min_chain_set(K, cap).members}:
-        return None
-    return {
-        "tournament": _cells(K),
-        "a_ranks": [sorted(r) for r in pair.a_order.ranks],
-        "b_ranks": [sorted(r) for r in pair.b_order.ranks],
-    }
+def _chain_def(ev, tournaments, cap=None):
+    """One case per tournament: whether its rankings are chain-definable."""
+    for K in tournaments:
+        pair = ev(K)
+        yield None if is_chain_definable(pair) else {
+            "tournament": _cells(K),
+            "rank_counts": [rank_count(pair.a_order), rank_count(pair.b_order)],
+        }
 
 
-def _chain_def_witness(ev, K: Tournament) -> dict | None:
-    pair = ev(K)
-    if is_chain_definable(pair):
-        return None
-    return {
-        "tournament": _cells(K),
-        "rank_counts": [rank_count(pair.a_order), rank_count(pair.b_order)],
-    }
+_CASES = {
+    "anon": _anon,
+    "dual": _dual,
+    "mon": _mon,
+    "pos-resp": _pos_resp,
+    "chain-min": _chain_min,
+    "chain-def": _chain_def,
+}
 
 
-# -- scoped checks: each streams None per passing case and a witness per failing one --
+def _check_cases(axiom, op, label, tournaments, cap=None) -> AxiomVerdict:
+    """The verdict of axiom's case stream over tournaments, described by label."""
+    return _verdict(axiom, op, label, _CASES[axiom](_memoized(op), tournaments, cap))
 
 
 def check_anon(op: OperatorSpec, scope: Scope) -> AxiomVerdict:
     """Rankings must be invariant under relabelling both sides."""
-    ev = _memoized(op)
-
-    def witnesses():
-        for K in scope.iter_tournaments():
-            before = ev(K).a_order
-            for sigma in itertools.permutations(range(1, K.rows + 1)):
-                for pi in itertools.permutations(range(1, K.cols + 1)):
-                    bad = _relabel_violation(before, ev(permute(K, sigma, pi)).a_order, sigma)
-                    yield None if bad is None else {
-                        "tournament": _cells(K),
-                        "sigma": list(sigma),
-                        "pi": list(pi),
-                        "pair": list(bad),
-                    }
-
-    return _verdict("anon", op, scope.describe(), witnesses())
+    return _check_cases("anon", op, scope.describe(), scope.iter_tournaments())
 
 
 def check_dual(op: OperatorSpec, scope: Scope) -> AxiomVerdict:
     """The B ranking of K must equal the A ranking of the dual of K."""
-    ev = _memoized(op)
-    found = (_pair_witness(K, dual_instance_violation(ev, K)) for K in scope.iter_tournaments())
-    return _verdict("dual", op, scope.describe(), found)
+    return _check_cases("dual", op, scope.describe(), scope.iter_tournaments())
 
 
 def check_iim(op: OperatorSpec, scope: Scope, pairs=()) -> AxiomVerdict:
@@ -283,57 +298,30 @@ def check_iim(op: OperatorSpec, scope: Scope, pairs=()) -> AxiomVerdict:
 
 def check_mon(op: OperatorSpec, scope: Scope) -> AxiomVerdict:
     """A nested neighbourhood must never outrank its superset."""
-    ev = _memoized(op)
-    found = (_pair_witness(K, mon_instance_violation(ev, K)) for K in scope.iter_tournaments())
-    return _verdict("mon", op, scope.describe(), found)
+    return _check_cases("mon", op, scope.describe(), scope.iter_tournaments())
 
 
 def check_pos_resp(op: OperatorSpec, scope: Scope) -> AxiomVerdict:
     """An extra win must break ties in favour of the winner."""
-    ev = _memoized(op)
-
-    def witnesses():
-        for K in scope.iter_tournaments():
-            a_order = ev(K).a_order
-            for a2 in range(1, K.rows + 1):
-                for b in range(1, K.cols + 1):
-                    if K.cell(a2, b) != 0:
-                        continue
-                    bumped = None
-                    for a in range(1, K.rows + 1):
-                        if a == a2 or not a_order.le(a, a2):
-                            continue
-                        if bumped is None:
-                            bumped = ev(K.with_cell(a2, b, 1)).a_order
-                        yield None if bumped.strictly_below(a, a2) else {
-                            "tournament": _cells(K),
-                            "pair": [a, a2],
-                            "cell": [a2, b],
-                        }
-
-    return _verdict("pos-resp", op, scope.describe(), witnesses())
+    return _check_cases("pos-resp", op, scope.describe(), scope.iter_tournaments())
 
 
 def check_chain_min(op: OperatorSpec, K: Tournament, cap: int | None = None) -> AxiomVerdict:
     """The output must match the rankings of some closest chain tournament."""
-    witness = _chain_min_witness(op.evaluate, K, cap)
-    return _verdict("chain-min", op, f"single instance {K.rows}x{K.cols}", [witness])
+    return _check_cases("chain-min", op, f"single instance {K.rows}x{K.cols}", (K,), cap)
 
 
 def check_chain_def(op: OperatorSpec, K: Tournament) -> AxiomVerdict:
     """The two rank counts may differ by at most one."""
-    witness = _chain_def_witness(op.evaluate, K)
-    return _verdict("chain-def", op, f"single instance {K.rows}x{K.cols}", [witness])
+    return _check_cases("chain-def", op, f"single instance {K.rows}x{K.cols}", (K,))
 
 
 def check_chain_min_scope(op: OperatorSpec, scope: Scope, cap: int | None = None) -> AxiomVerdict:
-    found = (_chain_min_witness(op.evaluate, K, cap) for K in scope.iter_tournaments())
-    return _verdict("chain-min", op, scope.describe(), found)
+    return _check_cases("chain-min", op, scope.describe(), scope.iter_tournaments(), cap)
 
 
 def check_chain_def_scope(op: OperatorSpec, scope: Scope) -> AxiomVerdict:
-    found = (_chain_def_witness(op.evaluate, K) for K in scope.iter_tournaments())
-    return _verdict("chain-def", op, scope.describe(), found)
+    return _check_cases("chain-def", op, scope.describe(), scope.iter_tournaments())
 
 
 def scope_verdicts(op: OperatorSpec, scope: Scope, cap: int | None = None) -> list[AxiomVerdict]:
@@ -357,29 +345,17 @@ def scope_verdicts(op: OperatorSpec, scope: Scope, cap: int | None = None) -> li
 
 
 def recheck(op: OperatorSpec, verdict: AxiomVerdict) -> bool:
-    """Re-run a failure verdict's witness standalone; True = violation reproduced."""
+    """Re-run a failure verdict's witness standalone; True when its tournament
+    alone yields that same witness again."""
     w = verdict.witness
     if w is None:
         raise InputError("verdict carries no witness")
     K = Tournament.from_cells(w["tournament"])
-    if verdict.axiom == "anon":
-        return (
-            anon_instance_violation(op, K, tuple(w["sigma"]), tuple(w["pi"])) is not None
-        )
-    if verdict.axiom == "dual":
-        return dual_instance_violation(op, K) is not None
     if verdict.axiom == "iim":
-        K2 = Tournament.from_cells(w["tournament_2"])
-        return iim_instance_violates(op, K, K2, *w["pair"])
-    if verdict.axiom == "mon":
-        return mon_instance_violation(op, K) is not None
-    if verdict.axiom == "pos-resp":
-        return pos_resp_instance_violates(op, K, w["pair"][0], w["pair"][1], w["cell"][1])
-    if verdict.axiom == "chain-min":
-        return not check_chain_min(op, K).holds
-    if verdict.axiom == "chain-def":
-        return not check_chain_def(op, K).holds
-    raise InputError(f"unknown axiom {verdict.axiom!r}")
+        return iim_instance_violates(op, K, Tournament.from_cells(w["tournament_2"]), *w["pair"])
+    if verdict.axiom not in _CASES:
+        raise InputError(f"unknown axiom {verdict.axiom!r}")
+    return w in _CASES[verdict.axiom](_memoized(op), (K,))
 
 
 # -- the known counterexample instances --

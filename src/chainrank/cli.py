@@ -199,23 +199,32 @@ def cmd_axioms(args) -> int:
 
 
 def kendall_tau_b(p: TotalPreorder, q: TotalPreorder) -> float:
-    """Tie-aware rank correlation over the pair classification of two preorders."""
-    ranks = [(p.rank_of(x), q.rank_of(x)) for x in sorted(p.players)]
-    concordant = discordant = ties_p = ties_q = total = 0
-    for i, (px, qx) in enumerate(ranks):
-        for py, qy in ranks[i + 1 :]:
-            total += 1
-            sp = (px > py) - (px < py)
-            sq = (qx > qy) - (qx < qy)
-            if sp == 0:
-                ties_p += 1
-            if sq == 0:
-                ties_q += 1
-            if sp and sq:
-                if sp == sq:
-                    concordant += 1
-                else:
-                    discordant += 1
+    """Tie-aware rank correlation over the pair classification of two preorders
+    of the same players.
+
+    The players are counted per cell (rank in p, rank in q). Two players of
+    different cells are concordant or discordant by the sign of
+    (px - py)(qx - qy), so each pair of cells adds the product of their
+    counts, and a preorder's ties are the pairs within each of its ranks.
+    That is linear in the players and quadratic in the distinct cells, of
+    which there are at most as many as players.
+    """
+    cells: dict[tuple[int, int], int] = {}
+    for px, rank in enumerate(p.ranks):
+        for x in rank:
+            key = (px, q.rank_of(x))
+            cells[key] = cells.get(key, 0) + 1
+    counted = list(cells.items())
+    concordant = discordant = 0
+    for i, ((px, qx), cx) in enumerate(counted):
+        for (py, qy), cy in counted[i + 1 :]:
+            sign = (px - py) * (qx - qy)
+            if sign > 0:
+                concordant += cx * cy
+            elif sign < 0:
+                discordant += cx * cy
+    total = len(p.players) * (len(p.players) - 1) // 2
+    ties_p, ties_q = (sum(len(r) * (len(r) - 1) // 2 for r in o.ranks) for o in (p, q))
     denom = math.sqrt((total - ties_p) * (total - ties_q))
     if denom == 0:
         return 0.0

@@ -337,3 +337,28 @@ def chain_violation_by_pairs(K):
             if inter != masks[i] and inter != masks[j]:
                 return (i + 1, j + 1)
     return None
+
+
+def kendall_tau_b_by_pairs(p, q):
+    """Tie-aware rank correlation over the pair classification of two
+    preorders, by classifying every pair of players."""
+    ranks = [(p.rank_of(x), q.rank_of(x)) for x in sorted(p.players)]
+    concordant = discordant = ties_p = ties_q = total = 0
+    for i, (px, qx) in enumerate(ranks):
+        for py, qy in ranks[i + 1 :]:
+            total += 1
+            sp = (px > py) - (px < py)
+            sq = (qx > qy) - (qx < qy)
+            if sp == 0:
+                ties_p += 1
+            if sq == 0:
+                ties_q += 1
+            if sp and sq:
+                if sp == sq:
+                    concordant += 1
+                else:
+                    discordant += 1
+    denom = math.sqrt((total - ties_p) * (total - ties_q))
+    if denom == 0:
+        return 0.0
+    return (concordant - discordant) / denom

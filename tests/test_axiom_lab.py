@@ -9,6 +9,7 @@ from chainrank.axiom_lab import (
     CHAIN_DEF_IMPOSSIBILITY,
     IIM_PAIR,
     POS_RESP_COUNTEREXAMPLE,
+    AxiomVerdict,
     Scope,
     check_anon,
     check_chain_def,
@@ -34,6 +35,10 @@ from chainrank.operators import (
 from helpers import EX2, TABLE1
 
 
+def with_witness(verdict: AxiomVerdict, witness: dict) -> AxiomVerdict:
+    return AxiomVerdict(**{**verdict.to_json(), "witness": witness})
+
+
 def reversed_count_operator() -> OperatorSpec:
     """Deliberately broken fixture: ranks more wins lower."""
 
@@ -57,10 +62,17 @@ class TestAnon:
     def test_paper_witness_also_violates(self):
         # swapping both sides maps the diagonal to itself, yet the operator
         # must order the two rows strictly
-        from chainrank.axiom_lab import anon_instance_violation
+        from chainrank.axiom_lab import _CASES, _memoized
 
-        bad = anon_instance_violation(chain_min_lex_operator(), ANON_COUNTEREXAMPLE, (2, 1), (2, 1))
-        assert bad is not None
+        paper = {"tournament": [[1, 0], [0, 1]], "sigma": [2, 1], "pi": [2, 1], "pair": [1, 2]}
+        assert paper in _CASES["anon"](_memoized(chain_min_lex_operator()), (ANON_COUNTEREXAMPLE,))
+
+    def test_recheck_wants_the_same_witness(self):
+        op = chain_min_lex_operator()
+        verdict = check_anon(op, Scope(tournaments=(ANON_COUNTEREXAMPLE,)))
+        reversed_pair = {**verdict.witness, "pair": verdict.witness["pair"][::-1]}
+        assert recheck(op, verdict)
+        assert not recheck(op, with_witness(verdict, reversed_pair))
 
     def test_ci_holds_exhaustive_2x2(self):
         verdict = check_anon(ci_operator(), Scope(exhaustive=((2, 2),)))
@@ -149,6 +161,13 @@ class TestPosResp:
         verdict = check_pos_resp(ci_operator(), scope)
         assert not verdict.holds
         assert recheck(ci_operator(), verdict)
+
+    def test_recheck_of_a_case_that_cannot_occur(self):
+        # row 2 already wins at column 1, so no case grants it that win
+        op = chain_min_lex_operator()
+        verdict = check_pos_resp(op, Scope(tournaments=(POS_RESP_COUNTEREXAMPLE,)))
+        impossible = {**verdict.witness, "cell": [2, 1]}
+        assert not recheck(op, with_witness(verdict, impossible))
 
 
 class TestChainMinAndDef:

@@ -1,8 +1,8 @@
 import contextlib
 import hashlib
 import io
+import itertools
 import json
-import math
 import os
 import random
 import subprocess
@@ -34,7 +34,15 @@ from chainrank.fileio import parse_tournament, to_csv, to_json
 from chainrank.match_pref import parse_order_name
 from chainrank.prob_model import k_theta, sample_state
 
-from helpers import EX2, TABLE1, planted_chain, preorder, random_tournament, two_patterns
+from helpers import (
+    EX2,
+    TABLE1,
+    kendall_tau_b_by_pairs,
+    planted_chain,
+    preorder,
+    random_tournament,
+    two_patterns,
+)
 
 
 @pytest.fixture
@@ -813,37 +821,49 @@ class TestMemberRendering:
                 assert same_text(capsys.readouterr().out, json.dumps(out, sort_keys=True) + "\n")
 
 
-def pairwise_tau_b(p, q):
-    """Tie-aware rank correlation straight from its pairwise definition."""
-    players = sorted(p.players)
-    concordant = discordant = ties_p = ties_q = total = 0
-    for i, x in enumerate(players):
-        for y in players[i + 1 :]:
-            total += 1
-            sp = (p.rank_of(x) > p.rank_of(y)) - (p.rank_of(x) < p.rank_of(y))
-            sq = (q.rank_of(x) > q.rank_of(y)) - (q.rank_of(x) < q.rank_of(y))
-            ties_p += sp == 0
-            ties_q += sq == 0
-            concordant += sp * sq == 1
-            discordant += sp * sq == -1
-    denom = math.sqrt((total - ties_p) * (total - ties_q))
-    return 0.0 if denom == 0 else (concordant - discordant) / denom
+def all_preorders(n):
+    """Every total preorder of players 1..n: each map of the players onto
+    ranks 0..k-1 that uses every rank."""
+    for labels in itertools.product(range(n), repeat=n):
+        k = max(labels) + 1
+        if len(set(labels)) == k:
+            yield TotalPreorder.from_ranks(
+                {x for x, r in enumerate(labels, 1) if r == rank} for rank in range(k)
+            )
+
+
+def random_preorder(rng, n, k):
+    """Players 1..n, each put in one of k ranks at random (empty ranks dropped)."""
+    ranks: dict[int, set[int]] = {}
+    for x in range(1, n + 1):
+        ranks.setdefault(rng.randrange(k), set()).add(x)
+    return TotalPreorder.from_ranks(ranks[r] for r in sorted(ranks))
 
 
 class TestKendallTauB:
     def test_matches_pairwise_definition(self):
         rng = random.Random(77)
-
-        def tied_preorder(players):
-            ranks: dict[int, set[int]] = {}
-            for x in players:
-                ranks.setdefault(rng.randrange(len(players)), set()).add(x)
-            return TotalPreorder.from_ranks(ranks[r] for r in sorted(ranks))
-
         for _ in range(300):
-            players = range(1, rng.randint(1, 9) + 1)
-            p, q = tied_preorder(players), tied_preorder(players)
-            assert kendall_tau_b(p, q) == pairwise_tau_b(p, q)
+            n = rng.randint(1, 9)
+            p, q = random_preorder(rng, n, n), random_preorder(rng, n, n)
+            assert kendall_tau_b(p, q) == kendall_tau_b_by_pairs(p, q)
+
+    def test_every_pair_of_preorders_up_to_four_players(self):
+        pairs = 0
+        for n in range(1, 5):
+            orders = list(all_preorders(n))
+            for p, q in itertools.product(orders, repeat=2):
+                assert kendall_tau_b(p, q) == kendall_tau_b_by_pairs(p, q)
+                pairs += 1
+        assert pairs == 1 + 3**2 + 13**2 + 75**2
+
+    @pytest.mark.parametrize("ranks", [1, 2, 9, None])
+    def test_many_players(self, ranks):
+        rng = random.Random(ranks or 0)
+        for n in (2, 17, 300, 2000):
+            k = ranks or n
+            p, q = random_preorder(rng, n, k), random_preorder(rng, n, k)
+            assert kendall_tau_b(p, q) == kendall_tau_b_by_pairs(p, q)
 
     def test_identical_orders(self):
         p = preorder("1234")

@@ -11,7 +11,9 @@ The inputs are built from random.Random(seed).random() alone, whose sequence
 Python keeps the same across versions. They are tall, square and wide, with
 one or several optimal orderings, and two of them are beyond a cap: rows of
 two disjoint column patterns, whose optimum set is beyond MEMBER_CAP, and an
-input over a lowered --cap.
+input over a lowered --cap. The states for likelihood --state are drawn the
+same way. simulate, weights and one malformed file of each format are pinned
+beside them.
 
 A change that alters an output on purpose re-records the file with
 
@@ -67,6 +69,8 @@ COMMANDS = [
     ["edit", "--delete"],
     ["edit", "--weighted", "row-major"],
     ["edit", "--weighted", "col-major"],
+    ["rank", "-o", "ci"],
+    ["rank", "-o", "count"],
     ["rank", "-o", "chain-min-lex"],
     ["rank", "-o", "chain-min-mon"],
     ["rank", "-o", "chain-min-dual"],
@@ -77,20 +81,68 @@ COMMANDS = [
     ["likelihood", "--mle", "--alpha-plus", "0.1", "--alpha-minus", "0.2"],
 ]
 
+# the five operators of perfbench's sweep, and chain-min-dual
+SWEEP = "count,ci,chain-min-lex,chain-min-mon,match-pref:row-major,chain-min-dual"
+
+# commands run once each, in text and JSON
+SINGLE = [
+    ["simulate", "--m", "6", "--n", "6", "--beta", "0.1", "--operators", SWEEP, "--trials", "20", "--seed", "3"],
+    # the exam shape: many rows, few columns
+    ["simulate", "--m", "300", "--n", "8", "--beta", "0.1", "--operators", "ci,chain-min-lex", "--trials", "1", "--seed", "0"],
+    ["likelihood", "square.csv", "--state", "square-state.json", "--beta", "0.1"],
+    ["likelihood", "tall.csv", "--state", "tall-state.json", "--alpha-plus", "0.1", "--alpha-minus", "0.2"],
+    # zero noise: an observation that is not the state's tournament is impossible
+    ["likelihood", "square.csv", "--state", "square-state.json"],
+    ["weights", "--order", "row-major", "--m", "3", "--n", "4"],
+    ["weights", "--order", "col-major", "--m", "3", "--n", "4"],
+    ["weights", "--order", "row-major", "--m", "11", "--n", "11"],
+    ["edit", "bad.csv"],
+    ["rank", "bad.json", "-o", "count"],
+    ["likelihood", "square.csv", "--state", "bad-state.json", "--beta", "0.1"],
+    ["rank", "square.csv", "-o", "match-pref:bad-order.json"],
+]
+
+MALFORMED = {
+    "bad.csv": "1,0\nx,1\n",
+    "bad.json": '{"rows": 2, "matrix": [[1, 0], [0, 1], [1, 1]]}',
+    "bad-state.json": '{"x": [1, 2]}',
+    "bad-order.json": "[[1, 1], [1, 1]]",
+}
+
+
+def _state(seed, m, n):
+    """Skill levels 1..t, t = min(m, n), each held by some row and some column,
+    so every gap between two levels of one side holds a level of the other."""
+    rng = random.Random(seed)
+    t = min(m, n)
+    sides = []
+    for count in (m, n):
+        levels = list(range(1, t + 1)) + [1 + int(rng.random() * t) for _ in range(count - t)]
+        levels.sort(key=lambda _: rng.random())
+        sides.append(levels)
+    return {"x": sides[0], "y": sides[1]}
+
 
 def write_inputs(directory: Path) -> None:
-    """Each input as NAME.csv, and a shuffled order of its cells as NAME-order.json."""
+    """Each input as NAME.csv, a shuffled order of its cells as NAME-order.json,
+    two states as NAME-state.json, and the malformed files."""
     for seed, (name, rows) in enumerate(INPUTS.items()):
         (directory / f"{name}.csv").write_text("".join(",".join(map(str, r)) + "\n" for r in rows))
         rng = random.Random(seed)
         cells = [[a, b] for a in range(1, len(rows) + 1) for b in range(1, len(rows[0]) + 1)]
         cells.sort(key=lambda _: rng.random())
         (directory / f"{name}-order.json").write_text(json.dumps(cells))
+    for seed, name in enumerate(("square", "tall"), start=20):
+        rows = INPUTS[name]
+        (directory / f"{name}-state.json").write_text(json.dumps(_state(seed, len(rows), len(rows[0]))))
+    for name, text in MALFORMED.items():
+        (directory / name).write_text(text)
 
 
 def commands():
     """Every argv of the corpus: each command on each input, in text and JSON,
-    and two refusals of the lowered enumeration cap."""
+    two refusals of the lowered enumeration cap, and each single command in
+    text and JSON."""
     for name in INPUTS:
         for command in COMMANDS:
             argv = [command[0], f"{name}.csv", *(arg.format(name=name) for arg in command[1:])]
@@ -98,6 +150,9 @@ def commands():
             yield [*argv, "--json"]
     yield ["--cap", "4", "edit", "square.csv"]
     yield ["--cap", "4", "rank", "square.csv", "-o", "chain-min-lex", "--json"]
+    for argv in SINGLE:
+        yield argv
+        yield [*argv, "--json"]
 
 
 def run(argv) -> dict:
