@@ -2,29 +2,25 @@
 
 A chain tournament is exactly a tournament whose rows are all prefixes of a
 single column ordering: nested neighbourhoods extend to a maximal chain, and
-a maximal chain of column subsets is a permutation. Every problem here is
-one search: each result cell has an exact-integer cost of being 0 and of
-being 1 (None where that value is not allowed), and the search ranges over
-column orderings, letting every row independently pick a least-cost prefix.
-The orderings are walked depth first over their prefixes with a
-branch-and-bound cut that never drops a tied optimum (see _search). Every
+a maximal chain of column subsets is a permutation. Every problem here is one
+search: each result cell has an exact-integer cost of being 0 and of being 1
+(None where that value is not allowed), and the search ranges over column
+orderings, letting every row independently pick a least-cost prefix. It runs
+best first over (prefix, unsettled least costs) states and expands every
+state up to the optimum, so it drops no tied optimum (see _search). Every
 optimum arises from some (optimal ordering, per-row argmin prefix)
 combination, and rows with equal costs have equal argmins, so the search
-returns the optimum set in factored form per row class: each row's class
-(its distinct cost row; for unit costs, its distinct mask) and, per optimal
+returns the optimum set factored per row class: each row's class (its
+distinct cost row; for unit costs, its distinct mask) and, per optimal
 ordering, each class's tied argmin prefixes. A listing of the complete
-optimum set, in canonical order, is read off it as blocks (see _expand):
-per row, a tuple of row masks, standing for every member that takes one of
-them in each row. One optimal ordering of a tall or square input is one
-block, so its members are never collected; otherwise each distinct member
-is a block of its own. min_chain_set and its siblings build their members
-from the blocks, the command line counts and writes a listing from them
-without building any, and MEMBER_CAP bounds every listing. Single picks are
-read off the factored form unexpanded by least_member, the lexicographic
-pick behind match-preference and, with no flip in row-major order,
-monotone_min_chain: per optimal ordering, each class of rows sharing a search
-class, a flip row and an order of their own cells takes its least argmin, so
-a pick is linear in rows.
+optimum set, in canonical order, is read off it as blocks (see _expand), each
+standing for every member that takes, in each row, one of the block's masks
+for that row: one block for one optimal ordering of a tall or square input,
+whose members are never collected, else one block per distinct member.
+min_chain_set and its siblings build their members from the blocks, the
+command line writes a listing from them without building any, and MEMBER_CAP
+bounds every listing. least_member reads the picks of match-preference and
+monotone_min_chain off the factored form, in time linear in rows.
 
 Every problem is solved tall, searching orderings of the smaller side.
 dual(K) transposes and complements K and maps its chain tournaments one to
@@ -52,6 +48,7 @@ from __future__ import annotations
 
 import collections
 import functools
+import heapq
 import itertools
 import math
 import operator
@@ -90,20 +87,6 @@ def _cell_costs(K: Tournament, cost, weights):
     return c0, c1
 
 
-def _prefix_costs(r0, r1, count: int) -> tuple[list, list]:
-    """count times a row's cost for each column subset mask as its prefix, and
-    a lower bound on its cost for every superset of that mask; inf if not allowed.
-    """
-    costs, lower = [0], [0]
-    for z, o in zip(r0, r1):
-        z = math.inf if z is None else count * z
-        o = math.inf if o is None else count * o
-        low = min(z, o)
-        costs = [c + z for c in costs] + [c + o for c in costs]
-        lower = [c + low for c in lower] + [c + o for c in lower]
-    return costs, lower
-
-
 def _search(c0, c1, cap: int | None):
     """Least total cost of a chain tournament, and the argmins that reach it.
 
@@ -116,17 +99,22 @@ def _search(c0, c1, cap: int | None):
     have equal argmins, so each is kept once per class, not once per row.
     The cost is inf, and orderings empty, when nothing is allowed.
 
-    The orderings are searched depth first over their prefixes, so orderings
-    that share a prefix share its work. A node with prefix Q holds each row's
-    least cost over the prefixes on its path. Every later prefix contains Q,
-    so it costs a row at least the cost of the row's cells in Q being 1 plus
-    the cheaper value of each other cell (for unit costs, the number of
-    columns in Q that the row lacks). The sum over rows of the smaller of
-    these two is a lower bound on every ordering below the node. Children
-    are tried in ascending bound order. A node is cut only when its bound
-    exceeds the best total found so far, or is inf: a node whose bound
-    equals the best may still hold a tied optimal ordering, and every tied
-    ordering's argmins belong to the complete optimum set.
+    The orderings are searched best first over states: a prefix Q and each
+    unsettled class's least cost over the prefixes on a path to Q, the empty
+    and full ones included. A class's bound at Q, its cells in Q at 1 and
+    all others at their cheaper value, is at most its cost at every later
+    prefix and grows along a path, so a class whose least cost is at most
+    its bound is settled: it leaves the state and its cost joins the settled
+    total. What lies below a state then depends on the state alone, so each
+    keeps its least settled total and every predecessor reaching it there.
+    States pop by that total plus their unsettled bounds, a sum that never
+    falls along a path and, with one column left, is the ordering's cost,
+    as every class is settled. Every state up to the optimum is expanded, so
+    the tied optimal orderings are the predecessor paths into the one-
+    column-left states at the optimum. Costs and bounds are kept for reached
+    prefixes only, each its parent's plus the added column's change. A
+    forbidden value costs more than the spread of the allowed totals, which
+    may be negative, so a total above top forbids something.
     """
     n = len(c0[0])
     cap = DEFAULT_ENUM_CAP if cap is None else cap
@@ -135,57 +123,69 @@ def _search(c0, c1, cap: int | None):
             f"exact search ranges over {n}! column orderings which exceeds the "
             f"cap of {cap}; raise the cap or use an interleaving operator"
         )
-    # identical rows pick identical prefixes: one cost table per class of
-    # equal rows, multiplied by its size (which keeps every argmin)
-    classes: dict = {}
-    row_class = tuple(classes.setdefault(row, len(classes)) for row in zip(c0, c1))
-    counts = collections.Counter(row_class)
-    tables = [_prefix_costs(*row, counts[i]) for i, row in enumerate(classes)]
-    by_prefix = list(zip(*[costs for costs, _ in tables]))
-    lower = list(zip(*[low for _, low in tables]))
-    full = (1 << n) - 1
-    best, optimal = math.inf, []
+    sizes = collections.Counter(zip(c0, c1))  # each class of equal rows and its size, in order
+    row_class = tuple(map(dict(zip(sizes, itertools.count())).__getitem__, zip(c0, c1)))
+    # allowed totals lie in [-top, top] (filter drops None and zeros)
+    top = sum(k * sum(map(abs, filter(None, r0 + r1))) for (r0, r1), k in sizes.items())
+    value, tables = {None: 2 * top + 1}.get, []
+    for (r0, r1), k in sizes.items():  # each class's costs of its cells being 0 and 1, times its size
+        z, o = tuple(map(k.__mul__, map(value, r0, r0))), tuple(map(k.__mul__, map(value, r1, r1)))
+        least = tuple(map(min, z, o))
+        rise, grow = tuple(map(operator.sub, o, z)), tuple(map(operator.sub, o, least))
+        tables.append((sum(z), sum(o), sum(least), rise, grow))
+    empty, full, low, rise, grow = zip(*tables)
+    done = (1 << n) - 1
+    costs, bounds = {0: empty, done: full}, {0: low}
+    rise, grow = list(zip(*rise)), list(zip(*grow))  # per column: each class's change of cost, of bound
+    seen, heap, tick, best = {}, [], itertools.count(), top  # best: the least ordering cost so far
 
-    def visit(path, run):
-        # run already holds the empty and the full prefix, which every ordering
-        # has, so a child with one column left is scored exactly
-        nonlocal best, optimal
-        rest = full ^ path[-1]
-        leaves = rest.bit_count() == 2
-        children = []
-        while rest:
-            prefix = path[-1] | (rest & -rest)
-            rest &= rest - 1
-            child = list(map(min, run, by_prefix[prefix]))
-            if leaves:
-                total = sum(child)
-                if total < best:
-                    best, optimal = total, [path + (prefix, full)]
-                elif total == best:
-                    optimal.append(path + (prefix, full))
+    def reach(parent, prefix, runs, settled):
+        nonlocal best
+        key, total = [], settled
+        for run, cost, bound in zip(runs, costs[prefix], bounds[prefix]):
+            if run is not None:
+                run = min(run, cost)
+                if run <= bound:
+                    settled, total, run = settled + run, total + run, None
+                else:
+                    total += bound
+            key.append(run)
+        state = (prefix, tuple(key))
+        entry = seen.get(state)
+        if entry is None or settled < entry[0]:
+            seen[state] = [settled, [parent]]
+            if prefix.bit_count() < n - 1:
+                heapq.heappush(heap, (total, next(tick), state, settled))
             else:
-                children.append((sum(map(min, child, lower[prefix])), prefix, child))
-        children.sort()  # prefixes differ, so the run lists are never compared
-        for bound, prefix, child in children:
-            if bound > best or bound == math.inf:
-                break
-            visit(path + (prefix,), child)
+                best = min(best, total)
+        elif settled == entry[0]:
+            entry[1].append(parent)
 
-    run = list(map(min, by_prefix[0], by_prefix[full]))
-    if n == 1:
-        best, optimal = sum(run), [(0, full)]
-    else:
-        visit((0,), run)
-    if best == math.inf:
-        optimal = []
+    reach(None, 0, costs[done], 0)
+    while heap:
+        total, _, state, settled = heapq.heappop(heap)
+        if total > best:
+            break
+        if settled != seen[state][0]:  # reached again at less
+            continue
+        prefix, runs = state
+        for b in range(n):
+            child = prefix | 1 << b
+            if child != prefix:
+                if child not in costs:
+                    costs[child] = tuple(map(operator.add, costs[prefix], rise[b]))
+                    bounds[child] = tuple(map(operator.add, bounds[prefix], grow[b]))
+                reach(state, child, runs, settled)
     orderings = []
-    for prefixes in optimal:
-        argmins = []
-        for costs in zip(*map(by_prefix.__getitem__, prefixes)):
-            low = min(costs)
-            argmins.append(tuple(p for p, c in zip(prefixes, costs) if c == low))
-        orderings.append(tuple(argmins))
-    return best, row_class, tuple(orderings)
+    stack = [(state, (done,)) for state, e in seen.items() if e[0] == best and state[0].bit_count() == n - 1]
+    while stack:
+        state, tail = stack.pop()
+        tail = (state[0], *tail)
+        stack.extend((parent, tail) for parent in seen[state][1] if parent)
+        if state[0] == 0:  # each class's argmins among its costs along the ordering
+            along = zip(*map(costs.__getitem__, tail))
+            orderings.append(tuple(tuple(itertools.compress(tail, map(min(cs).__eq__, cs))) for cs in along))
+    return best if orderings else math.inf, row_class, tuple(orderings)
 
 
 @functools.lru_cache(maxsize=1)

@@ -1,3 +1,4 @@
+import heapq
 import itertools
 import random
 
@@ -31,7 +32,7 @@ from chainrank.core import canonical_key, dual
 from chainrank.match_pref import MatchPreference, weights_for
 from chainrank.match_pref import select_match_pref
 from chainrank.operators import canonical_min_choice
-from chainrank.prob_model import NoiseParams, _mle_costs, mle_search
+from chainrank.prob_model import NoiseParams, _mle_costs, mle_search, sample_state, sample_tournament
 
 from helpers import (
     ANON_K,
@@ -471,14 +472,15 @@ class TestMemberCap:
             all_chain_tournaments(12, 2)
 
 
-COSTS = st.sampled_from([0, 1, 2, 3, 1 << 40, 1 << 64, 1 << 100])
+COSTS = st.sampled_from([0, 1, 2, 3, 1 << 40, 1 << 64, 1 << 100, -1, -5, -(1 << 41)])
 
 
 @st.composite
 def cost_matrices(draw):
     """(c0, c1) of up to 7x6 cells, wide ones included.
 
-    Small costs tie often; about one cell in ten forbids one of its values,
+    Small costs tie often; some are negative, as under prob_model's
+    scale * unit - c tables; about one cell in ten forbids one of its values,
     and some inputs have a row that allows nothing.
     """
     m, n = draw(st.integers(1, 7)), draw(st.integers(1, 6))
@@ -510,6 +512,18 @@ class TestSearchOracle:
                 next(expanded)
         else:
             assert set(_rows(expanded)) == members
+
+
+def test_search_expands_few_states(monkeypatch):
+    # planted 14x14 under the noise model, 384 tied optimal orderings: a
+    # depth-first walk over the prefixes visited 98,941 nodes here
+    K = sample_tournament(sample_state(14, 14, 1), NoiseParams.symmetric(0.05), 8)
+    pops = []
+    heappop = heapq.heappop
+    monkeypatch.setattr(heapq, "heappop", lambda heap: pops.append(None) or heappop(heap))
+    distance, _, orderings = _search(*chain_edit._cell_costs(K, chain_edit._EDIT, None), 14)
+    assert (distance, len(orderings)) == (8, 384)
+    assert 0 < len(pops) <= 2500  # the search pops every state it expands
 
 
 def _preferences(m, n, rng):

@@ -11,9 +11,11 @@ The inputs are built from random.Random(seed).random() alone, whose sequence
 Python keeps the same across versions. They are tall, square and wide, with
 one or several optimal orderings, and two of them are beyond a cap: rows of
 two disjoint column patterns, whose optimum set is beyond MEMBER_CAP, and an
-input over a lowered --cap. The states for likelihood --state are drawn the
-same way. simulate, weights and one malformed file of each format are pinned
-beside them.
+input over a lowered --cap. Three inputs of 12 columns or rows are searched
+under --cap 12, with 80 to 288 tied optimal orderings, beyond the default
+cap of 8; a planted 71x6 and its transpose list 2,304 members each. The
+states for likelihood --state are drawn the same way. simulate, weights and
+one malformed file of each format are pinned beside them.
 
 A change that alters an output on purpose re-records the file with
 
@@ -60,6 +62,27 @@ INPUTS = {
     "planted": _planted(2, 30, 5),  # one optimal ordering, 48 members
     "planted-wide": [list(col) for col in zip(*_planted(6, 24, 4))],  # one ordering of its dual
     "two-patterns": two_patterns(100, 4),  # 4,608 optimal orderings
+}
+
+# searches over more columns than the default cap of 8, run under --cap 12
+BEYOND_CAP = {
+    "planted-12x12": _planted(1, 12, 12, 0.05),  # 80 optimal orderings
+    "planted-12x12-tied": _planted(6, 12, 12, 0.05),  # 288 optimal orderings
+    "planted-10x12": [list(col) for col in zip(*_planted(7, 12, 10))],  # 132 orderings of its dual
+}
+
+BEYOND_CAP_COMMANDS = [
+    ["edit"],
+    ["rank", "-o", "chain-min-lex"],
+    ["rank", "-o", "chain-min-dual"],
+    ["rank", "-o", "match-pref:col-major"],
+    ["likelihood", "--mle", "--alpha-plus", "0.1", "--alpha-minus", "0.3"],
+]
+
+# one optimal ordering with 2,304 members, listed tall and wide
+LISTINGS = {
+    "planted-71x6": _planted(30, 71, 6),
+    "planted-6x71": [list(col) for col in zip(*_planted(30, 71, 6))],
 }
 
 COMMANDS = [
@@ -132,6 +155,8 @@ def write_inputs(directory: Path) -> None:
         cells = [[a, b] for a in range(1, len(rows) + 1) for b in range(1, len(rows[0]) + 1)]
         cells.sort(key=lambda _: rng.random())
         (directory / f"{name}-order.json").write_text(json.dumps(cells))
+    for name, rows in {**BEYOND_CAP, **LISTINGS}.items():
+        (directory / f"{name}.csv").write_text("".join(",".join(map(str, r)) + "\n" for r in rows))
     for seed, name in enumerate(("square", "tall"), start=20):
         rows = INPUTS[name]
         (directory / f"{name}-state.json").write_text(json.dumps(_state(seed, len(rows), len(rows[0]))))
@@ -141,8 +166,9 @@ def write_inputs(directory: Path) -> None:
 
 def commands():
     """Every argv of the corpus: each command on each input, in text and JSON,
-    two refusals of the lowered enumeration cap, and each single command in
-    text and JSON."""
+    two refusals of the lowered enumeration cap, each single command in text
+    and JSON, the searches under a raised cap in text and JSON, and the
+    listings."""
     for name in INPUTS:
         for command in COMMANDS:
             argv = [command[0], f"{name}.csv", *(arg.format(name=name) for arg in command[1:])]
@@ -153,6 +179,13 @@ def commands():
     for argv in SINGLE:
         yield argv
         yield [*argv, "--json"]
+    for name in BEYOND_CAP:
+        for command in BEYOND_CAP_COMMANDS:
+            argv = ["--cap", "12", command[0], f"{name}.csv", *command[1:]]
+            yield argv
+            yield [*argv, "--json"]
+    for name in LISTINGS:
+        yield ["edit", f"{name}.csv", "--all", "--json"]
 
 
 def run(argv) -> dict:

@@ -9,7 +9,9 @@ of the row pairs with nested neighbourhoods would take over 100 MB; the
 monotone and match-preference picks read each class of equal rows once. On
 2,000 rows alternating between two disjoint patterns of four columns, the
 search keeps 4,608 tied optimal orderings, so the optimum it holds must keep
-each class's argmins once per ordering, not each row's.
+each class's argmins once per ordering, not each row's. On a planted 16x16,
+searched under a raised cap, the search keeps costs only for the prefixes it
+reaches, not a table of all 2^16 prefixes per class.
 """
 
 import contextlib
@@ -210,4 +212,19 @@ def test_listing_refused_on_tied_orderings(two_patterns_2000x8, capsys):
     assert code == 3
     assert digest == hashlib.sha256().hexdigest()
     assert "exceeds the member cap of 65536" in capsys.readouterr().err
+    assert peak <= 8 * MB, f"peak traced memory {peak / MB:.2f} MB exceeds 8 MB"
+
+
+def test_search_beyond_the_default_cap():
+    # a table of every prefix per class took 34 MB here
+    K = sample_tournament(sample_state(16, 16, 0), NoiseParams.symmetric(0.05), 7)
+    chain_edit._solve.cache_clear()
+    tracemalloc.start()
+    try:
+        distance, _, orderings = chain_edit._solve(K, chain_edit._EDIT, 16, None)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+        chain_edit._solve.cache_clear()
+    assert (distance, len(orderings)) == (9, 128)
     assert peak <= 8 * MB, f"peak traced memory {peak / MB:.2f} MB exceeds 8 MB"
