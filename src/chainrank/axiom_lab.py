@@ -17,18 +17,19 @@ import itertools
 import random
 from dataclasses import replace
 
-from .chain_edit import min_chain_set
+from .chain_edit import min_chain_distance
 from .core import (
+    RankingPair,
     Tournament,
     _Value,
     all_tournaments,
-    chain_rankings,
     dual,
+    hamming,
     permute,
     rank_count,
 )
 from .errors import InputError, ResourceCapError
-from .interleave import is_chain_definable
+from .interleave import is_chain_definable, ranks_to_chain
 from .operators import OperatorSpec, resolve_operator
 
 AXIOMS = ("anon", "dual", "iim", "mon", "pos-resp", "chain-min", "chain-def")
@@ -98,13 +99,17 @@ class AxiomVerdict(_Value):
 
 
 def _memoized(op):
-    """op's evaluate (op itself when it is a bare evaluate) behind a functools.cache.
+    """op's evaluate (op itself when it is a bare evaluate) behind a functools.cache
+    whose equal values are one object, so it grows with the distinct answers.
 
     An evaluate that already is such a cache is returned as it is, so the
     seven checks that scope_verdicts runs on one operator share one cache.
     """
     ev = op.evaluate if isinstance(op, OperatorSpec) else op
-    return ev if hasattr(ev, "cache_info") else functools.cache(ev)
+    if hasattr(ev, "cache_info"):
+        return ev
+    pairs: dict = {}
+    return functools.cache(lambda K: pairs.setdefault(pair := ev(K), pair))
 
 
 def _cells(K: Tournament) -> list[list[int]]:
@@ -213,10 +218,29 @@ def _pos_resp(ev, tournaments, cap=None):
 
 
 def _chain_min(ev, tournaments, cap=None):
-    """One case per tournament: its rankings among those of its closest chain tournaments."""
+    """One case per tournament: its rankings among those of its closest chain tournaments.
+
+    In a chain tournament with s A-ranks and t B-ranks, the i-th weakest
+    A-rank beats the weakest g(i) B-ranks, g strictly increasing into 0..t
+    with 1..t-1 in its image. So one chain tournament has a pair with
+    |s - t| = 1, and two have one with s = t: ranks_to_chain's, and the dual
+    of the swapped pair's. The pair is a member exactly when one of them is
+    at the least distance, which is taken for every tournament, so the
+    search cap applies whatever the pair.
+    """
     for K in tournaments:
-        pair = ev(K)  # first: an exact operator's solve is then min_chain_set's too
-        yield None if pair in {chain_rankings(M) for M in min_chain_set(K, cap).members} else {
+        pair = ev(K)  # first: an exact operator's solve is then min_chain_distance's too
+        distance = min_chain_distance(K, cap)
+        member = (
+            pair.a_order.players == frozenset(range(1, K.rows + 1))
+            and pair.b_order.players == frozenset(range(1, K.cols + 1))
+            and is_chain_definable(pair)
+            and distance in (
+                hamming(K, ranks_to_chain(pair)),
+                hamming(K, dual(ranks_to_chain(RankingPair(pair.b_order, pair.a_order)))),
+            )
+        )
+        yield None if member else {
             "tournament": _cells(K),
             "a_ranks": [sorted(r) for r in pair.a_order.ranks],
             "b_ranks": [sorted(r) for r in pair.b_order.ranks],
@@ -328,8 +352,8 @@ def scope_verdicts(op: OperatorSpec, scope: Scope, cap: int | None = None) -> li
     """The seven scoped verdicts in AXIOMS order, each tournament evaluated once.
 
     The checks share one cache of op.evaluate. The chain-min check runs
-    first: its evaluation of a tournament solves it, and min_chain_set then
-    reuses that solve, which chain_edit keeps for the last tournament only.
+    first: its evaluation of a tournament solves it, and min_chain_distance
+    then reuses that solve, which chain_edit keeps for the last tournament only.
     """
     op = replace(op, evaluate=_memoized(op))
     chain_min = check_chain_min_scope(op, scope, cap)

@@ -36,6 +36,9 @@ if TYPE_CHECKING:
     from .prob_model import NoiseParams
 
 ALL_METRICS = ("exact_match", "tie_aware_rank_correlation", "edit_cost")
+# most cells m x n a simulated tournament may hold; at 262,144x8, five
+# operators take about 330 MB
+SIMULATE_CELL_CAP = 1 << 21
 
 
 def _enum_cap(args) -> int | None:
@@ -243,6 +246,12 @@ class ExperimentConfig(_Value):
     def _check(self) -> None:
         if self.trials < 1:
             raise InputError("trials must be at least 1")
+        # a size below 1x1 is refused as an input error when sampling
+        if min(self.m, self.n) > 0 and self.m * self.n > SIMULATE_CELL_CAP:
+            raise ResourceCapError(
+                f"simulate {self.m}x{self.n} holds {self.m * self.n} cells, "
+                f"over the cap of {SIMULATE_CELL_CAP}"
+            )
         for metric in self.metrics:
             if metric not in ALL_METRICS:
                 raise InputError(f"unknown metric {metric!r}")

@@ -1,9 +1,24 @@
 import hashlib
+import itertools
 import json
+import random
 
 import pytest
 
-from chainrank import RankingPair, TotalPreorder, Tournament, phi_count
+from chainrank import (
+    RankingPair,
+    ResourceCapError,
+    TotalPreorder,
+    Tournament,
+    all_tournaments,
+    chain_rankings,
+    dual,
+    has_chain_property,
+    min_chain_set,
+    phi_count,
+    rank_count,
+    ranks_to_chain,
+)
 from chainrank.axiom_lab import (
     ANON_COUNTEREXAMPLE,
     CHAIN_DEF_IMPOSSIBILITY,
@@ -11,6 +26,7 @@ from chainrank.axiom_lab import (
     POS_RESP_COUNTEREXAMPLE,
     AxiomVerdict,
     Scope,
+    _memoized,
     check_anon,
     check_chain_def,
     check_chain_def_scope,
@@ -32,7 +48,7 @@ from chainrank.operators import (
     resolve_operator,
 )
 
-from helpers import EX2, TABLE1
+from helpers import EX2, TABLE1, random_tournament, two_patterns
 
 
 def with_witness(verdict: AxiomVerdict, witness: dict) -> AxiomVerdict:
@@ -62,7 +78,7 @@ class TestAnon:
     def test_paper_witness_also_violates(self):
         # swapping both sides maps the diagonal to itself, yet the operator
         # must order the two rows strictly
-        from chainrank.axiom_lab import _CASES, _memoized
+        from chainrank.axiom_lab import _CASES
 
         paper = {"tournament": [[1, 0], [0, 1]], "sigma": [2, 1], "pi": [2, 1], "pair": [1, 2]}
         assert paper in _CASES["anon"](_memoized(chain_min_lex_operator()), (ANON_COUNTEREXAMPLE,))
@@ -194,6 +210,92 @@ class TestChainMinAndDef:
         verdict = check_chain_def(count_operator(), CHAIN_DEF_IMPOSSIBILITY)
         assert not verdict.holds
         assert verdict.witness["rank_counts"] == [3, 1]
+
+    def test_two_candidates_are_the_chains_of_a_ranking_pair(self):
+        # every ranking pair of a chain tournament up to 4x4, by full scan
+        pairs = 0
+        for m, n in itertools.product(range(1, 5), repeat=2):
+            chains: dict = {}
+            for K in all_tournaments(m, n):
+                if has_chain_property(K):
+                    chains.setdefault(chain_rankings(K), set()).add(K)
+            for pair, group in chains.items():
+                swapped = RankingPair(pair.b_order, pair.a_order)
+                assert {ranks_to_chain(pair), dual(ranks_to_chain(swapped))} == group
+            pairs += len(chains)
+        # 6,880 distinct pairs from 9,720 chain tournaments
+        assert pairs == 6880
+
+    def test_membership_matches_the_listing(self):
+        # the listing test is the reference: the pair is among the rankings
+        # of the closest chain tournaments
+        sizes = [*itertools.product(range(1, 4), repeat=2), (2, 4), (4, 2), (1, 5), (5, 1)]
+        tournaments = [K for m, n in sizes for K in all_tournaments(m, n)]
+        rng = random.Random(25)
+        tournaments += [
+            random_tournament(rng, m, n)
+            for m, n in itertools.product(range(1, 7), repeat=2)
+            for _ in range(8)
+        ]
+        for name in GOLDEN_VERDICT_DIGESTS:
+            op = resolve_operator(name)
+            for K in tournaments:
+                listed = {chain_rankings(M) for M in min_chain_set(K).members}
+                assert check_chain_min(op, K).holds == (op.evaluate(K) in listed), (name, K)
+
+    def test_pairs_of_other_players_are_not_members(self):
+        # ranks_to_chain refuses these pairs; they are simply not members
+        def shifted(K):
+            return RankingPair(
+                TotalPreorder.from_ranks([{a + 1} for a in range(1, K.rows + 1)]),
+                TotalPreorder.from_ranks([{b} for b in range(1, K.cols + 1)]),
+            )
+
+        def swapped(K):
+            pair = phi_count(K)
+            return RankingPair(pair.b_order, pair.a_order)
+
+        for evaluate in (shifted, swapped):
+            verdict = check_chain_min(OperatorSpec("relabelled", evaluate), EX2)
+            assert not verdict.holds and verdict.checked == 1
+
+    def test_answers_past_the_member_cap(self):
+        # 40 two-pattern rows tie in 4,608 optimal orderings, far too many
+        # combinations to list
+        K = Tournament.from_cells(two_patterns(40, 4))
+        holds = {name: check_chain_min(resolve_operator(name), K).holds for name in GOLDEN_VERDICT_DIGESTS}
+        assert holds == {
+            "count": False,
+            "ci": False,
+            "chain-min-lex": True,
+            "chain-min-mon": True,
+            "chain-min-dual": True,
+            "match-pref:row-major": True,
+            "match-pref:col-major": True,
+        }
+        for name in ("count", "ci"):
+            op = resolve_operator(name)
+            assert recheck(op, check_chain_min(op, K))
+
+    def test_cap_applies_to_pairs_that_are_not_chain_definable(self):
+        # 9 columns are over the default search cap; the count ranking has 4
+        # and 6 ranks, so no chain tournament has it, yet the distance is
+        # still taken and refused
+        rng = random.Random(0)
+        K = Tournament(9, 9, tuple(rng.randrange(512) for _ in range(9)))
+        pair = count_operator().evaluate(K)
+        assert (rank_count(pair.a_order), rank_count(pair.b_order)) == (4, 6)
+        for op in (count_operator(), ci_operator()):
+            with pytest.raises(ResourceCapError):
+                check_chain_min(op, K)
+
+    def test_memo_shares_equal_pairs(self):
+        for name in GOLDEN_VERDICT_DIGESTS:
+            ev = _memoized(resolve_operator(name))
+            first: dict = {}
+            for K in all_tournaments(3, 3):
+                pair = ev(K)
+                assert first.setdefault(pair, pair) is pair, name
 
     def test_flat_operator_chain_def(self):
         flat = OperatorSpec(

@@ -22,6 +22,7 @@ from chainrank import (
     chain_completion,
     chain_deletion,
     chain_edit,
+    cli,
     hamming,
     min_chain_set,
     mle_search,
@@ -625,6 +626,16 @@ class TestRefusals:
     @pytest.mark.parametrize("workers", ["0", "-3"])
     def test_simulate_workers_below_one(self, capsys, workers):
         self.one_line_error(capsys, 2, TestSimulate.ARGS + ["--workers", workers])
+
+    def test_simulate_cells_over_cap(self, capsys, monkeypatch):
+        monkeypatch.setattr(cli, "SIMULATE_CELL_CAP", 12)
+        args = ["simulate", "--beta", "0.1", "--operators", "ci", "--trials", "1", "--seed", "0"]
+        assert main([*args, "--m", "4", "--n", "3"]) == 0
+        capsys.readouterr()
+        err = self.one_line_error(capsys, 3, [*args, "--m", "5", "--n", "3"])
+        assert "5x3 holds 15 cells" in err and "cap of 12" in err
+        # a size below 1x1 stays an input error, whatever its product
+        self.one_line_error(capsys, 2, [*args, "--m", "-5", "--n", "-5"])
 
     @pytest.mark.parametrize("scope", ["9x9", "2x2,4x4", "3x5"])
     def test_axioms_scope_over_cap(self, capsys, scope):

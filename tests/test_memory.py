@@ -11,7 +11,9 @@ monotone and match-preference picks read each class of equal rows once. On
 search keeps 4,608 tied optimal orderings, so the optimum it holds must keep
 each class's argmins once per ordering, not each row's. On a planted 16x16,
 searched under a raised cap, the search keeps costs only for the prefixes it
-reaches, not a table of all 2^16 prefixes per class.
+reaches, not a table of all 2^16 prefixes per class. The axiom lab's
+scoped checks keep one ranking pair per distinct answer and test
+chain-minimality without listing any optimum set.
 """
 
 import contextlib
@@ -32,10 +34,12 @@ from chainrank import (
     has_chain_property,
     min_chain_distance,
     monotone_min_chain,
+    resolve_operator,
     sample_state,
     sample_tournament,
     select_match_pref,
 )
+from chainrank.axiom_lab import Scope, scope_verdicts
 from chainrank.cli import main
 from chainrank.fileio import to_csv
 from chainrank.match_pref import parse_order_name
@@ -228,3 +232,21 @@ def test_search_beyond_the_default_cap():
         chain_edit._solve.cache_clear()
     assert (distance, len(orderings)) == (9, 128)
     assert peak <= 8 * MB, f"peak traced memory {peak / MB:.2f} MB exceeds 8 MB"
+
+
+def test_scope_verdicts_keep_one_pair_per_distinct_answer():
+    # 592 tournaments have 199 distinct ranking pairs, and chain-minimality
+    # lists no optimum set; one object per tournament and the listings took
+    # 1.7 MB here
+    op = resolve_operator("chain-min-lex")
+    scope = Scope(exhaustive=((2, 2), (2, 3), (3, 3)))
+    scope_verdicts(op, scope)  # imports every module the checks use
+    chain_edit._solve.cache_clear()
+    tracemalloc.start()
+    try:
+        verdicts = scope_verdicts(op, scope)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert [v.holds for v in verdicts] == [False, False, False, True, False, True, True]
+    assert peak <= 1.25 * MB, f"peak traced memory {peak / MB:.2f} MB exceeds 1.25 MB"
