@@ -12,7 +12,6 @@ first violation found, so verdicts are deterministic.
 
 from __future__ import annotations
 
-import functools
 import itertools
 import random
 from dataclasses import replace
@@ -98,18 +97,33 @@ class AxiomVerdict(_Value):
         return dict(zip(self._fields, self._values()))
 
 
-def _memoized(op):
-    """op's evaluate (op itself when it is a bare evaluate) behind a functools.cache
-    whose equal values are one object, so it grows with the distinct answers.
+class _Memo:
+    """An evaluate behind a memo keyed on each tournament's columns and row
+    masks, so it keeps no tournament alive. Each result passes through one
+    intern table, so every distinct total preorder, and every distinct pair
+    of them, is one object: the memo grows with the distinct answers."""
 
-    An evaluate that already is such a cache is returned as it is, so the
-    seven checks that scope_verdicts runs on one operator share one cache.
+    def __init__(self, ev):
+        self.ev, self.results, self.interned = ev, {}, {}
+
+    def __call__(self, K: Tournament) -> RankingPair:
+        key = (K.cols, K.row_masks)
+        pair = self.results.get(key)
+        if pair is None:
+            pair, intern = self.ev(K), self.interned.setdefault
+            pair = RankingPair(intern(pair.a_order, pair.a_order), intern(pair.b_order, pair.b_order))
+            pair = self.results[key] = intern(pair, pair)
+        return pair
+
+
+def _memoized(op):
+    """op's evaluate (op itself when it is a bare evaluate) behind a _Memo.
+
+    An evaluate that already is a _Memo is returned as it is, so the seven
+    checks that scope_verdicts runs on one operator share one memo.
     """
     ev = op.evaluate if isinstance(op, OperatorSpec) else op
-    if hasattr(ev, "cache_info"):
-        return ev
-    pairs: dict = {}
-    return functools.cache(lambda K: pairs.setdefault(pair := ev(K), pair))
+    return ev if isinstance(ev, _Memo) else _Memo(ev)
 
 
 def _cells(K: Tournament) -> list[list[int]]:
@@ -285,9 +299,10 @@ def check_dual(op: OperatorSpec, scope: Scope) -> AxiomVerdict:
 def check_iim(op: OperatorSpec, scope: Scope, pairs=()) -> AxiomVerdict:
     """The relative ranking of two rows may depend only on those rows.
 
-    Exhaustive sizes are checked by bucketing all tournaments on the contents
-    of the two chosen rows; within a bucket the verdict for the pair must be
-    constant. Sampled sizes draw a base tournament, a row pair, and a
+    Exhaustive sizes are checked by bucketing the row masks of all
+    tournaments on the contents of the two chosen rows, building each
+    tournament only to evaluate it; within a bucket the verdict for the pair
+    must be constant. Sampled sizes draw a base tournament, a row pair, and a
     perturbation of the other rows. Explicit (K1, K2, a, a2) quadruples are
     checked directly.
     """
@@ -297,11 +312,12 @@ def check_iim(op: OperatorSpec, scope: Scope, pairs=()) -> AxiomVerdict:
         for K1, K2, a, a2 in pairs:
             yield _iim_witness(ev, K1, K2, a, a2)
         for m, n in scope.exhaustive:
-            space = list(all_tournaments(m, n))
+            space = [K.row_masks for K in all_tournaments(m, n)]
             for a, a2 in itertools.combinations(range(1, m + 1), 2):
                 first: dict[tuple[int, int], Tournament] = {}
-                for K in space:
-                    K1 = first.setdefault((K.row_masks[a - 1], K.row_masks[a2 - 1]), K)
+                for masks in space:
+                    K = Tournament._unchecked(m, n, masks)
+                    K1 = first.setdefault((masks[a - 1], masks[a2 - 1]), K)
                     yield _iim_witness(ev, K1, K, a, a2)
         rng = random.Random(scope.seed)
         for m, n in scope.random_sizes:
@@ -351,7 +367,7 @@ def check_chain_def_scope(op: OperatorSpec, scope: Scope) -> AxiomVerdict:
 def scope_verdicts(op: OperatorSpec, scope: Scope, cap: int | None = None) -> list[AxiomVerdict]:
     """The seven scoped verdicts in AXIOMS order, each tournament evaluated once.
 
-    The checks share one cache of op.evaluate. The chain-min check runs
+    The checks share one memo of op.evaluate. The chain-min check runs
     first: its evaluation of a tournament solves it, and min_chain_distance
     then reuses that solve, which chain_edit keeps for the last tournament only.
     """

@@ -59,6 +59,9 @@ from .errors import AmbiguityError, InputError, ResourceCapError
 DEFAULT_ENUM_CAP = 8
 # most (ordering, argmin) combinations _expand expands before it refuses
 MEMBER_CAP = 1 << 16
+# most states _search stores before it refuses: far from a chain a raised
+# --cap otherwise stores states until memory runs out
+STATE_CAP = 1 << 18
 
 # cost[observed][result] of one cell
 _EDIT = ((0, 1), (1, 0))
@@ -114,7 +117,8 @@ def _search(c0, c1, cap: int | None):
     column-left states at the optimum. Costs and bounds are kept for reached
     prefixes only, each its parent's plus the added column's change. A
     forbidden value costs more than the spread of the allowed totals, which
-    may be negative, so a total above top forbids something.
+    may be negative, so a total above top forbids something. A search that
+    would store more than STATE_CAP states raises ResourceCapError.
     """
     n = len(c0[0])
     cap = DEFAULT_ENUM_CAP if cap is None else cap
@@ -153,6 +157,11 @@ def _search(c0, c1, cap: int | None):
         state = (prefix, tuple(key))
         entry = seen.get(state)
         if entry is None or settled < entry[0]:
+            if entry is None and len(seen) == STATE_CAP:
+                raise ResourceCapError(
+                    f"exact search over {n} columns needs to store more than {len(seen)} states, "
+                    f"which exceeds the state cap of {STATE_CAP}; use an interleaving operator"
+                )
             seen[state] = [settled, [parent]]
             if prefix.bit_count() < n - 1:
                 heapq.heappush(heap, (total, next(tick), state, settled))

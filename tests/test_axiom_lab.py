@@ -1,7 +1,9 @@
+import gc
 import hashlib
 import itertools
 import json
 import random
+import weakref
 
 import pytest
 
@@ -296,6 +298,31 @@ class TestChainMinAndDef:
             for K in all_tournaments(3, 3):
                 pair = ev(K)
                 assert first.setdefault(pair, pair) is pair, name
+
+    def test_memo_shares_equal_orders(self):
+        # the 3x3 pairs hold the 13 total preorders of three players; each is
+        # one object, in whichever pair and on whichever side it sits
+        for name in GOLDEN_VERDICT_DIGESTS:
+            ev = _memoized(resolve_operator(name))
+            first: dict = {}
+            for K in all_tournaments(3, 3):
+                pair = ev(K)
+                for order in (pair.a_order, pair.b_order):
+                    assert first.setdefault(order, order) is order, name
+            assert len(first) == 13, name
+
+    def test_memo_keeps_no_tournament_alive(self):
+        # the memo is keyed on row masks; only the operator's own memory of
+        # its last solve may keep the last tournament
+        for name in GOLDEN_VERDICT_DIGESTS:
+            ev = _memoized(resolve_operator(name))
+            alive = []
+            for K in all_tournaments(3, 3):
+                ev(K)
+                alive.append(weakref.ref(K))
+            del K
+            gc.collect()
+            assert sum(ref() is not None for ref in alive) <= 1, name
 
     def test_flat_operator_chain_def(self):
         flat = OperatorSpec(

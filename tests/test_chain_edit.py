@@ -472,6 +472,17 @@ class TestMemberCap:
             all_chain_tournaments(12, 2)
 
 
+class TestStateCap:
+    def test_boundary(self, monkeypatch):
+        # a random 9x9 whose search stores 1,843 states
+        costs = chain_edit._cell_costs(random_tournament(random.Random(0), 9, 9), chain_edit._EDIT, None)
+        monkeypatch.setattr(chain_edit, "STATE_CAP", 1842)
+        with pytest.raises(ResourceCapError, match="9 columns .* more than 1842 states, .* cap of 1842"):
+            _search(*costs, 9)
+        monkeypatch.setattr(chain_edit, "STATE_CAP", 1843)
+        assert _search(*costs, 9)[0] == 13
+
+
 COSTS = st.sampled_from([0, 1, 2, 3, 1 << 40, 1 << 64, 1 << 100, -1, -5, -(1 << 41)])
 
 

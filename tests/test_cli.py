@@ -637,6 +637,17 @@ class TestRefusals:
         # a size below 1x1 stays an input error, whatever its product
         self.one_line_error(capsys, 2, [*args, "--m", "-5", "--n", "-5"])
 
+    def test_search_states_over_cap(self, tmp_path, capsys, monkeypatch):
+        # a random 9x9 whose search stores 1,843 states
+        path = tmp_path / "random-9x9.csv"
+        path.write_text(to_csv(random_tournament(random.Random(0), 9, 9)))
+        chain_edit._solve.cache_clear()
+        monkeypatch.setattr(chain_edit, "STATE_CAP", 1842)
+        err = self.one_line_error(capsys, 3, ["--cap", "9", "edit", str(path)])
+        assert "9 columns" in err and "state cap of 1842" in err
+        monkeypatch.setattr(chain_edit, "STATE_CAP", 1843)
+        assert main(["--cap", "9", "edit", str(path)]) == 0
+
     @pytest.mark.parametrize("scope", ["9x9", "2x2,4x4", "3x5"])
     def test_axioms_scope_over_cap(self, capsys, scope):
         err = self.one_line_error(capsys, 3, ["axioms", "-o", "count", "--scope", scope])

@@ -15,7 +15,8 @@ input over a lowered --cap. Three inputs of 12 columns or rows are searched
 under --cap 12, with 80 to 288 tied optimal orderings, beyond the default
 cap of 8; a planted 71x6 and its transpose list 2,304 members each. The
 states for likelihood --state are drawn the same way. simulate, weights and
-one malformed file of each format are pinned beside them.
+one malformed file of each format are pinned beside them, and so are the
+axiom lab's scoped verdicts and its counterexample suite.
 
 A change that alters an output on purpose re-records the file with
 
@@ -125,6 +126,12 @@ SINGLE = [
     ["rank", "square.csv", "-o", "match-pref:bad-order.json"],
 ]
 
+# the axiom lab: every scoped verdict of six operators over the small sizes,
+# sweep's scope, and the counterexample suite. --scope prints the same JSON
+# with or without --json, so each scope runs once.
+AXIOM_OPERATORS = ["count", "ci", "chain-min-lex", "chain-min-mon", "chain-min-dual", "match-pref:row-major"]
+AXIOM_SCOPES = ["1x1,1x2,2x1,1x3,3x1,2x2,2x3,3x2,3x3", "1x4,4x1,2x4,4x2"]
+
 MALFORMED = {
     "bad.csv": "1,0\nx,1\n",
     "bad.json": '{"rows": 2, "matrix": [[1, 0], [0, 1], [1, 1]]}',
@@ -167,8 +174,8 @@ def write_inputs(directory: Path) -> None:
 def commands():
     """Every argv of the corpus: each command on each input, in text and JSON,
     two refusals of the lowered enumeration cap, each single command in text
-    and JSON, the searches under a raised cap in text and JSON, and the
-    listings."""
+    and JSON, the searches under a raised cap in text and JSON, the
+    listings, and the axiom lab."""
     for name in INPUTS:
         for command in COMMANDS:
             argv = [command[0], f"{name}.csv", *(arg.format(name=name) for arg in command[1:])]
@@ -186,6 +193,12 @@ def commands():
             yield [*argv, "--json"]
     for name in LISTINGS:
         yield ["edit", f"{name}.csv", "--all", "--json"]
+    for operator in AXIOM_OPERATORS:
+        for scope in AXIOM_SCOPES:
+            yield ["axioms", "-o", operator, "--scope", scope]
+    yield ["axioms", "-o", "chain-min-lex", "--scope", "2x2,2x3,3x3"]
+    yield ["axioms", "--paper-suite"]
+    yield ["axioms", "--paper-suite", "--json"]
 
 
 def run(argv) -> dict:

@@ -12,8 +12,9 @@ search keeps 4,608 tied optimal orderings, so the optimum it holds must keep
 each class's argmins once per ordering, not each row's. On a planted 16x16,
 searched under a raised cap, the search keeps costs only for the prefixes it
 reaches, not a table of all 2^16 prefixes per class. The axiom lab's
-scoped checks keep one ranking pair per distinct answer and test
-chain-minimality without listing any optimum set.
+scoped checks keep one ranking pair and one order per distinct answer, keyed
+on row masks rather than tournaments, and test chain-minimality without
+listing any optimum set.
 """
 
 import contextlib
@@ -235,9 +236,9 @@ def test_search_beyond_the_default_cap():
 
 
 def test_scope_verdicts_keep_one_pair_per_distinct_answer():
-    # 592 tournaments have 199 distinct ranking pairs, and chain-minimality
-    # lists no optimum set; one object per tournament and the listings took
-    # 1.7 MB here
+    # 592 tournaments have 199 distinct ranking pairs of 13 distinct orders,
+    # and chain-minimality lists no optimum set; a memo keyed on the
+    # tournaments, with one order object per pair, took 0.64 MB here
     op = resolve_operator("chain-min-lex")
     scope = Scope(exhaustive=((2, 2), (2, 3), (3, 3)))
     scope_verdicts(op, scope)  # imports every module the checks use
@@ -249,4 +250,4 @@ def test_scope_verdicts_keep_one_pair_per_distinct_answer():
     finally:
         tracemalloc.stop()
     assert [v.holds for v in verdicts] == [False, False, False, True, False, True, True]
-    assert peak <= 1.25 * MB, f"peak traced memory {peak / MB:.2f} MB exceeds 1.25 MB"
+    assert peak <= 0.4 * MB, f"peak traced memory {peak / MB:.2f} MB exceeds 0.4 MB"
