@@ -240,7 +240,8 @@ def _chain_min(ev, tournaments, cap=None):
     |s - t| = 1, and two have one with s = t: ranks_to_chain's, and the dual
     of the swapped pair's. The pair is a member exactly when one of them is
     at the least distance, which is taken for every tournament, so the
-    search cap applies whatever the pair.
+    search cap applies whatever the pair. The second is built only when
+    s = t and the first is not at that distance.
     """
     for K in tournaments:
         pair = ev(K)  # first: an exact operator's solve is then min_chain_distance's too
@@ -249,9 +250,10 @@ def _chain_min(ev, tournaments, cap=None):
             pair.a_order.players == frozenset(range(1, K.rows + 1))
             and pair.b_order.players == frozenset(range(1, K.cols + 1))
             and is_chain_definable(pair)
-            and distance in (
-                hamming(K, ranks_to_chain(pair)),
-                hamming(K, dual(ranks_to_chain(RankingPair(pair.b_order, pair.a_order)))),
+            and (
+                hamming(K, ranks_to_chain(pair)) == distance
+                or rank_count(pair.a_order) == rank_count(pair.b_order)
+                and hamming(K, dual(ranks_to_chain(RankingPair(pair.b_order, pair.a_order)))) == distance
             )
         )
         yield None if member else {

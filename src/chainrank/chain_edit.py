@@ -11,11 +11,12 @@ state up to the optimum, so it drops no tied optimum (see _search). Every
 optimum arises from some (optimal ordering, per-row argmin prefix)
 combination, and rows with equal costs have equal argmins, so the search
 returns the optimum set factored per row class: each row's class (its
-distinct cost row; for unit costs, its distinct mask) and, per optimal
-ordering, each class's tied argmin prefixes. A listing of the complete
-optimum set, in canonical order, is read off it as blocks (see _expand), each
+distinct cost row; for unit costs, its distinct mask) and each distinct
+argmin tuple, each class's tied argmin prefixes along an optimal ordering,
+with its number of optimal orderings. A listing of the complete optimum
+set, in canonical order, is read off it as blocks (see _expand), each
 standing for every member that takes, in each row, one of the block's masks
-for that row: one block for one optimal ordering of a tall or square input,
+for that row: one block for one argmin tuple of a tall or square input,
 whose members are never collected, else one block per distinct member.
 min_chain_set and its siblings build their members from the blocks, the
 command line writes a listing from them without building any, and MEMBER_CAP
@@ -95,12 +96,13 @@ def _search(c0, c1, cap: int | None):
 
     c0[a][b] and c1[a][b] are the costs of result cell (a, b) being 0 and 1,
     None where that value is not allowed; rows are tuples. Returns (cost,
-    row_class, orderings). Rows with the same pair of cost rows form a class,
+    row_class, tuples). Rows with the same pair of cost rows form a class,
     numbered in order of first appearance, and row_class holds each row's
-    class. orderings holds, for each optimal column ordering, a tuple with
-    each class's tuple of argmin prefix masks, smallest first: equal rows
-    have equal argmins, so each is kept once per class, not once per row.
-    The cost is inf, and orderings empty, when nothing is allowed.
+    class. tuples maps each distinct argmin tuple, each class's tuple of
+    argmin prefix masks along an optimal column ordering, smallest first, to
+    its number of optimal orderings: equal rows have equal argmins, so each
+    is kept once per class, not once per row. The cost is inf, and tuples
+    empty, when nothing is allowed.
 
     The orderings are searched best first over states: a prefix Q and each
     unsettled class's least cost over the prefixes on a path to Q, the empty
@@ -114,7 +116,9 @@ def _search(c0, c1, cap: int | None):
     falls along a path and, with one column left, is the ordering's cost,
     as every class is settled. Every state up to the optimum is expanded, so
     the tied optimal orderings are the predecessor paths into the one-
-    column-left states at the optimum. Costs and bounds are kept for reached
+    column-left states at the optimum, walked back one prefix size at a time:
+    paths that agree at a state on each class's least cost and argmins from
+    there on merge into one count. Costs and bounds are kept for reached
     prefixes only, each its parent's plus the added column's change. A
     forbidden value costs more than the spread of the allowed totals, which
     may be negative, so a total above top forbids something. A search that
@@ -148,7 +152,8 @@ def _search(c0, c1, cap: int | None):
         key, total = [], settled
         for run, cost, bound in zip(runs, costs[prefix], bounds[prefix]):
             if run is not None:
-                run = min(run, cost)
+                if cost < run:
+                    run = cost
                 if run <= bound:
                     settled, total, run = settled + run, total + run, None
                 else:
@@ -185,24 +190,31 @@ def _search(c0, c1, cap: int | None):
                     costs[child] = tuple(map(operator.add, costs[prefix], rise[b]))
                     bounds[child] = tuple(map(operator.add, bounds[prefix], grow[b]))
                 reach(state, child, runs, settled)
-    orderings = []
-    stack = [(state, (done,)) for state, e in seen.items() if e[0] == best and state[0].bit_count() == n - 1]
-    while stack:
-        state, tail = stack.pop()
-        tail = (state[0], *tail)
-        stack.extend((parent, tail) for parent in seen[state][1] if parent)
-        if state[0] == 0:  # each class's argmins among its costs along the ordering
-            along = zip(*map(costs.__getitem__, tail))
-            orderings.append(tuple(tuple(itertools.compress(tail, map(min(cs).__eq__, cs))) for cs in along))
-    return best if orderings else math.inf, row_class, tuple(orderings)
+    # each state's tails: each class's (least cost, argmins) on the prefixes
+    # from the state's to the full one, and how many paths share them
+    last = collections.Counter([tuple((c, (done,)) for c in full)])
+    level = {s: last for s, e in seen.items() if e[0] == best and s[0].bit_count() == n - 1}
+    for _ in range(n):  # back one prefix size at a time, to the empty prefix's parent None
+        below = collections.defaultdict(collections.Counter)
+        for (prefix, runs), tails in level.items():
+            for tail, count in tails.items():
+                tail = tuple(
+                    (c, (prefix,)) if c < least else (least, (prefix, *argmins) if c == least else argmins)
+                    for c, (least, argmins) in zip(costs[prefix], tail)
+                )
+                for parent in seen[prefix, runs][1]:
+                    below[parent][tail] += count
+        level = below
+    tuples = {tuple(argmins for _, argmins in tail): count for tail, count in level.get(None, {}).items()}
+    return best if tuples else math.inf, row_class, tuples
 
 
 @functools.lru_cache(maxsize=1)
 def _solve(K: Tournament, cost, cap: int | None, weights):
-    """_search's (cost, row_class, orderings) on the cells of a tall or square
+    """_search's (cost, row_class, tuples) on the cells of a tall or square
     K under cost[observed][result] and weights (None, or a tuple of row
     tuples): the optimum set factored per row class, whose size grows with
-    the rows plus the classes times the optimal orderings.
+    the rows plus the classes times the distinct argmin tuples.
 
     Callers pass all four arguments by position, as lru_cache keys a keyword
     argument apart and would solve one input twice. The result is shared by
@@ -217,44 +229,45 @@ def _row_keys(masks: set[int], n: int) -> dict[int, int]:
     return {mask: int(f"{mask:0{n}b}"[::-1], 2) for mask in masks}
 
 
-def _expand(row_class, orderings, m: int, n: int, wide: bool):
+def _expand(row_class, tuples, m: int, n: int, wide: bool):
     """A generator of the blocks listing the distinct m-by-n tournaments that
-    the factored optimum (row_class, orderings) of a search on an m-by-n
+    the factored optimum (row_class, tuples) of a search on an m-by-n
     matrix combines to (their duals when wide), in canonical order.
 
     A block holds, per row, a tuple of row masks, and stands for the members
     that take one of them in every row, in itertools.product order (see
     _rows); blocks never share a member. Raises ResourceCapError, on the
     first read and before expanding anything, when the orderings combine to
-    more than MEMBER_CAP tuples: the sum over orderings of the product over
-    classes of |argmins| to the power of the class's size, an upper bound
-    on the members, as different orderings may give the same tournament.
+    more than MEMBER_CAP tuples: the sum over argmin tuples of their number
+    of orderings times the product over classes of |argmins| to the power
+    of the class's size, an upper bound on the members, as different
+    orderings may give the same tournament.
 
-    With one optimal ordering of a tall or square input, each row's argmins
-    are distinct prefixes of that ordering, so distinct choices give
-    distinct members, and one block of each row's argmins, each class's
-    sorted once by _row_keys, lists the members in canonical order: nothing
-    is collected or sorted. Otherwise two orderings may give the same
-    member, or dual may reorder them, so the distinct members are collected
-    from each ordering's product over its classes' argmins, mapped through
-    dual when wide, sorted once and given as one block each, every row with
-    a single choice.
+    With one distinct argmin tuple of a tall or square input, each row's
+    argmins are distinct prefixes of one optimal ordering, so distinct
+    choices give distinct members, and one block of each row's argmins, each
+    class's sorted once by _row_keys, lists the members in canonical order:
+    nothing is collected or sorted. Otherwise two argmin tuples may give the
+    same member, or dual may reorder them, so the distinct members are
+    collected from each tuple's product over its classes' argmins, mapped
+    through dual when wide, sorted once and given as one block each, every
+    row with a single choice.
     """
     sizes = collections.Counter(row_class)
-    count = sum(math.prod(len(a) ** sizes[i] for i, a in enumerate(argmins)) for argmins in orderings)
+    count = sum(k * math.prod(len(a) ** sizes[i] for i, a in enumerate(t)) for t, k in tuples.items())
     if count > MEMBER_CAP:
         raise ResourceCapError(
             f"the optimum set has up to {count} members which exceeds the member "
             f"cap of {MEMBER_CAP}"
         )
-    if len(orderings) == 1 and not wide:
-        (argmins,) = orderings
+    if len(tuples) == 1 and not wide:
+        (argmins,) = tuples
         key = _row_keys(set().union(*argmins), n).__getitem__
         choices = [tuple(sorted(a, key=key)) for a in argmins]
         yield tuple(map(choices.__getitem__, row_class))
         return
     seen: set[tuple[int, ...]] = set()
-    for argmins in orderings:
+    for argmins in tuples:
         seen.update(itertools.product(*map(argmins.__getitem__, row_class)))
     if wide:
         seen, n = {dual(Tournament._unchecked(m, n, masks)).row_masks for masks in seen}, m
@@ -286,8 +299,8 @@ def _optimum(K: Tournament, cost, cap: int | None, weights=None):
         K, cost = dual(K), ((o1, o0), (z1, z0))
         if weights is not None:
             weights = tuple(zip(*weights))
-    distance, row_class, orderings = _solve(K, cost, cap, weights)
-    return distance, _expand(row_class, orderings, K.rows, K.cols, wide)
+    distance, row_class, tuples = _solve(K, cost, cap, weights)
+    return distance, _expand(row_class, tuples, K.rows, K.cols, wide)
 
 
 def least_member(K: Tournament, order, flip: Tournament | None, cap: int | None = None) -> Tournament:
@@ -301,19 +314,19 @@ def least_member(K: Tournament, order, flip: Tournament | None, cap: int | None 
 
     Nothing is expanded, so MEMBER_CAP does not apply. A wide K is answered
     on its dual: cell (b, a) of dual(M) XOR dual(flip) is cell (a, b) of M
-    XOR flip. For a fixed optimal ordering the rows pick their argmin
-    prefixes independently, and every cell belongs to one row, so the least
-    vector of that ordering takes, in every row, the argmin whose own cells
-    are least (see _least_prefix). Rows with the same search class (equal
-    argmins), the same flip row and the same order of their own cells pick
-    alike, so each ordering is read once per class of such rows, and the
-    orderings' picks are compared cell by cell only when they differ.
+    XOR flip. For a fixed argmin tuple the rows pick their argmin prefixes
+    independently, and every cell belongs to one row, so the least vector
+    of that tuple takes, in every row, the argmin whose own cells are least
+    (see _least_prefix). Rows with the same search class (equal argmins),
+    the same flip row and the same order of their own cells pick alike, so
+    each distinct argmin tuple is read once per class of such rows, and the
+    tuples' picks are compared cell by cell only when they differ.
     """
     rows, cols = K.rows, K.cols
     wide = cols > rows
     if wide:
         K = dual(K)
-    _, search_class, orderings = _solve(K, _EDIT, cap, None)
+    _, search_class, tuples = _solve(K, _EDIT, cap, None)
     m, n = K.rows, K.cols
     full = (1 << n) - 1
     if flip is None:
@@ -333,10 +346,10 @@ def least_member(K: Tournament, order, flip: Tournament | None, cap: int | None 
     smallest, largest = operator.itemgetter(0), operator.itemgetter(-1)
 
     def picked(c, f, ranks):
-        # the class's pick in every optimal ordering: a smaller argmin is
-        # inside a larger one, so with f empty the smallest is least, and
+        # the class's pick in every distinct argmin tuple: a smaller argmin
+        # is inside a larger one, so with f empty the smallest is least, and
         # with f full the largest
-        argmins = map(operator.itemgetter(c), orderings)
+        argmins = map(operator.itemgetter(c), tuples)
         if f == 0 or f == full:
             return map(largest if f else smallest, argmins)
         return (_least_prefix(a, f, ranks) for a in argmins)

@@ -12,6 +12,7 @@ matching the usual matrix convention; masks are the internal representation.
 
 from __future__ import annotations
 
+import itertools
 from typing import Iterable, Sequence
 
 from .errors import InputError, NotChainError
@@ -263,17 +264,12 @@ def canonical_key(K: Tournament) -> tuple:
 
 
 def all_tournaments(m: int, n: int):
-    """Yield every m-by-n tournament in canonical (row-major cell) order."""
-    total = m * n
-    for bits in range(1 << total):
-        masks = []
-        for a0 in range(m):
-            mask = 0
-            for b0 in range(n):
-                if (bits >> (total - 1 - (a0 * n + b0))) & 1:
-                    mask |= 1 << b0
-            masks.append(mask)
-        yield Tournament(m, n, tuple(masks))
+    """Yield every m-by-n tournament in canonical (row-major cell) order: each
+    row's masks ordered by their cells, column 1 first, in product order."""
+    Tournament(m, n, (0,) * m)  # refuses a size without players; the rest are built unchecked
+    masks = sorted(range(1 << n), key=lambda mask: f"{mask:0{n}b}"[::-1])
+    for row_masks in itertools.product(masks, repeat=m):
+        yield Tournament._unchecked(m, n, row_masks)
 
 
 class TotalPreorder(_Value):

@@ -12,6 +12,7 @@ first), one global reproducible convention.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Callable
 
@@ -58,26 +59,10 @@ def _well_formed(name: str, fn: Callable[[Tournament], RankingPair]):
     return evaluate
 
 
-def _remembered(fn: Callable[[Tournament], object]):
-    """fn, keeping its last (tournament, result) pair as one tuple, so a thread
-    never reads half of an update, and a miss only computes again."""
-    last = (None, None)
-
-    def once(K: Tournament):
-        nonlocal last
-        seen, value = last
-        if seen != K:
-            value = fn(K)
-            last = (K, value)
-        return value
-
-    return once
-
-
 def _exact_operator(name: str, choice: Callable[[Tournament], Tournament]) -> OperatorSpec:
     """An operator that ranks by its chosen chain tournament; evaluate, choice
     and edit_chain share one solve."""
-    once = _remembered(choice)
+    once = functools.lru_cache(maxsize=1)(choice)
     return OperatorSpec(
         name,
         _well_formed(name, lambda K: chain_rankings(once(K))),
@@ -149,7 +134,7 @@ def ci_operator() -> OperatorSpec:
     """ci's rankings, and its greedy chain for edit costs, from one interleaving run."""
     from .interleave import _greedy_chain, ci_selection, interleave
 
-    run = _remembered(lambda K: interleave(K, ci_selection()))
+    run = functools.lru_cache(maxsize=1)(lambda K: interleave(K, ci_selection()))
     return OperatorSpec(
         "ci",
         _well_formed("ci", lambda K: run(K)[0]),

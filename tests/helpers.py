@@ -155,18 +155,14 @@ def transpose(K):
     return Tournament.from_cells(list(zip(*K.cells)))
 
 
-def permutation_search(c0, c1):
-    """Reference for chain_edit._search: score every column ordering of every row.
+def ordering_argmins(c0, c1):
+    """Score every column ordering of every row of the cost matrices (c0, c1).
 
-    Returns (cost, count, members): the least total cost (inf when nothing is
-    allowed), the number of (optimal ordering, per-row argmin) combinations,
-    and, when that is at most MEMBER_CAP, the set of optimal tournaments as
-    row-mask tuples of the input orientation (else None).
+    Returns (cost, optimal): the least total cost (inf when nothing is
+    allowed, every ordering then counting as optimal) and, for each optimal
+    ordering, each row's tuple of argmin prefix masks along it, smallest
+    first.
     """
-    m, n = len(c0), len(c0[0])
-    if n > m:
-        # the transpose of a chain tournament is one: scan orderings of the rows
-        c0, c1 = list(zip(*c0)), list(zip(*c1))
     rows, cols = len(c0), len(c0[0])
 
     @functools.lru_cache(maxsize=None)
@@ -190,11 +186,28 @@ def permutation_search(c0, c1):
             costs = [prefix_cost(a, p) for p in prefixes]
             low = min(costs)
             total += low
-            per_row.append([p for p, c in zip(prefixes, costs) if c == low])
+            per_row.append(tuple(p for p, c in zip(prefixes, costs) if c == low))
         if total < best:
             best, optimal = total, [per_row]
         elif total == best:
             optimal.append(per_row)
+    return best, optimal
+
+
+def permutation_search(c0, c1):
+    """Reference for chain_edit._search: score every column ordering of every row.
+
+    Returns (cost, count, members): the least total cost (inf when nothing is
+    allowed), the number of (optimal ordering, per-row argmin) combinations,
+    and, when that is at most MEMBER_CAP, the set of optimal tournaments as
+    row-mask tuples of the input orientation (else None).
+    """
+    m, n = len(c0), len(c0[0])
+    if n > m:
+        # the transpose of a chain tournament is one: scan orderings of the rows
+        c0, c1 = list(zip(*c0)), list(zip(*c1))
+    rows, cols = len(c0), len(c0[0])
+    best, optimal = ordering_argmins(c0, c1)
     if best == math.inf:
         return best, 0, set()
     count = sum(math.prod(len(options) for options in per_row) for per_row in optimal)

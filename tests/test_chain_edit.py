@@ -1,5 +1,7 @@
+import collections
 import heapq
 import itertools
+import math
 import random
 
 import pytest
@@ -44,6 +46,7 @@ from helpers import (
     canonical_min_oracle,
     match_pref_oracle,
     monotone_oracle,
+    ordering_argmins,
     permutation_search,
     planted_chain,
     random_tournament,
@@ -515,9 +518,14 @@ class TestSearchOracle:
         wide = n > m
         if wide:  # searched as the dual: transposed, each cell's two costs swapped
             c0, c1, m, n = list(zip(*c1)), list(zip(*c0)), n, m
-        got, row_class, orderings = _search(c0, c1, None)
+        got, row_class, tuples = _search(c0, c1, None)
         assert got == cost
-        expanded = _expand(row_class, orderings, m, n, wide)
+        # each class's argmins along each optimal ordering, counted: a class
+        # settled early may still tie at a later prefix
+        first = [row_class.index(i) for i in range(max(row_class) + 1)]
+        scanned = ordering_argmins(c0, c1)[1] if got < math.inf else []
+        assert tuples == collections.Counter(tuple(map(per_row.__getitem__, first)) for per_row in scanned)
+        expanded = _expand(row_class, tuples, m, n, wide)
         if members is None:
             with pytest.raises(ResourceCapError, match=str(count)):
                 next(expanded)
@@ -526,14 +534,15 @@ class TestSearchOracle:
 
 
 def test_search_expands_few_states(monkeypatch):
-    # planted 14x14 under the noise model, 384 tied optimal orderings: a
-    # depth-first walk over the prefixes visited 98,941 nodes here
+    # planted 14x14 under the noise model, 384 tied optimal orderings with 6
+    # distinct argmin tuples: a depth-first walk over the prefixes visited
+    # 98,941 nodes here
     K = sample_tournament(sample_state(14, 14, 1), NoiseParams.symmetric(0.05), 8)
     pops = []
     heappop = heapq.heappop
     monkeypatch.setattr(heapq, "heappop", lambda heap: pops.append(None) or heappop(heap))
-    distance, _, orderings = _search(*chain_edit._cell_costs(K, chain_edit._EDIT, None), 14)
-    assert (distance, len(orderings)) == (8, 384)
+    distance, _, tuples = _search(*chain_edit._cell_costs(K, chain_edit._EDIT, None), 14)
+    assert (distance, len(tuples), sum(tuples.values())) == (8, 6, 384)
     assert 0 < len(pops) <= 2500  # the search pops every state it expands
 
 
@@ -706,12 +715,12 @@ class TestSolveMemo:
             assert chain_edit._solve.cache_info().hits == 1
 
 
-def test_solve_keeps_each_class_once_per_ordering():
+def test_solve_keeps_each_class_once_per_distinct_argmin_tuple():
     # 2,000 rows of two masks: one entry per class, not per row, in each of
-    # the 4,608 tied optimal orderings
+    # the 30 distinct argmin tuples of the 4,608 tied optimal orderings
     K = Tournament.from_cells(two_patterns(2000, 4))
-    distance, row_class, orderings = chain_edit._solve(K, chain_edit._EDIT, None, None)
+    distance, row_class, tuples = chain_edit._solve(K, chain_edit._EDIT, None, None)
     assert distance == 4000
     assert row_class == (0, 1) * 1000
-    assert len(orderings) == 4608
-    assert all(len(argmins) == 2 for argmins in orderings)
+    assert (len(tuples), sum(tuples.values())) == (30, 4608)
+    assert all(len(argmins) == 2 for argmins in tuples)

@@ -24,7 +24,7 @@ from chainrank import (
     xor,
 )
 from chainrank.chain_edit import all_chain_tournaments
-from chainrank.core import chain_violation
+from chainrank.core import canonical_key, chain_violation
 
 from helpers import (
     EX1,
@@ -57,6 +57,13 @@ class TestTournament:
         assert hash(K) == hash(Tournament(2, 2, (1, 2)))
         assert {K, Tournament(2, 2, (1, 2))} == {K}
         assert min_chain_set(K).distance == 1
+
+    def test_all_tournaments_in_canonical_order(self):
+        for m, n in itertools.product(range(1, 13), repeat=2):
+            if m * n <= 12:
+                keys = [canonical_key(K) for K in all_tournaments(m, n)]
+                assert len(keys) == 1 << (m * n)
+                assert all(k1 < k2 for k1, k2 in zip(keys, keys[1:]))
 
 
 class TestNeighborhoods:

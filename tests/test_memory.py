@@ -8,16 +8,18 @@ from the noise model, the optimum set is far beyond MEMBER_CAP, and a list
 of the row pairs with nested neighbourhoods would take over 100 MB; the
 monotone and match-preference picks read each class of equal rows once. On
 2,000 rows alternating between two disjoint patterns of four columns, the
-search keeps 4,608 tied optimal orderings, so the optimum it holds must keep
-each class's argmins once per ordering, not each row's. On a planted 16x16,
-searched under a raised cap, the search keeps costs only for the prefixes it
-reaches, not a table of all 2^16 prefixes per class. The axiom lab's
+search finds 4,608 tied optimal orderings with 30 distinct argmin tuples, so
+the optimum it holds must keep each class's argmins once per distinct tuple,
+not once per row or per ordering. On a planted 16x16, searched under a
+raised cap, the search keeps costs only for the prefixes it reaches, not a
+table of all 2^16 prefixes per class. The axiom lab's
 scoped checks keep one ranking pair and one order per distinct answer, keyed
 on row masks rather than tournaments, and test chain-minimality without
 listing any optimum set.
 """
 
 import contextlib
+import gc
 import hashlib
 import itertools
 import json
@@ -220,18 +222,35 @@ def test_listing_refused_on_tied_orderings(two_patterns_2000x8, capsys):
     assert peak <= 8 * MB, f"peak traced memory {peak / MB:.2f} MB exceeds 8 MB"
 
 
+def test_solve_holds_one_entry_per_distinct_argmin_tuple(two_patterns_2000x8):
+    # 4,608 tied optimal orderings give 30 distinct argmin tuples; one entry
+    # per ordering held 0.73 MiB here
+    _, K = two_patterns_2000x8
+    chain_edit._solve.cache_clear()
+    tracemalloc.start()
+    try:
+        result = chain_edit._solve(K, chain_edit._EDIT, None, None)
+        gc.collect()  # a full collection also empties the interpreter's free lists
+        held = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+        chain_edit._solve.cache_clear()
+    assert result[0] == 4000
+    assert held <= 0.25 * MB, f"the solve holds {held / MB:.2f} MB, over 0.25 MB"
+
+
 def test_search_beyond_the_default_cap():
     # a table of every prefix per class took 34 MB here
     K = sample_tournament(sample_state(16, 16, 0), NoiseParams.symmetric(0.05), 7)
     chain_edit._solve.cache_clear()
     tracemalloc.start()
     try:
-        distance, _, orderings = chain_edit._solve(K, chain_edit._EDIT, 16, None)
+        distance, _, tuples = chain_edit._solve(K, chain_edit._EDIT, 16, None)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
         chain_edit._solve.cache_clear()
-    assert (distance, len(orderings)) == (9, 128)
+    assert (distance, len(tuples), sum(tuples.values())) == (9, 24, 128)
     assert peak <= 8 * MB, f"peak traced memory {peak / MB:.2f} MB exceeds 8 MB"
 
 
