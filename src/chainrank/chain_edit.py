@@ -6,7 +6,8 @@ a maximal chain of column subsets is a permutation. Every problem here is one
 search: each result cell has an exact-integer cost of being 0 and of being 1
 (None where that value is not allowed), and the search ranges over column
 orderings, letting every row independently pick a least-cost prefix. It runs
-best first over (prefix, unsettled least costs) states and expands every
+best first over (prefix, unsettled least costs) states, stores none above
+the cost of an ordering found by a first greedy dive, and expands every
 state up to the optimum, so it drops no tied optimum (see _search). Every
 optimum arises from some (optimal ordering, per-row argmin prefix)
 combination, and rows with equal costs have equal argmins, so the search
@@ -54,7 +55,7 @@ import itertools
 import math
 import operator
 
-from .core import Tournament, _Value, dual
+from .core import Tournament, _row_key, _Value, dual
 from .errors import AmbiguityError, InputError, ResourceCapError
 
 DEFAULT_ENUM_CAP = 8
@@ -114,15 +115,21 @@ def _search(c0, c1, cap: int | None):
     keeps its least settled total and every predecessor reaching it there.
     States pop by that total plus their unsettled bounds, a sum that never
     falls along a path and, with one column left, is the ordering's cost,
-    as every class is settled. Every state up to the optimum is expanded, so
-    the tied optimal orderings are the predecessor paths into the one-
-    column-left states at the optimum, walked back one prefix size at a time:
-    paths that agree at a state on each class's least cost and argmins from
-    there on merge into one count. Costs and bounds are kept for reached
-    prefixes only, each its parent's plus the added column's change. A
-    forbidden value costs more than the spread of the allowed totals, which
-    may be negative, so a total above top forbids something. A search that
-    would store more than STATE_CAP states raises ResourceCapError.
+    as every class is settled. First a dive from the empty prefix, each time
+    to the child of least sum (the lowest column on ties), gives one
+    ordering's cost as the least so far, and no state whose sum is strictly
+    above that least is stored: every state at the optimum, tied ones
+    included, is kept, and the same states pop. Every state up to the
+    optimum is expanded, so the tied optimal orderings are the predecessor
+    paths into the one-column-left states at the optimum, walked back one
+    prefix size at a time: paths that agree at a state on each class's least
+    cost and argmins from there on merge into one count. Costs and bounds
+    are kept for reached prefixes only, each its parent's plus the added
+    column's change. A forbidden value costs more than the spread of the
+    allowed totals, which may be negative, so a total above top forbids
+    something; the least starts at top or below, so nothing is stored when
+    nothing is allowed. A search that would store more than STATE_CAP
+    states raises ResourceCapError.
     """
     n = len(c0[0])
     cap = DEFAULT_ENUM_CAP if cap is None else cap
@@ -145,10 +152,19 @@ def _search(c0, c1, cap: int | None):
     done = (1 << n) - 1
     costs, bounds = {0: empty, done: full}, {0: low}
     rise, grow = list(zip(*rise)), list(zip(*grow))  # per column: each class's change of cost, of bound
-    seen, heap, tick, best = {}, [], itertools.count(), top  # best: the least ordering cost so far
+    seen, heap, tick = {}, [], itertools.count()
 
-    def reach(parent, prefix, runs, settled):
-        nonlocal best
+    def children(prefix):
+        for b in range(n):
+            child = prefix | 1 << b
+            if child != prefix:
+                if child not in costs:
+                    costs[child] = tuple(map(operator.add, costs[prefix], rise[b]))
+                    bounds[child] = tuple(map(operator.add, bounds[prefix], grow[b]))
+                yield child
+
+    def settle(prefix, runs, settled):
+        # the state's runs (None once settled), settled total and sum at prefix
         key, total = [], settled
         for run, cost, bound in zip(runs, costs[prefix], bounds[prefix]):
             if run is not None:
@@ -159,7 +175,14 @@ def _search(c0, c1, cap: int | None):
                 else:
                     total += bound
             key.append(run)
-        state = (prefix, tuple(key))
+        return tuple(key), settled, total
+
+    def reach(parent, prefix, runs, settled):
+        nonlocal best
+        key, settled, total = settle(prefix, runs, settled)
+        if total > best:
+            return
+        state = (prefix, key)
         entry = seen.get(state)
         if entry is None or settled < entry[0]:
             if entry is None and len(seen) == STATE_CAP:
@@ -170,12 +193,19 @@ def _search(c0, c1, cap: int | None):
             seen[state] = [settled, [parent]]
             if prefix.bit_count() < n - 1:
                 heapq.heappush(heap, (total, next(tick), state, settled))
-            else:
-                best = min(best, total)
+            else:  # at most best, as a state above it is not stored
+                best = total
         elif settled == entry[0]:
             entry[1].append(parent)
 
-    reach(None, 0, costs[done], 0)
+    # best, the least ordering cost so far, starts at the dive's or top
+    prefix, (runs, settled, best) = 0, settle(0, full, 0)
+    while prefix.bit_count() < n - 1:
+        step = {child: settle(child, runs, settled) for child in children(prefix)}
+        prefix = min(step, key=lambda child: step[child][2])
+        runs, settled, best = step[prefix]
+    best = min(best, top)
+    reach(None, 0, full, 0)
     while heap:
         total, _, state, settled = heapq.heappop(heap)
         if total > best:
@@ -183,13 +213,8 @@ def _search(c0, c1, cap: int | None):
         if settled != seen[state][0]:  # reached again at less
             continue
         prefix, runs = state
-        for b in range(n):
-            child = prefix | 1 << b
-            if child != prefix:
-                if child not in costs:
-                    costs[child] = tuple(map(operator.add, costs[prefix], rise[b]))
-                    bounds[child] = tuple(map(operator.add, bounds[prefix], grow[b]))
-                reach(state, child, runs, settled)
+        for child in children(prefix):
+            reach(state, child, runs, settled)
     # each state's tails: each class's (least cost, argmins) on the prefixes
     # from the state's to the full one, and how many paths share them
     last = collections.Counter([tuple((c, (done,)) for c in full)])
@@ -223,12 +248,6 @@ def _solve(K: Tournament, cost, cap: int | None, weights):
     return _search(*_cell_costs(K, cost, weights), cap)
 
 
-def _row_keys(masks: set[int], n: int) -> dict[int, int]:
-    """Each row mask of n columns keyed by its bit reversal: members compare in
-    row-major cells, 0 before 1, as their rows' keys do."""
-    return {mask: int(f"{mask:0{n}b}"[::-1], 2) for mask in masks}
-
-
 def _expand(row_class, tuples, m: int, n: int, wide: bool):
     """A generator of the blocks listing the distinct m-by-n tournaments that
     the factored optimum (row_class, tuples) of a search on an m-by-n
@@ -246,12 +265,13 @@ def _expand(row_class, tuples, m: int, n: int, wide: bool):
     With one distinct argmin tuple of a tall or square input, each row's
     argmins are distinct prefixes of one optimal ordering, so distinct
     choices give distinct members, and one block of each row's argmins, each
-    class's sorted once by _row_keys, lists the members in canonical order:
-    nothing is collected or sorted. Otherwise two argmin tuples may give the
-    same member, or dual may reorder them, so the distinct members are
-    collected from each tuple's product over its classes' argmins, mapped
-    through dual when wide, sorted once and given as one block each, every
-    row with a single choice.
+    class's sorted once by core._row_key, lists the members in canonical
+    order: nothing is collected or sorted. Otherwise two argmin tuples may
+    give the same member, or dual may reorder them, so the distinct members
+    are collected from each tuple's product over its classes' argmins,
+    mapped through dual when wide, sorted once by their rows' keys and given
+    as one block each, every row with a single choice. Either way each
+    distinct mask's key is computed once.
     """
     sizes = collections.Counter(row_class)
     count = sum(k * math.prod(len(a) ** sizes[i] for i, a in enumerate(t)) for t, k in tuples.items())
@@ -262,7 +282,7 @@ def _expand(row_class, tuples, m: int, n: int, wide: bool):
         )
     if len(tuples) == 1 and not wide:
         (argmins,) = tuples
-        key = _row_keys(set().union(*argmins), n).__getitem__
+        key = {mask: _row_key(mask, n) for mask in set().union(*argmins)}.__getitem__
         choices = [tuple(sorted(a, key=key)) for a in argmins]
         yield tuple(map(choices.__getitem__, row_class))
         return
@@ -272,7 +292,7 @@ def _expand(row_class, tuples, m: int, n: int, wide: bool):
     if wide:
         seen, n = {dual(Tournament._unchecked(m, n, masks)).row_masks for masks in seen}, m
     single = {mask: (mask,) for mask in set().union(*seen)}
-    key = _row_keys(single, n).__getitem__
+    key = {mask: _row_key(mask, n) for mask in single}.__getitem__
     for masks in sorted(seen, key=lambda masks: tuple(map(key, masks))):
         yield tuple(map(single.__getitem__, masks))
 
@@ -411,10 +431,8 @@ def _check_weights(K: Tournament, weights) -> tuple[tuple[int, ...], ...]:
     rows = tuple(map(tuple, weights))
     if len(rows) != K.rows or any(len(r) != K.cols for r in rows):
         raise InputError("weight matrix must match the tournament dimensions")
-    for r in rows:
-        for w in r:
-            if not isinstance(w, int) or isinstance(w, bool) or w <= 0:
-                raise InputError("weights must be strictly positive integers")
+    if any(not isinstance(w, int) or isinstance(w, bool) or w <= 0 for r in rows for w in r):
+        raise InputError("weights must be strictly positive integers")
     return rows
 
 
@@ -444,10 +462,11 @@ def swap_rows(K: Tournament, a1: int, a2: int) -> Tournament:
 def monotone_min_chain(K: Tournament, cap: int | None = None) -> Tournament:
     """The canonically least closest chain tournament whose row order extends K's.
 
-    This is the canonically least closest chain tournament M itself, so it
-    is also operators.canonical_min_choice. M's rows are prefixes of an
-    optimal ordering, each at its row's smallest argmin there: a smaller
-    argmin would give a smaller member at the same distance. If K_i is
+    This is the canonically least closest chain tournament M itself, so
+    chain-min-lex and chain-min-mon are one operator, and chain-min-dual
+    picks it for a canonical K. M's rows are prefixes of an optimal
+    ordering, each at its row's smallest argmin there: a smaller argmin
+    would give a smaller member at the same distance. If K_i is
     inside K_j, a column added to a prefix raises row i's cost at least as
     much as row j's, so row i's smallest argmin is no longer than row j's,
     and M_i is inside M_j.

@@ -255,6 +255,10 @@ class ExperimentConfig(_Value):
         for metric in self.metrics:
             if metric not in ALL_METRICS:
                 raise InputError(f"unknown metric {metric!r}")
+        for kind, names in (("operator", self.operator_names), ("metric", self.metrics)):
+            for i, name in enumerate(names):
+                if name in names[:i]:
+                    raise InputError(f"{kind} {name!r} is listed more than once")
 
 
 def _run_trial(config: ExperimentConfig, specs, trial: int) -> dict:
@@ -304,10 +308,6 @@ def run_simulation(config: ExperimentConfig, cap: int | None = None):
     }
 
 
-def _format_value(value) -> str:
-    return "n/a" if value is None else f"{value:.6f}"
-
-
 def _noise(args) -> NoiseParams:
     from .prob_model import NoiseParams
 
@@ -336,23 +336,15 @@ def cmd_simulate(args) -> int:
         raise InputError(f"workers must be at least 1, not {args.workers}")
     results = run_simulation(config, cap)
     header = ["operator", *config.metrics]
-    lines = [
-        f"m={config.m} n={config.n} alpha=({alpha.alpha_plus},{alpha.alpha_minus}) "
-        f"trials={config.trials} seed={config.seed}"
+    # each operator's means to six places, empty where a metric does not apply
+    rows = [
+        [name, *("" if results[name][m] is None else f"{results[name][m]:.6f}" for m in config.metrics)]
+        for name in config.operator_names
     ]
-    lines.append("  ".join(header))
-    for name in config.operator_names:
-        row = [name] + [_format_value(results[name][metric]) for metric in config.metrics]
-        lines.append("  ".join(row))
-    text = "\n".join(lines)
     if args.csv:
-        rows = [header] + [
-            [name] + ["" if results[name][m] is None else f"{results[name][m]:.6f}" for m in config.metrics]
-            for name in config.operator_names
-        ]
         try:
             with open(args.csv, "w", encoding="utf-8") as fh:
-                fh.write("".join(",".join(row) + "\n" for row in rows))
+                fh.write("".join(",".join(row) + "\n" for row in [header, *rows]))
         except OSError as exc:
             raise InputError(f"cannot write {args.csv}: {exc}") from exc
     if args.json:
@@ -371,7 +363,12 @@ def cmd_simulate(args) -> int:
         }
         print(json.dumps(out, sort_keys=True))
     else:
-        print(text)
+        print(
+            f"m={config.m} n={config.n} alpha=({alpha.alpha_plus},{alpha.alpha_minus}) "
+            f"trials={config.trials} seed={config.seed}"
+        )
+        for row in [header, *rows]:
+            print("  ".join(value or "n/a" for value in row))
     return 0
 
 

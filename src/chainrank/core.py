@@ -135,14 +135,7 @@ def mask_of(labels: Iterable[int]) -> int:
 
 def labels_of(mask: int) -> frozenset[int]:
     """1-based labels present in a bit mask."""
-    labels = set()
-    b = 1
-    while mask:
-        if mask & 1:
-            labels.add(b)
-        mask >>= 1
-        b += 1
-    return frozenset(labels)
+    return frozenset(b + 1 for b in range(mask.bit_length()) if mask >> b & 1)
 
 
 class Tournament(_Value):
@@ -257,17 +250,21 @@ class Tournament(_Value):
         return "\n".join(" ".join(str(v) for v in row) for row in self.cells)
 
 
+def _row_key(mask: int, n: int) -> int:
+    """The bit reversal of an n-bit row mask: rows of n columns compare by
+    their cells, column 1 first and 0 before 1, as their keys do."""
+    return int(f"{mask:0{n}b}"[::-1], 2)
+
+
 def canonical_key(K: Tournament) -> tuple:
-    """Total order key over all tournaments: size first, then row-major cells."""
-    cols = range(K.cols)
-    return (K.rows, K.cols, tuple(mask >> b & 1 for mask in K.row_masks for b in cols))
+    """Total order key over all tournaments: size first, then row-major cells, row by row."""
+    return (K.rows, K.cols, tuple(_row_key(mask, K.cols) for mask in K.row_masks))
 
 
 def all_tournaments(m: int, n: int):
-    """Yield every m-by-n tournament in canonical (row-major cell) order: each
-    row's masks ordered by their cells, column 1 first, in product order."""
+    """Yield every m-by-n tournament in canonical order: row masks by _row_key, in product order."""
     Tournament(m, n, (0,) * m)  # refuses a size without players; the rest are built unchecked
-    masks = sorted(range(1 << n), key=lambda mask: f"{mask:0{n}b}"[::-1])
+    masks = sorted(range(1 << n), key=lambda mask: _row_key(mask, n))
     for row_masks in itertools.product(masks, repeat=m):
         yield Tournament._unchecked(m, n, row_masks)
 

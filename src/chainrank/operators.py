@@ -59,27 +59,22 @@ def _well_formed(name: str, fn: Callable[[Tournament], RankingPair]):
     return evaluate
 
 
-def _exact_operator(name: str, choice: Callable[[Tournament], Tournament]) -> OperatorSpec:
+def _exact_operator(name: str, choice: Callable[[Tournament], Tournament], dual_choice=None) -> OperatorSpec:
     """An operator that ranks by its chosen chain tournament; evaluate, choice
-    and edit_chain share one solve."""
-    once = functools.lru_cache(maxsize=1)(choice)
+    and edit_chain share one solve. Given dual_choice, only a canonical K,
+    one smaller than dual(K) under the global order, takes choice(K), and
+    any other K takes dual_choice(K)."""
+
+    def canonical_or_dual(K: Tournament) -> Tournament:
+        return choice(K) if canonical_key(K) < canonical_key(dual(K)) else dual_choice(K)
+
+    once = functools.lru_cache(maxsize=1)(choice if dual_choice is None else canonical_or_dual)
     return OperatorSpec(
         name,
         _well_formed(name, lambda K: chain_rankings(once(K))),
         choice=once,
         edit_chain=once,
     )
-
-
-def canonical_min_choice(K: Tournament, cap: int | None = None) -> Tournament:
-    """The canonically least closest chain tournament.
-
-    It always keeps every row inclusion of K, so it is chain-min-mon's pick
-    as well, and monotone_min_chain reads it off the factored optimum.
-    """
-    from .chain_edit import monotone_min_chain
-
-    return monotone_min_chain(K, cap)
 
 
 def phi_ci(K: Tournament) -> RankingPair:
@@ -93,35 +88,33 @@ def count_operator() -> OperatorSpec:
     return OperatorSpec("count", _well_formed("count", phi_count))
 
 
-def chain_min_lex_operator(cap: int | None = None) -> OperatorSpec:
-    return _exact_operator("chain-min-lex", lambda K: canonical_min_choice(K, cap))
+def _chain_min_operator(name: str, cap: int | None) -> OperatorSpec:
+    """chain-min-lex, chain-min-mon or chain-min-dual: monotone_min_chain's
+    pick, for chain-min-dual on a canonical K only.
 
-
-def chain_min_mon_operator(cap: int | None = None) -> OperatorSpec:
-    from .chain_edit import monotone_min_chain
-
-    return _exact_operator("chain-min-mon", lambda K: monotone_min_chain(K, cap))
-
-
-def chain_min_dual_operator(cap: int | None = None) -> OperatorSpec:
-    """dual_symmetrized(chain_min_lex_operator(cap)), from one solve per tournament.
-
-    A non-canonical K takes dual(M) for the canonically least member M of
-    min_chain_set(dual(K)) = dual(min_chain_set(K)). Cell (b, a) of M is cell
-    (a, b) of dual(M) flipped, so M's cells in row-major order are dual(M)'s
-    in column-major order, flipped: dual(M) is read off K's own solve as
-    least_member with that order and an all-ones flip.
+    chain-min-dual is dual_symmetrized(chain_min_lex_operator(cap)) from one
+    solve: a non-canonical K takes dual(M), M the least member of
+    min_chain_set(dual(K)) = dual(min_chain_set(K)). M's row-major cells are
+    dual(M)'s column-major cells flipped, so dual(M) is K's least_member in
+    column-major order under an all-ones flip.
     """
-    from .chain_edit import least_member
+    from .chain_edit import least_member, monotone_min_chain
 
-    def choice(K: Tournament) -> Tournament:
-        if canonical_key(K) < canonical_key(dual(K)):
-            return canonical_min_choice(K, cap)
+    def dual_least(K: Tournament) -> Tournament:
         m, n = K.rows, K.cols
         col_major = [(a, b) for b in range(1, n + 1) for a in range(1, m + 1)]
         return least_member(K, col_major, Tournament(m, n, ((1 << n) - 1,) * m), cap)
 
-    return _exact_operator("chain-min-dual", choice)
+    least = functools.partial(monotone_min_chain, cap=cap)
+    return _exact_operator(name, least, dual_least if name == "chain-min-dual" else None)
+
+
+def chain_min_lex_operator(cap: int | None = None) -> OperatorSpec:
+    return _chain_min_operator("chain-min-lex", cap)
+
+
+def chain_min_mon_operator(cap: int | None = None) -> OperatorSpec:
+    return _chain_min_operator("chain-min-mon", cap)
 
 
 def match_pref_operator(pref: MatchPreference, cap: int | None = None, label: str = "") -> OperatorSpec:
@@ -157,24 +150,15 @@ def dual_symmetrized(base: OperatorSpec) -> OperatorSpec:
             "cannot dual-symmetrize"
         )
 
-    def choice(K: Tournament) -> Tournament:
-        if canonical_key(K) < canonical_key(dual(K)):
-            return base.choice(K)
-        return dual(base.choice(dual(K)))
-
-    return _exact_operator(f"dual-sym({base.name})", choice)
+    return _exact_operator(f"dual-sym({base.name})", base.choice, lambda K: dual(base.choice(dual(K))))
 
 
 def resolve_operator(name: str, cap: int | None = None) -> OperatorSpec:
     """Look up an operator by CLI name."""
     if name == "count":
         return count_operator()
-    if name == "chain-min-lex":
-        return chain_min_lex_operator(cap)
-    if name == "chain-min-mon":
-        return chain_min_mon_operator(cap)
-    if name == "chain-min-dual":
-        return chain_min_dual_operator(cap)
+    if name in ("chain-min-lex", "chain-min-mon", "chain-min-dual"):
+        return _chain_min_operator(name, cap)
     if name == "ci":
         return ci_operator()
     if name.startswith("match-pref:"):

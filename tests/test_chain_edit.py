@@ -33,7 +33,6 @@ from chainrank.chain_edit import _expand, _rows, _search, all_chain_tournaments,
 from chainrank.core import canonical_key, dual
 from chainrank.match_pref import MatchPreference, weights_for
 from chainrank.match_pref import select_match_pref
-from chainrank.operators import canonical_min_choice
 from chainrank.prob_model import NoiseParams, _mle_costs, mle_search, sample_state, sample_tournament
 
 from helpers import (
@@ -477,12 +476,12 @@ class TestMemberCap:
 
 class TestStateCap:
     def test_boundary(self, monkeypatch):
-        # a random 9x9 whose search stores 1,843 states
+        # a random 9x9 whose search stores 903 states
         costs = chain_edit._cell_costs(random_tournament(random.Random(0), 9, 9), chain_edit._EDIT, None)
-        monkeypatch.setattr(chain_edit, "STATE_CAP", 1842)
-        with pytest.raises(ResourceCapError, match="9 columns .* more than 1842 states, .* cap of 1842"):
+        monkeypatch.setattr(chain_edit, "STATE_CAP", 902)
+        with pytest.raises(ResourceCapError, match="9 columns .* more than 902 states, .* cap of 902"):
             _search(*costs, 9)
-        monkeypatch.setattr(chain_edit, "STATE_CAP", 1843)
+        monkeypatch.setattr(chain_edit, "STATE_CAP", 903)
         assert _search(*costs, 9)[0] == 13
 
 
@@ -575,7 +574,7 @@ class TestLeastMember:
         except ResourceCapError:
             return False
         assert members == tuple(sorted(members, key=canonical_key))
-        assert canonical_min_choice(K) == canonical_min_oracle(K) == members[0]
+        assert monotone_min_chain(K) == canonical_min_oracle(K) == members[0]
         for pref in prefs:
             assert select_match_pref(K, pref) == match_pref_oracle(K, pref)
         return True
@@ -661,7 +660,7 @@ class TestLeastMember:
         monkeypatch.setattr(chain_edit, "MEMBER_CAP", 2)
         with pytest.raises(ResourceCapError):
             min_chain_set(K)
-        assert canonical_min_choice(K) == lex
+        assert monotone_min_chain(K) == lex
         assert select_match_pref(K, MatchPreference.col_major()) == pref
 
 
@@ -673,7 +672,7 @@ class TestSolveMemo:
         chain_completion,
         chain_deletion,
         monotone_min_chain,
-        canonical_min_choice,
+        monotone_min_chain,
         lambda K: select_match_pref(K, MatchPreference.col_major()),
         lambda K: mle_search(K, NoiseParams.symmetric(0.2)),
     )

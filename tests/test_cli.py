@@ -627,6 +627,12 @@ class TestRefusals:
     def test_simulate_workers_below_one(self, capsys, workers):
         self.one_line_error(capsys, 2, TestSimulate.ARGS + ["--workers", workers])
 
+    @pytest.mark.parametrize("flag, names", [("--operators", "count,ci,count"), ("--metrics", "edit_cost,edit_cost")])
+    def test_simulate_repeated_name(self, capsys, flag, names):
+        # a repeat would print two identical rows, or echo a metric twice
+        err = self.one_line_error(capsys, 2, TestSimulate.ARGS + [flag, names])
+        assert f"{names.split(',')[-1]!r} is listed more than once" in err
+
     def test_simulate_cells_over_cap(self, capsys, monkeypatch):
         monkeypatch.setattr(cli, "SIMULATE_CELL_CAP", 12)
         args = ["simulate", "--beta", "0.1", "--operators", "ci", "--trials", "1", "--seed", "0"]
@@ -638,14 +644,14 @@ class TestRefusals:
         self.one_line_error(capsys, 2, [*args, "--m", "-5", "--n", "-5"])
 
     def test_search_states_over_cap(self, tmp_path, capsys, monkeypatch):
-        # a random 9x9 whose search stores 1,843 states
+        # a random 9x9 whose search stores 903 states
         path = tmp_path / "random-9x9.csv"
         path.write_text(to_csv(random_tournament(random.Random(0), 9, 9)))
         chain_edit._solve.cache_clear()
-        monkeypatch.setattr(chain_edit, "STATE_CAP", 1842)
+        monkeypatch.setattr(chain_edit, "STATE_CAP", 902)
         err = self.one_line_error(capsys, 3, ["--cap", "9", "edit", str(path)])
-        assert "9 columns" in err and "state cap of 1842" in err
-        monkeypatch.setattr(chain_edit, "STATE_CAP", 1843)
+        assert "9 columns" in err and "state cap of 902" in err
+        monkeypatch.setattr(chain_edit, "STATE_CAP", 903)
         assert main(["--cap", "9", "edit", str(path)]) == 0
 
     @pytest.mark.parametrize("scope", ["9x9", "2x2,4x4", "3x5"])

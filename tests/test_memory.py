@@ -12,7 +12,8 @@ search finds 4,608 tied optimal orderings with 30 distinct argmin tuples, so
 the optimum it holds must keep each class's argmins once per distinct tuple,
 not once per row or per ordering. On a planted 16x16, searched under a
 raised cap, the search keeps costs only for the prefixes it reaches, not a
-table of all 2^16 prefixes per class. The axiom lab's
+table of all 2^16 prefixes per class, and stores no state whose sum exceeds
+the cost of an ordering found by a first dive. The axiom lab's
 scoped checks keep one ranking pair and one order per distinct answer, keyed
 on row masks rather than tournaments, and test chain-minimality without
 listing any optimum set.
@@ -252,6 +253,21 @@ def test_search_beyond_the_default_cap():
         chain_edit._solve.cache_clear()
     assert (distance, len(tuples), sum(tuples.values())) == (9, 24, 128)
     assert peak <= 8 * MB, f"peak traced memory {peak / MB:.2f} MB exceeds 8 MB"
+
+
+def test_search_stores_no_state_above_an_ordering_cost():
+    # the dive's ordering cost bounds what the search stores; without it,
+    # states up to the bound of all allowed totals peaked at 40.5 MiB here
+    K = sample_tournament(sample_state(16, 16, 1), NoiseParams.symmetric(0.05), 8)
+    costs = chain_edit._cell_costs(K, chain_edit._EDIT, None)
+    tracemalloc.start()
+    try:
+        distance, _, tuples = chain_edit._search(*costs, 16)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert (distance, len(tuples), sum(tuples.values())) == (9, 17, 15120)
+    assert peak <= 24 * MB, f"peak traced memory {peak / MB:.2f} MB exceeds 24 MB"
 
 
 def test_scope_verdicts_keep_one_pair_per_distinct_answer():

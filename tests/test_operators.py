@@ -18,10 +18,9 @@ from chainrank import (
     phi_count,
     resolve_operator,
 )
-from chainrank.chain_edit import all_chain_tournaments
+from chainrank.chain_edit import all_chain_tournaments, monotone_min_chain
 from chainrank.core import canonical_key
 from chainrank.operators import (
-    canonical_min_choice,
     chain_min_lex_operator,
     chain_min_mon_operator,
     count_operator,
@@ -227,7 +226,7 @@ class TestSharedSolve:
         spec = chain_min_lex_operator()
         rng = random.Random(12)
         inputs = [random_tournament(rng, 4, 5) for _ in range(16)]
-        expected = [canonical_min_choice(K) for K in inputs]
+        expected = [monotone_min_chain(K) for K in inputs]
 
         def sweep(start):
             order = list(range(start, len(inputs))) + list(range(start))
