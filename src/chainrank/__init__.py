@@ -39,22 +39,16 @@ _EXPORTS = {
         "weighted_min_chain",
     ),
     "core": (
-        "RankingPair",
-        "TotalPreorder",
         "Tournament",
         "all_tournaments",
         "canonical_key",
         "chain_rankings",
         "co_neighborhood",
         "dual",
-        "format_preorder",
-        "format_ranking_pair",
         "hamming",
         "has_chain_property",
         "neighborhood",
         "permute",
-        "phi_count",
-        "rank_count",
         "xor",
     ),
     "errors": (
@@ -95,6 +89,14 @@ _EXPORTS = {
         "mle_search",
         "sample_state",
         "sample_tournament",
+    ),
+    "rankings": (
+        "RankingPair",
+        "TotalPreorder",
+        "format_preorder",
+        "format_ranking_pair",
+        "phi_count",
+        "rank_count",
     ),
 }
 _MODULE_OF = {name: module for module, names in _EXPORTS.items() for name in names}

@@ -17,19 +17,11 @@ import random
 from dataclasses import replace
 
 from .chain_edit import min_chain_distance
-from .core import (
-    RankingPair,
-    Tournament,
-    _Value,
-    all_tournaments,
-    dual,
-    hamming,
-    permute,
-    rank_count,
-)
+from .core import Tournament, _Value, all_tournaments, dual, hamming, permute
 from .errors import InputError, ResourceCapError
 from .interleave import is_chain_definable, ranks_to_chain
 from .operators import OperatorSpec, resolve_operator
+from .rankings import RankingPair, rank_count
 
 AXIOMS = ("anon", "dual", "iim", "mon", "pos-resp", "chain-min", "chain-def")
 

@@ -21,15 +21,15 @@ for that row: one block for one argmin tuple of a tall or square input,
 whose members are never collected, else one block per distinct member.
 min_chain_set and its siblings build their members from the blocks, the
 command line writes a listing from them without building any, and MEMBER_CAP
-bounds every listing. least_member reads the picks of match-preference and
-monotone_min_chain off the factored form, in time linear in rows.
+bounds every listing. The single-member picks, which expand nothing, are
+read off the factored form in picks.
 
 Every problem is solved tall, searching orderings of the smaller side.
 dual(K) transposes and complements K and maps its chain tournaments one to
 one onto those of dual(K), so a wide K is solved as dual(K), with cost[o][r]
 taken as cost[1 - o][1 - r] and the weights transposed, and the members are
-mapped back by dual. _optimum, the entry of every problem, applies this rule,
-and least_member applies it to its picks.
+mapped back by dual. _optimum, the entry of every listing, applies this
+rule.
 
 One solve serves every exact pick of a tournament: _solve keeps the last
 factored optimum it found, keyed on (tournament, cost table, cap, weights) in
@@ -323,87 +323,6 @@ def _optimum(K: Tournament, cost, cap: int | None, weights=None):
     return distance, _expand(row_class, tuples, K.rows, K.cols, wide)
 
 
-def least_member(K: Tournament, order, flip: Tournament | None, cap: int | None = None) -> Tournament:
-    """The member M of min_chain_set(K) whose cells XOR flip, listed in order, are least.
-
-    order lists every cell (a, b) of K exactly once, 1-based, or is None for
-    row-major order, so distinct members give distinct vectors and the least
-    one is unique; flip None flips nothing. No flip with row-major order
-    gives the canonically least member, flip = K with a match-preference
-    order the match-preference selection.
-
-    Nothing is expanded, so MEMBER_CAP does not apply. A wide K is answered
-    on its dual: cell (b, a) of dual(M) XOR dual(flip) is cell (a, b) of M
-    XOR flip. For a fixed argmin tuple the rows pick their argmin prefixes
-    independently, and every cell belongs to one row, so the least vector
-    of that tuple takes, in every row, the argmin whose own cells are least
-    (see _least_prefix). Rows with the same search class (equal argmins),
-    the same flip row and the same order of their own cells pick alike, so
-    each distinct argmin tuple is read once per class of such rows, and the
-    tuples' picks are compared cell by cell only when they differ.
-    """
-    rows, cols = K.rows, K.cols
-    wide = cols > rows
-    if wide:
-        K = dual(K)
-    _, search_class, tuples = _solve(K, _EDIT, cap, None)
-    m, n = K.rows, K.cols
-    full = (1 << n) - 1
-    if flip is None:
-        flips = (full if wide else 0,) * m
-    else:
-        flips = (dual(flip) if wide else flip).row_masks
-    if order is None:
-        ranked = itertools.repeat(tuple(range(1, n + 1)))
-    else:
-        # each row's columns in order: a stable sort by row keeps the order of
-        # each row's n cells
-        row_at, col_at = map(operator.itemgetter, (1, 0) if wide else (0, 1))
-        by_row = list(map(col_at, sorted(order, key=row_at)))
-        ranked = (tuple(by_row[i : i + n]) for i in range(0, m * n, n))
-    classes: dict = {}  # (search class, flip row, columns in order): index
-    row_class = [classes.setdefault(key, len(classes)) for key in zip(search_class, flips, ranked)]
-    smallest, largest = operator.itemgetter(0), operator.itemgetter(-1)
-
-    def picked(c, f, ranks):
-        # the class's pick in every distinct argmin tuple: a smaller argmin
-        # is inside a larger one, so with f empty the smallest is least, and
-        # with f full the largest
-        argmins = map(operator.itemgetter(c), tuples)
-        if f == 0 or f == full:
-            return map(largest if f else smallest, argmins)
-        return (_least_prefix(a, f, ranks) for a in argmins)
-
-    picks = set(zip(*itertools.starmap(picked, classes)))
-    if len(picks) == 1:
-        (pick,) = picks
-    else:
-        grid = itertools.product(range(1, rows + 1), range(1, cols + 1)) if order is None else order
-        if wide:
-            grid = ((b, a) for a, b in grid)
-        cells = [(row_class[a - 1], flips[a - 1], b - 1) for a, b in grid]
-        pick = min(picks, key=lambda p: [(p[i] ^ f) >> b & 1 for i, f, b in cells])
-    M = Tournament._unchecked(m, n, tuple(map(pick.__getitem__, row_class)))
-    return dual(M) if wide else M
-
-
-def _least_prefix(argmins, flip: int, ranks) -> int:
-    """The argmin prefix whose cells XOR flip are least, compared in the order of
-    the 1-based columns ranks.
-
-    The argmins of one ordering are nested, smallest first, so two of them
-    differ exactly in the columns the larger adds, and the larger is less
-    when flip holds the first of those.
-    """
-    least = argmins[0]
-    for prefix in argmins[1:]:
-        added = prefix ^ least
-        first = next(b for b in ranks if added >> b - 1 & 1)
-        if flip >> first - 1 & 1:
-            least = prefix
-    return least
-
-
 def min_chain_set(K: Tournament, cap: int | None = None) -> MinChainSet:
     """The complete set of chain tournaments closest to K in Hamming distance."""
     distance, blocks = _optimum(K, _EDIT, cap)
@@ -459,6 +378,7 @@ def swap_rows(K: Tournament, a1: int, a2: int) -> Tournament:
     return Tournament(K.rows, K.cols, tuple(masks))
 
 
+# stays here, not in picks, as perfbench traces it as chain_edit.monotone_min_chain
 def monotone_min_chain(K: Tournament, cap: int | None = None) -> Tournament:
     """The canonically least closest chain tournament whose row order extends K's.
 
@@ -476,6 +396,8 @@ def monotone_min_chain(K: Tournament, cap: int | None = None) -> Tournament:
     argmin or, for a wide K solved as dual(K), every dual row's largest (the
     fewest ones in its column of M).
     """
+    from .picks import least_member
+
     return least_member(K, None, None, cap)
 
 

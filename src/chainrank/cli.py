@@ -22,18 +22,12 @@ from typing import TYPE_CHECKING
 
 # each subcommand imports the engine it runs, and the file reader if it reads
 # a file, so a command loads only those
-from .core import (
-    OPERATOR_NAMES,
-    TotalPreorder,
-    _Value,
-    chain_rankings,
-    format_ranking_pair,
-    hamming,
-)
+from .core import OPERATOR_NAMES, _Value, chain_rankings, hamming
 from .errors import AmbiguityError, ContractError, InputError, ResourceCapError
 
 if TYPE_CHECKING:
     from .prob_model import NoiseParams
+    from .rankings import TotalPreorder
 
 ALL_METRICS = ("exact_match", "tie_aware_rank_correlation", "edit_cost")
 # most cells m x n a simulated tournament may hold; at 262,144x8, five
@@ -105,6 +99,7 @@ def _write_members(blocks, cols: int, head: dict | None = None, key: str = "") -
 def cmd_rank(args) -> int:
     from . import fileio
     from .operators import resolve_operator
+    from .rankings import format_ranking_pair
 
     cap = _enum_cap(args)
     spec = resolve_operator(args.operator, cap)

@@ -8,14 +8,18 @@ differences are single word operations; the solvers do millions of them.
 All values here are immutable after construction and every operation is a
 pure function. Player labels are 1-based everywhere in the public API,
 matching the usual matrix convention; masks are the internal representation.
+The rankings read off a tournament are in rankings.
 """
 
 from __future__ import annotations
 
 import itertools
-from typing import Iterable, Sequence
+from typing import TYPE_CHECKING, Iterable, Sequence
 
 from .errors import InputError, NotChainError
+
+if TYPE_CHECKING:
+    from .rankings import RankingPair
 
 # the operators operators.resolve_operator accepts; here so that listing them
 # (the CLI's help, for one) does not load the operators
@@ -66,8 +70,9 @@ class _Value:
     defines one, which validates the fields and raises to refuse them.
     Values of the same class are equal, and hash alike, when their field
     tuples are; assigning or deleting any attribute raises AttributeError.
-    Tournament, TotalPreorder and RankingPair are built in bulk, so they keep
-    their own __init__, __eq__ and __hash__ over the same fields.
+    Tournament and the rankings' TotalPreorder and RankingPair are built in
+    bulk, so they keep their own __init__, __eq__ and __hash__ over the same
+    fields.
     """
 
     _fields: tuple[str, ...] = ()
@@ -253,7 +258,7 @@ class Tournament(_Value):
 def _row_key(mask: int, n: int) -> int:
     """The bit reversal of an n-bit row mask: rows of n columns compare by
     their cells, column 1 first and 0 before 1, as their keys do."""
-    return int(f"{mask:0{n}b}"[::-1], 2)
+    return int(bin(mask | 1 << n)[:2:-1], 2)
 
 
 def canonical_key(K: Tournament) -> tuple:
@@ -267,85 +272,6 @@ def all_tournaments(m: int, n: int):
     masks = sorted(range(1 << n), key=lambda mask: _row_key(mask, n))
     for row_masks in itertools.product(masks, repeat=m):
         yield Tournament._unchecked(m, n, row_masks)
-
-
-class TotalPreorder(_Value):
-    """An ordered partition of a player set into ranks, weakest rank first."""
-
-    ranks: tuple[frozenset[int], ...]
-
-    def __init__(self, ranks: tuple[frozenset[int], ...]):
-        seen: set[int] = set()
-        if not ranks:
-            raise InputError("a total preorder needs at least one rank")
-        for rank in ranks:
-            if not isinstance(rank, frozenset):
-                raise InputError("ranks must be frozensets; use from_ranks to coerce")
-            if not rank:
-                raise InputError("ranks must be non-empty")
-            if rank & seen:
-                raise InputError("ranks must be pairwise disjoint")
-            seen |= rank
-        _set(self, "ranks", ranks)
-        # every ranked player; an attribute, not a field
-        _set(self, "players", frozenset(seen))
-
-    def __eq__(self, other):
-        if other.__class__ is self.__class__:
-            return self.ranks == other.ranks
-        return NotImplemented
-
-    def __hash__(self) -> int:
-        return hash((self.ranks,))
-
-    @classmethod
-    def from_ranks(cls, ranks: Iterable[Iterable[int]]) -> "TotalPreorder":
-        return cls(tuple(frozenset(r) for r in ranks))
-
-    @_lazy
-    def _rank_index(self) -> dict[int, int]:
-        return {p: i for i, rank in enumerate(self.ranks) for p in rank}
-
-    def rank_of(self, player: int) -> int:
-        """0-based rank index, weakest rank = 0."""
-        try:
-            return self._rank_index[player]
-        except KeyError:
-            raise InputError(f"player {player} is not ranked") from None
-
-    def le(self, p: int, q: int) -> bool:
-        """True when q is ranked at least as strong as p."""
-        return self.rank_of(p) <= self.rank_of(q)
-
-    def strictly_below(self, p: int, q: int) -> bool:
-        return self.rank_of(p) < self.rank_of(q)
-
-    def tied(self, p: int, q: int) -> bool:
-        return self.rank_of(p) == self.rank_of(q)
-
-
-def rank_count(p: TotalPreorder) -> int:
-    """Number of rank classes."""
-    return len(p.ranks)
-
-
-class RankingPair(_Value):
-    """Rankings of the two sides of one tournament."""
-
-    a_order: TotalPreorder
-    b_order: TotalPreorder
-
-    def __init__(self, a_order: TotalPreorder, b_order: TotalPreorder):
-        _set(self, "a_order", a_order)
-        _set(self, "b_order", b_order)
-
-    def __eq__(self, other):
-        if other.__class__ is self.__class__:
-            return self.a_order == other.a_order and self.b_order == other.b_order
-        return NotImplemented
-
-    def __hash__(self) -> int:
-        return hash((self.a_order, self.b_order))
 
 
 def neighborhood(K: Tournament, a: int) -> frozenset[int]:
@@ -382,23 +308,7 @@ def has_chain_property(K: Tournament) -> bool:
     return chain_violation(K) is None
 
 
-def _by_popcount(masks: Sequence[int], descending: bool = False) -> TotalPreorder:
-    """Players 1..k grouped by the popcount of their masks, fewest bits first by default."""
-    groups: dict[int, set[int]] = {}
-    for p, mask in enumerate(masks, 1):
-        groups.setdefault(mask.bit_count(), set()).add(p)
-    return TotalPreorder.from_ranks(groups[c] for c in sorted(groups, reverse=descending))
-
-
-def phi_count(K: Tournament) -> RankingPair:
-    """Rank rows by number of wins and columns by (descending) number of losses.
-
-    On a chain tournament the neighbourhoods are nested, so inclusion order
-    is win-count order and this is chain_rankings(K).
-    """
-    return RankingPair(_by_popcount(K.row_masks), _by_popcount(K.col_masks, descending=True))
-
-
+# stays here, not in rankings, as perfbench traces it as core.chain_rankings
 def chain_rankings(K: Tournament) -> RankingPair:
     """The neighbourhood-subset rankings of a chain tournament.
 
@@ -407,6 +317,8 @@ def chain_rankings(K: Tournament) -> RankingPair:
     weakest rank first. Nested neighbourhoods are ordered by inclusion
     exactly as by size, so these are the win-count rankings phi_count(K).
     """
+    from .rankings import phi_count
+
     bad = chain_violation(K)
     if bad is not None:
         raise NotChainError(
@@ -473,34 +385,3 @@ def xor(K: Tournament, K2: Tournament) -> Tournament:
     return Tournament(
         K.rows, K.cols, tuple(r1 ^ r2 for r1, r2 in zip(K.row_masks, K2.row_masks))
     )
-
-
-def format_preorder(
-    p: TotalPreorder,
-    strict: str = "≺",
-    tie: str = "≈",
-    labels: Sequence[str] | None = None,
-) -> str:
-    """Render weakest-first, braces around tied players (e.g. ``1 ≺ {2 ≈ 3}``)."""
-
-    def name(player: int) -> str:
-        return labels[player - 1] if labels else str(player)
-
-    parts = []
-    for rank in p.ranks:
-        members = sorted(rank)
-        if len(members) == 1:
-            parts.append(name(members[0]))
-        else:
-            parts.append("{" + f" {tie} ".join(name(x) for x in members) + "}")
-    return f" {strict} ".join(parts)
-
-
-def format_ranking_pair(
-    pair: RankingPair,
-    a_labels: Sequence[str] | None = None,
-    b_labels: Sequence[str] | None = None,
-) -> str:
-    a = format_preorder(pair.a_order, labels=a_labels)
-    b = format_preorder(pair.b_order, strict="⊏", labels=b_labels)
-    return f"A: {a}\nB: {b}"

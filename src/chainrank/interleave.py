@@ -17,8 +17,9 @@ from __future__ import annotations
 
 from typing import Callable, Iterable, Mapping
 
-from .core import RankingPair, TotalPreorder, Tournament, _Value, mask_of, rank_count
+from .core import Tournament, _Value, mask_of
 from .errors import ContractError, InputError
+from .rankings import RankingPair, TotalPreorder, rank_count
 
 Selection = Callable[[Tournament, frozenset, frozenset], Iterable[int]]
 

@@ -18,12 +18,14 @@ from __future__ import annotations
 import itertools
 from typing import TYPE_CHECKING
 
-from .chain_edit import least_member
-from .core import RankingPair, Tournament, _Value, chain_rankings
+from .core import Tournament, _Value, chain_rankings
 from .errors import InputError, ResourceCapError
+from .picks import least_member
 
 if TYPE_CHECKING:
     from fractions import Fraction
+
+    from .rankings import RankingPair
 
 DEFAULT_BIT_BUDGET = 120
 

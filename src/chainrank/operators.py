@@ -17,16 +17,9 @@ from dataclasses import dataclass
 from typing import TYPE_CHECKING, Callable
 
 # each operator imports the engine it runs, so resolving one loads only that
-from .core import (
-    OPERATOR_NAMES,
-    RankingPair,
-    Tournament,
-    canonical_key,
-    chain_rankings,
-    dual,
-    phi_count,
-)
+from .core import OPERATOR_NAMES, Tournament, canonical_key, chain_rankings, dual
 from .errors import InputError
+from .rankings import RankingPair, phi_count
 
 if TYPE_CHECKING:
     from .match_pref import MatchPreference
@@ -98,7 +91,8 @@ def _chain_min_operator(name: str, cap: int | None) -> OperatorSpec:
     dual(M)'s column-major cells flipped, so dual(M) is K's least_member in
     column-major order under an all-ones flip.
     """
-    from .chain_edit import least_member, monotone_min_chain
+    from .chain_edit import monotone_min_chain
+    from .picks import least_member
 
     def dual_least(K: Tournament) -> Tournament:
         m, n = K.rows, K.cols

@@ -29,7 +29,8 @@ from chainrank import (
     weighted_min_chain,
 )
 from chainrank import chain_edit
-from chainrank.chain_edit import _expand, _rows, _search, all_chain_tournaments, least_member
+from chainrank.chain_edit import _expand, _rows, _search, all_chain_tournaments
+from chainrank.picks import least_member
 from chainrank.core import canonical_key, dual
 from chainrank.match_pref import MatchPreference, weights_for
 from chainrank.match_pref import select_match_pref

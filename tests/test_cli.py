@@ -30,7 +30,7 @@ from chainrank import (
     select_match_pref,
 )
 from chainrank.cli import kendall_tau_b, main
-from chainrank.core import TotalPreorder
+from chainrank.rankings import TotalPreorder
 from chainrank.fileio import parse_tournament, to_csv, to_json
 from chainrank.match_pref import parse_order_name
 from chainrank.prob_model import k_theta, sample_state

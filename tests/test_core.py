@@ -65,6 +65,25 @@ class TestTournament:
                 assert len(keys) == 1 << (m * n)
                 assert all(k1 < k2 for k1, k2 in zip(keys, keys[1:]))
 
+    def test_canonical_key_orders_same_size_by_cells(self):
+        # against the definition, not all_tournaments, which reads the same key:
+        # tournaments of one size compare by their cells, row by row
+        def check(K1, K2):
+            assert (canonical_key(K1) < canonical_key(K2)) == (K1.cells < K2.cells)
+            assert (canonical_key(K2) < canonical_key(K1)) == (K2.cells < K1.cells)
+
+        tournaments = [Tournament(2, 3, masks) for masks in itertools.product(range(8), repeat=2)]
+        for K1, K2 in itertools.product(tournaments, repeat=2):
+            check(K1, K2)
+        rng = random.Random(29)
+        for n in range(1, 96):
+            for _ in range(4):
+                K = random_tournament(rng, 3, n)
+                a, b = rng.randint(1, 3), rng.randint(1, n)
+                # one flipped cell: the first difference may lie in any column
+                check(K, K.with_cell(a, b, 1 - K.cell(a, b)))
+                check(K, random_tournament(rng, 3, n))
+
 
 class TestNeighborhoods:
     def test_example_row(self):

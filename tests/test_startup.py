@@ -2,6 +2,7 @@
 
 import dataclasses
 import importlib
+import importlib.util
 import json
 import os
 import subprocess
@@ -13,12 +14,13 @@ import chainrank
 from chainrank.axiom_lab import AxiomVerdict, ImpossibilityReport, Scope, SuiteRow
 from chainrank.chain_edit import MinChainSet
 from chainrank.cli import ALL_METRICS, ExperimentConfig
-from chainrank.core import RankingPair, TotalPreorder, Tournament
+from chainrank.core import Tournament
 from chainrank.errors import InputError, ResourceCapError
 from chainrank.fileio import TournamentFile
 from chainrank.interleave import InterleaveRound, InterleaveTrace, SelectionFunctionPair
 from chainrank.match_pref import MatchPreference
 from chainrank.prob_model import NoiseParams, StateOfWorld
+from chainrank.rankings import RankingPair, TotalPreorder
 
 # run in a fresh interpreter: the modules a subcommand adds to sys.modules
 FOOTPRINT = """
@@ -46,6 +48,33 @@ def loaded_by(args):
     return set(json.loads(proc.stdout))
 
 
+def source_lines(modules):
+    """The source lines of the chainrank modules among the module names."""
+    total = 0
+    for name in modules:
+        if name.partition(".")[0] == "chainrank":
+            with open(importlib.util.find_spec(name).origin, encoding="utf-8") as source:
+                total += sum(1 for _ in source)
+    return total
+
+
+# each subcommand's arguments, {square} standing for a 4x3 input, and the most
+# source lines of chainrank modules it may load, where bounded: each module
+# that a command loads is compiled unless its bytecode is cached, and
+# compiling a module after the heavy imports are resident sets the command's
+# peak RSS
+SUBCOMMANDS = [
+    ("edit", ["edit", "{square}", "--all"], 1650),
+    ("likelihood", ["likelihood", "{square}", "--mle", "--beta", "0.1"], 1960),
+    ("rank", ["rank", "{square}", "-o", "chain-min-lex"], None),
+    ("weights", ["weights", "--order", "row-major", "--m", "2", "--n", "2"], None),
+    ("axioms", ["axioms", "-o", "ci", "--scope", "2x2"], None),
+    ("simulate", ["simulate", "--m", "3", "--n", "3", "--beta", "0.1", "--operators",
+                  "count,ci,chain-min-lex,chain-min-mon,match-pref:row-major",
+                  "--trials", "2", "--seed", "1"], None),
+]
+
+
 @pytest.fixture
 def square(tmp_path):
     path = tmp_path / "k.csv"
@@ -66,8 +95,8 @@ class TestImportFootprint:
         loaded = loaded_by(["edit", square, "--all"])
         assert "chainrank.chain_edit" in loaded
         for name in ("chainrank.axiom_lab", "chainrank.operators", "chainrank.prob_model",
-                     "chainrank.match_pref", "concurrent.futures", "fractions",
-                     *DATACLASS_MODULES):
+                     "chainrank.match_pref", "chainrank.rankings", "chainrank.picks",
+                     "concurrent.futures", "fractions", *DATACLASS_MODULES):
             assert name not in loaded
 
     def test_edit_weighted_loads_match_pref(self, square):
@@ -79,7 +108,7 @@ class TestImportFootprint:
         loaded = loaded_by(["likelihood", square, "--mle", "--beta", "0.1"])
         assert "chainrank.prob_model" in loaded
         for name in ("chainrank.axiom_lab", "chainrank.operators", "chainrank.match_pref",
-                     *DATACLASS_MODULES):
+                     "chainrank.rankings", "chainrank.picks", *DATACLASS_MODULES):
             assert name not in loaded
 
     def test_simulate_single_worker_starts_no_pool(self):
@@ -123,6 +152,13 @@ class TestImportFootprint:
     def test_help_builds_parser_without_engines(self):
         loaded = loaded_by(["rank", "--help"])
         assert not {f"chainrank.{name}" for name in ENGINES} & loaded
+
+    def test_source_lines_per_subcommand(self, square, record_property):
+        for command, args, bound in SUBCOMMANDS:
+            lines = source_lines(loaded_by([arg.format(square=square) for arg in args]))
+            record_property(f"{command}_source_lines", lines)
+            if bound is not None:
+                assert lines <= bound, command
 
 
 # Python 3.13's argparse prints a metavar shared by an option's flags once
