@@ -150,7 +150,7 @@ def _search(c0, c1, cap: int | None):
         tables.append((sum(z), sum(o), sum(least), rise, grow))
     empty, full, low, rise, grow = zip(*tables)
     done = (1 << n) - 1
-    costs, bounds = {0: empty, done: full}, {0: low}
+    costs, bounds = {0: empty}, {0: low}
     rise, grow = list(zip(*rise)), list(zip(*grow))  # per column: each class's change of cost, of bound
     seen, heap, tick = {}, [], itertools.count()
 

@@ -20,7 +20,6 @@ from typing import TYPE_CHECKING
 
 from .core import Tournament, _Value, chain_rankings
 from .errors import InputError, ResourceCapError
-from .picks import least_member
 
 if TYPE_CHECKING:
     from fractions import Fraction
@@ -103,6 +102,8 @@ def select_match_pref(K: Tournament, pref: MatchPreference, cap: int | None = No
     without expanding it. Row-major order is least_member's own (order None),
     so it builds no list of the m*n cells.
     """
+    from .picks import least_member  # here, so that `chainrank weights` loads no pick engine
+
     order = None if pref.kind == ROW_MAJOR else pref.order(K.rows, K.cols)
     return least_member(K, order, K, cap)
 

@@ -31,17 +31,8 @@ class TotalPreorder(_Value):
             if rank & seen:
                 raise InputError("ranks must be pairwise disjoint")
             seen |= rank
-        _set(self, "ranks", ranks)
-        # every ranked player; an attribute, not a field
-        _set(self, "players", frozenset(seen))
-
-    def __eq__(self, other):
-        if other.__class__ is self.__class__:
-            return self.ranks == other.ranks
-        return NotImplemented
-
-    def __hash__(self) -> int:
-        return hash((self.ranks,))
+        # players, every ranked player, is an attribute, not a field
+        _set(self, "__dict__", {"ranks": ranks, "players": frozenset(seen)})
 
     @classmethod
     def from_ranks(cls, ranks: Iterable[Iterable[int]]) -> "TotalPreorder":
@@ -79,18 +70,6 @@ class RankingPair(_Value):
 
     a_order: TotalPreorder
     b_order: TotalPreorder
-
-    def __init__(self, a_order: TotalPreorder, b_order: TotalPreorder):
-        _set(self, "a_order", a_order)
-        _set(self, "b_order", b_order)
-
-    def __eq__(self, other):
-        if other.__class__ is self.__class__:
-            return self.a_order == other.a_order and self.b_order == other.b_order
-        return NotImplemented
-
-    def __hash__(self) -> int:
-        return hash((self.a_order, self.b_order))
 
 
 def _by_popcount(masks: Sequence[int], descending: bool = False) -> TotalPreorder:

@@ -41,6 +41,7 @@ from chainrank.axiom_lab import (
     impossibility_suite,
     recheck,
 )
+from chainrank.errors import InputError
 from chainrank.operators import (
     OperatorSpec,
     chain_min_lex_operator,
@@ -186,6 +187,19 @@ class TestPosResp:
         verdict = check_pos_resp(op, Scope(tournaments=(POS_RESP_COUNTEREXAMPLE,)))
         impossible = {**verdict.witness, "cell": [2, 1]}
         assert not recheck(op, with_witness(verdict, impossible))
+
+
+class TestRecheckRefusals:
+    def test_verdict_without_witness(self):
+        verdict = check_anon(count_operator(), Scope(exhaustive=((2, 2),)))
+        with pytest.raises(InputError, match="^verdict carries no witness$"):
+            recheck(count_operator(), verdict)
+
+    def test_unknown_axiom(self):
+        verdict = check_anon(chain_min_lex_operator(), Scope(tournaments=(ANON_COUNTEREXAMPLE,)))
+        renamed = AxiomVerdict(**{**verdict.to_json(), "axiom": "fairness"})
+        with pytest.raises(InputError, match="^unknown axiom 'fairness'$"):
+            recheck(chain_min_lex_operator(), renamed)
 
 
 class TestChainMinAndDef:

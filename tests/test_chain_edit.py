@@ -396,6 +396,11 @@ class TestWeighted:
         with pytest.raises(InputError):
             weighted_min_chain(ANON_K, [[0, 1], [1, 1]])
 
+    @pytest.mark.parametrize("weights", [[[1, 1]], [[1, 1], [1, 1], [1, 1]], [[1, 1], [1]], [[1, 1, 1], [1, 1, 1]]])
+    def test_rejects_weights_of_another_shape(self, weights):
+        with pytest.raises(InputError, match="^weight matrix must match the tournament dimensions$"):
+            weighted_min_chain(ANON_K, weights)
+
     def test_matches_match_pref_selection(self):
         pref = MatchPreference.col_major()
         for K in all_tournaments(2, 3):

@@ -30,6 +30,7 @@ from chainrank import (
     select_match_pref,
 )
 from chainrank.cli import kendall_tau_b, main
+from chainrank.errors import AmbiguityError, ContractError
 from chainrank.rankings import TotalPreorder
 from chainrank.fileio import parse_tournament, to_csv, to_json
 from chainrank.match_pref import parse_order_name
@@ -213,6 +214,28 @@ class TestAxiomsCommand:
 
     def test_bad_scope(self, capsys):
         assert main(["axioms", "-o", "count", "--scope", "2by2"]) == 2
+
+    @pytest.mark.parametrize("json_flag", [[], ["--json"]])
+    def test_paper_suite_deviation(self, capsys, monkeypatch, json_flag):
+        kept = axiom_lab.AxiomVerdict("anon", "ci", True, "exhaustive 2x2", 64)
+        broken = axiom_lab.AxiomVerdict("iim", "ci", False, "given 1 pairs", 1, {"pair": [1, 2]})
+        rows = (
+            axiom_lab.SuiteRow("as-predicted", "ci", "anon", True, kept),
+            axiom_lab.SuiteRow("not-as-predicted", "ci", "iim", True, broken),
+        )
+        monkeypatch.setattr(axiom_lab, "impossibility_suite", lambda cap: axiom_lab.ImpossibilityReport(rows))
+        assert main(["axioms", "--paper-suite", *json_flag]) == 4
+        captured = capsys.readouterr()
+        if json_flag:
+            report = json.loads(captured.out)
+            assert not report["ok"] and [row["label"] for row in report["rows"]] == ["as-predicted", "not-as-predicted"]
+        else:
+            assert captured.out.splitlines() == [
+                "[ok] as-predicted: ci / anon -> holds=True (expected True)",
+                "[UNEXPECTED] not-as-predicted: ci / iim -> holds=False (expected True)",
+                "suite: DEVIATES FROM PREDICTIONS",
+            ]
+        assert [json.loads(line) for line in captured.err.splitlines()] == [broken.to_json()]
 
 
 # SHA-256 of the stdout of `axioms`, recorded when every check ran its own
@@ -653,6 +676,15 @@ class TestRefusals:
         assert "9 columns" in err and "state cap of 902" in err
         monkeypatch.setattr(chain_edit, "STATE_CAP", 903)
         assert main(["--cap", "9", "edit", str(path)]) == 0
+
+    @pytest.mark.parametrize("error", [AmbiguityError, ContractError, AssertionError])
+    def test_internal_error(self, capsys, monkeypatch, error):
+        def fail(args):
+            raise error("a unique result tied")
+
+        monkeypatch.setattr(cli, "cmd_weights", fail)
+        err = self.one_line_error(capsys, 4, ["weights", "--order", "row-major", "--m", "2", "--n", "2"])
+        assert err == "internal error: a unique result tied\n"
 
     @pytest.mark.parametrize("scope", ["9x9", "2x2,4x4", "3x5"])
     def test_axioms_scope_over_cap(self, capsys, scope):

@@ -1,5 +1,7 @@
 import itertools
 import random
+import subprocess
+import sys
 
 import pytest
 from hypothesis import given, settings
@@ -159,6 +161,15 @@ class TestChainProperty:
                 K = random_tournament(rng, m, n)
             assert chain_violation(K) == chain_violation_by_pairs(K)
 
+    def test_non_chain_verdict_scans_no_pairs(self):
+        # a chain but for one incomparable pair at the end: a scan of row
+        # pairs would take minutes here
+        code = (
+            "from chainrank import Tournament, has_chain_property\n"
+            "assert not has_chain_property(Tournament(100000, 2, (0, 3) * 49999 + (1, 2)))"
+        )
+        subprocess.run([sys.executable, "-c", code], check=True, timeout=30)
+
 
 class TestChainRankings:
     def test_example1(self):
@@ -291,6 +302,10 @@ class TestPreorders:
         p = preorder("1{23}4")
         assert p.le(1, 2) and p.tied(2, 3) and p.strictly_below(3, 4)
         assert not p.le(4, 1)
+
+    def test_unranked_player(self):
+        with pytest.raises(InputError, match="^player 5 is not ranked$"):
+            preorder("1{23}4").rank_of(5)
 
 
 class TestConstruction:

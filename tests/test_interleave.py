@@ -237,6 +237,14 @@ class TestRanksToChain:
         with pytest.raises(InputError, match="differ by more than one"):
             ranks_to_chain(p)
 
+    @pytest.mark.parametrize("a, b, message", [
+        ("1{24}", "12", "A-side players must be labelled 1..m"),
+        ("12", "{02}", "B-side players must be labelled 1..n"),
+    ])
+    def test_rejects_players_not_labelled_from_one(self, a, b, message):
+        with pytest.raises(InputError, match=f"^{message}$"):
+            ranks_to_chain(RankingPair(preorder(a), preorder(b)))
+
     def test_interleave_output_always_realisable(self):
         for K in all_tournaments(2, 3):
             result, _ = interleave(K, ci_selection())

@@ -1,5 +1,6 @@
 """What importing the package and running one subcommand load."""
 
+import ast
 import dataclasses
 import importlib
 import importlib.util
@@ -7,6 +8,7 @@ import json
 import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -67,7 +69,7 @@ SUBCOMMANDS = [
     ("edit", ["edit", "{square}", "--all"], 1650),
     ("likelihood", ["likelihood", "{square}", "--mle", "--beta", "0.1"], 1960),
     ("rank", ["rank", "{square}", "-o", "chain-min-lex"], None),
-    ("weights", ["weights", "--order", "row-major", "--m", "2", "--n", "2"], None),
+    ("weights", ["weights", "--order", "row-major", "--m", "2", "--n", "2"], 1250),
     ("axioms", ["axioms", "-o", "ci", "--scope", "2x2"], None),
     ("simulate", ["simulate", "--m", "3", "--n", "3", "--beta", "0.1", "--operators",
                   "count,ci,chain-min-lex,chain-min-mon,match-pref:row-major",
@@ -103,6 +105,11 @@ class TestImportFootprint:
         loaded = loaded_by(["edit", square, "--weighted", "row-major"])
         assert "chainrank.match_pref" in loaded and "chainrank.operators" not in loaded
         assert not set(DATACLASS_MODULES) & loaded
+
+    def test_weights_loads_no_pick_engine(self):
+        loaded = loaded_by(["weights", "--order", "row-major", "--m", "2", "--n", "2"])
+        assert "chainrank.match_pref" in loaded
+        assert "chainrank.chain_edit" not in loaded and "chainrank.picks" not in loaded
 
     def test_likelihood(self, square):
         loaded = loaded_by(["likelihood", square, "--mle", "--beta", "0.1"])
@@ -216,6 +223,23 @@ class TestLazyExports:
     def test_unknown_name(self):
         with pytest.raises(AttributeError):
             chainrank.no_such_name
+
+
+TRACING = Path(__file__).resolve().parent.parent / "perfbench" / "tracing.py"
+
+
+def test_traced_names_are_callables():
+    # perfbench's tracer reports a name it cannot find as null, not as a
+    # failure; its TRACED table is read as text, so no perfbench code runs
+    tree = ast.parse(TRACING.read_text(encoding="utf-8"))
+    traced = next(
+        ast.literal_eval(node.value) for node in tree.body
+        if isinstance(node, ast.Assign) and [getattr(t, "id", None) for t in node.targets] == ["TRACED"]
+    )
+    names = [(module, name) for module, attrs in traced.items() for name in attrs]
+    assert names
+    for module, name in names:
+        assert callable(getattr(importlib.import_module(f"chainrank.{module}"), name, None)), f"{module}.{name}"
 
 
 def _select(K, pool, other_pool):
