@@ -11,8 +11,8 @@ the cost of an ordering found by a first greedy dive, and expands every
 state up to the optimum, so it drops no tied optimum (see _search). Every
 optimum arises from some (optimal ordering, per-row argmin prefix)
 combination, and rows with equal costs have equal argmins, so the search
-returns the optimum set factored per row class: each row's class (its
-distinct cost row; for unit costs, its distinct mask) and each distinct
+takes a class table, one cost row and size per distinct row mask (see
+_classes), and returns the optimum set factored per class: each distinct
 argmin tuple, each class's tied argmin prefixes along an optimal ordering,
 with its number of optimal orderings. A listing of the complete optimum
 set, in canonical order, is read off it as blocks (see _expand), each
@@ -27,16 +27,16 @@ read off the factored form in picks.
 Every problem is solved tall, searching orderings of the smaller side.
 dual(K) transposes and complements K and maps its chain tournaments one to
 one onto those of dual(K), so a wide K is solved as dual(K), with cost[o][r]
-taken as cost[1 - o][1 - r] and the weights transposed, and the members are
-mapped back by dual. _optimum, the entry of every listing, applies this
-rule.
+taken as cost[1 - o][1 - r], and the members are mapped back by dual.
+_optimum, the entry of every listing, and weighted_min_chain apply this rule.
 
 One solve serves every exact pick of a tournament: _solve keeps the last
-factored optimum it found, keyed on (tournament, cost table, cap, weights) in
-the tall orientation, so the optimum set, the canonical, monotone and
-match-preference picks, and a symmetric-noise MLE of one matrix or of its
-dual share one search. The memo holds a single entry, so its memory is that
-of one solve whatever a process goes on to solve, and it is
+factored optimum it found, keyed on what the search reads, the class table
+in the tall orientation and the cap, so the optimum set, the canonical,
+monotone and match-preference picks, and a symmetric-noise MLE of one
+matrix, of its dual or of a reordering of rows that keeps the classes'
+order share one search. The memo holds a single entry, so its memory is
+that of one solve whatever a process goes on to solve, and it is
 functools.lru_cache's, which is safe to call from several threads: a thread
 never reads another input's entry, and a miss only solves again.
 
@@ -78,31 +78,31 @@ class MinChainSet(_Value):
     members: tuple[Tournament, ...]
 
 
-def _cell_costs(K: Tournament, cost, weights):
-    """The cost matrices (c0, c1) of K under cost[observed][result], rows as
-    tuples; when weights are given, each cell's costs times its weight (the
-    cost table must then allow every value)."""
+def _classes(K: Tournament, cost):
+    """(classes, row_class): K's class table under cost[observed][result], one
+    (c0 row, c1 row, size) entry per distinct row mask in order of first
+    appearance, c0 and c1 each cell's cost of being 0 and of being 1, and
+    each row's class."""
     (z0, z1), (o0, o1) = cost
     cols = range(K.cols)
-    c0 = [tuple(o0 if mask >> b & 1 else z0 for b in cols) for mask in K.row_masks]
-    c1 = [tuple(o1 if mask >> b & 1 else z1 for b in cols) for mask in K.row_masks]
-    if weights is not None:
-        c0 = [tuple(c * w for c, w in zip(row, ws)) for row, ws in zip(c0, weights)]
-        c1 = [tuple(c * w for c, w in zip(row, ws)) for row, ws in zip(c1, weights)]
-    return c0, c1
+    sizes = collections.Counter(K.row_masks)
+    classes = tuple(
+        (tuple(o0 if mask >> b & 1 else z0 for b in cols), tuple(o1 if mask >> b & 1 else z1 for b in cols), k)
+        for mask, k in sizes.items()
+    )
+    return classes, tuple(map(dict(zip(sizes, itertools.count())).__getitem__, K.row_masks))
 
 
-def _search(c0, c1, cap: int | None):
+def _search(classes, cap: int | None):
     """Least total cost of a chain tournament, and the argmins that reach it.
 
-    c0[a][b] and c1[a][b] are the costs of result cell (a, b) being 0 and 1,
-    None where that value is not allowed; rows are tuples. Returns (cost,
-    row_class, tuples). Rows with the same pair of cost rows form a class,
-    numbered in order of first appearance, and row_class holds each row's
-    class. tuples maps each distinct argmin tuple, each class's tuple of
-    argmin prefix masks along an optimal column ordering, smallest first, to
-    its number of optimal orderings: equal rows have equal argmins, so each
-    is kept once per class, not once per row. The cost is inf, and tuples
+    classes holds one (c0, c1, size) entry per class of size rows with equal
+    costs: c0[b] and c1[b] are the costs of a row's result cell b being 0
+    and 1, None where that value is not allowed. Returns (cost, tuples).
+    tuples maps each distinct argmin tuple, each class's tuple of argmin
+    prefix masks along an optimal column ordering, smallest first, to its
+    number of optimal orderings: equal rows have equal argmins, so each is
+    kept once per class, not once per row. The cost is inf, and tuples
     empty, when nothing is allowed.
 
     The orderings are searched best first over states: a prefix Q and each
@@ -131,19 +131,17 @@ def _search(c0, c1, cap: int | None):
     nothing is allowed. A search that would store more than STATE_CAP
     states raises ResourceCapError.
     """
-    n = len(c0[0])
+    n = len(classes[0][0])
     cap = DEFAULT_ENUM_CAP if cap is None else cap
     if n > cap:
         raise ResourceCapError(
             f"exact search ranges over {n}! column orderings which exceeds the "
             f"cap of {cap}; raise the cap or use an interleaving operator"
         )
-    sizes = collections.Counter(zip(c0, c1))  # each class of equal rows and its size, in order
-    row_class = tuple(map(dict(zip(sizes, itertools.count())).__getitem__, zip(c0, c1)))
     # allowed totals lie in [-top, top] (filter drops None and zeros)
-    top = sum(k * sum(map(abs, filter(None, r0 + r1))) for (r0, r1), k in sizes.items())
+    top = sum(k * sum(map(abs, filter(None, r0 + r1))) for r0, r1, k in classes)
     value, tables = {None: 2 * top + 1}.get, []
-    for (r0, r1), k in sizes.items():  # each class's costs of its cells being 0 and 1, times its size
+    for r0, r1, k in classes:  # each class's costs of its cells being 0 and 1, times its size
         z, o = tuple(map(k.__mul__, map(value, r0, r0))), tuple(map(k.__mul__, map(value, r1, r1)))
         least = tuple(map(min, z, o))
         rise, grow = tuple(map(operator.sub, o, z)), tuple(map(operator.sub, o, least))
@@ -231,21 +229,20 @@ def _search(c0, c1, cap: int | None):
                     below[parent][tail] += count
         level = below
     tuples = {tuple(argmins for _, argmins in tail): count for tail, count in level.get(None, {}).items()}
-    return best if tuples else math.inf, row_class, tuples
+    return best if tuples else math.inf, tuples
 
 
 @functools.lru_cache(maxsize=1)
-def _solve(K: Tournament, cost, cap: int | None, weights):
-    """_search's (cost, row_class, tuples) on the cells of a tall or square
-    K under cost[observed][result] and weights (None, or a tuple of row
-    tuples): the optimum set factored per row class, whose size grows with
-    the rows plus the classes times the distinct argmin tuples.
+def _solve(classes, cap: int | None):
+    """_search's (cost, tuples) on the class table of a tall or square input:
+    the optimum set factored per class, whose size grows with the classes
+    times the distinct argmin tuples, not with the rows.
 
-    Callers pass all four arguments by position, as lru_cache keys a keyword
+    Callers pass both arguments by position, as lru_cache keys a keyword
     argument apart and would solve one input twice. The result is shared by
-    every caller that solves the same input, so no caller may change it.
+    every caller that solves the same class table, so no caller may change it.
     """
-    return _search(*_cell_costs(K, cost, weights), cap)
+    return _search(classes, cap)
 
 
 def _expand(row_class, tuples, m: int, n: int, wide: bool):
@@ -308,18 +305,16 @@ def _members(K: Tournament, blocks) -> tuple[Tournament, ...]:
     return tuple(Tournament._unchecked(K.rows, K.cols, masks) for masks in _rows(blocks))
 
 
-def _optimum(K: Tournament, cost, cap: int | None, weights=None):
+def _optimum(K: Tournament, cost, cap: int | None):
     """(distance, blocks): the least total cost of a chain tournament from K
-    under cost[observed][result] and weights (None, or a tuple of row
-    tuples), and _expand's generator of the blocks listing every chain
-    tournament at that cost, in canonical order."""
+    under cost[observed][result], and _expand's generator of the blocks
+    listing every chain tournament at that cost, in canonical order."""
     wide = K.cols > K.rows
     if wide:
         (z0, z1), (o0, o1) = cost
         K, cost = dual(K), ((o1, o0), (z1, z0))
-        if weights is not None:
-            weights = tuple(zip(*weights))
-    distance, row_class, tuples = _solve(K, cost, cap, weights)
+    classes, row_class = _classes(K, cost)
+    distance, tuples = _solve(classes, cap)
     return distance, _expand(row_class, tuples, K.rows, K.cols, wide)
 
 
@@ -362,7 +357,15 @@ def weighted_min_chain(K: Tournament, weights, cap: int | None = None) -> Tourna
     A tied optimum raises AmbiguityError listing the tied tournaments; weights
     built by match_pref.weights_for can never tie.
     """
-    out = _members(K, _optimum(K, _EDIT, cap, _check_weights(K, weights))[1])
+    rows, tall, wide = _check_weights(K, weights), K, K.cols > K.rows
+    if wide:  # solved as dual(K), under the same costs, as _EDIT is its own dual
+        rows, tall = tuple(zip(*rows)), dual(K)
+    # equal masks may weigh differently, so each row is its own class: its
+    # mask's unit costs times its weights
+    unit, row_class = _classes(tall, _EDIT)
+    classes = tuple((tuple(map(operator.mul, c0, ws)), tuple(map(operator.mul, c1, ws)), 1)
+                    for (c0, c1, _), ws in zip(map(unit.__getitem__, row_class), rows))
+    out = _members(K, _expand(range(tall.rows), _solve(classes, cap)[1], tall.rows, tall.cols, wide))
     if len(out) != 1:
         listing = "; ".join(str(M.cells) for M in out)
         raise AmbiguityError(f"weighted argmin is not unique: {listing}")

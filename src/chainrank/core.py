@@ -287,17 +287,20 @@ def _nested(masks: Iterable[int]) -> bool:
 def chain_violation(K: Tournament) -> tuple[int, int] | None:
     """First row pair (1-based) with incomparable neighbourhoods, or None.
 
-    Only a non-chain is scanned pair by pair, in index order, for the pair to
-    name.
+    Only a non-chain is scanned for the pair to name: its first row with an
+    incomparable later row, from each met mask's last incomparable row, then
+    the first such later row; linear in rows plus the distinct masks squared.
     """
     masks = K.row_masks
     if _nested(masks):
         return None
-    for i in range(K.rows):
-        for j in range(i + 1, K.rows):
-            inter = masks[i] & masks[j]
-            if inter != masks[i] and inter != masks[j]:
-                return (i + 1, j + 1)
+    last = {mask: j for j, mask in enumerate(masks)}  # each distinct mask's last row
+    reach = {}  # each met mask's last incomparable row, or -1
+    for i, mask in enumerate(masks):
+        if mask not in reach:
+            reach[mask] = max((j for other, j in last.items() if mask & other not in (mask, other)), default=-1)
+        if reach[mask] > i:
+            return i + 1, 1 + next(j for j in range(i + 1, K.rows) if mask & masks[j] not in (mask, masks[j]))
     return None
 
 
@@ -349,18 +352,14 @@ def permute(
         pi = tuple(range(1, K.cols + 1))
     _check_permutation(sigma, K.rows, "row permutation")
     _check_permutation(pi, K.cols, "column permutation")
-    identity_pi = all(pi[b0] == b0 + 1 for b0 in range(K.cols))
     new_masks = [0] * K.rows
     for a0, mask in enumerate(K.row_masks):
-        if not identity_pi:
-            remapped = 0
-            rest = mask
-            while rest:
-                low = rest & -rest
-                remapped |= 1 << (pi[low.bit_length() - 1] - 1)
-                rest ^= low
-            mask = remapped
-        new_masks[sigma[a0] - 1] = mask
+        remapped = 0
+        while mask:
+            low = mask & -mask
+            remapped |= 1 << (pi[low.bit_length() - 1] - 1)
+            mask ^= low
+        new_masks[sigma[a0] - 1] = remapped
     return Tournament(K.rows, K.cols, tuple(new_masks))
 
 

@@ -12,7 +12,7 @@ from __future__ import annotations
 import itertools
 import operator
 
-from .chain_edit import _EDIT, _solve
+from .chain_edit import _EDIT, _classes, _solve
 from .core import Tournament, dual
 
 
@@ -39,7 +39,8 @@ def least_member(K: Tournament, order, flip: Tournament | None, cap: int | None 
     wide = cols > rows
     if wide:
         K = dual(K)
-    _, search_class, tuples = _solve(K, _EDIT, cap, None)
+    table, search_class = _classes(K, _EDIT)
+    tuples = _solve(table, cap)[1]
     m, n = K.rows, K.cols
     full = (1 << n) - 1
     if flip is None:
@@ -56,16 +57,10 @@ def least_member(K: Tournament, order, flip: Tournament | None, cap: int | None 
         ranked = (tuple(by_row[i : i + n]) for i in range(0, m * n, n))
     classes: dict = {}  # (search class, flip row, columns in order): index
     row_class = [classes.setdefault(key, len(classes)) for key in zip(search_class, flips, ranked)]
-    smallest, largest = operator.itemgetter(0), operator.itemgetter(-1)
 
     def picked(c, f, ranks):
-        # the class's pick in every distinct argmin tuple: a smaller argmin
-        # is inside a larger one, so with f empty the smallest is least, and
-        # with f full the largest
-        argmins = map(operator.itemgetter(c), tuples)
-        if f == 0 or f == full:
-            return map(largest if f else smallest, argmins)
-        return (_least_prefix(a, f, ranks) for a in argmins)
+        # the class's pick in every distinct argmin tuple
+        return (_least_prefix(argmins[c], f, ranks) for argmins in tuples)
 
     picks = set(zip(*itertools.starmap(picked, classes)))
     if len(picks) == 1:

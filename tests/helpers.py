@@ -194,6 +194,11 @@ def ordering_argmins(c0, c1):
     return best, optimal
 
 
+def cell_costs(K, cost):
+    """The per-row cost matrices (c0, c1) of K under cost[observed][result]."""
+    return tuple([tuple(cost[v][r] for v in row) for row in K.cells] for r in (0, 1))
+
+
 def permutation_search(c0, c1):
     """Reference for chain_edit._search: score every column ordering of every row.
 

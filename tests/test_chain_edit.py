@@ -44,6 +44,7 @@ from helpers import (
     TABLE1,
     brute_force_min_chain,
     canonical_min_oracle,
+    cell_costs,
     match_pref_oracle,
     monotone_oracle,
     ordering_argmins,
@@ -437,7 +438,7 @@ class TestOneOptimalOrdering:
     @pytest.mark.parametrize("n, k", [(2, 3), (3, 6), (4, 9), (6, 11), (5, 11)])
     def test_planted(self, n, k):
         K, members, complete, delete = planted_chain(random.Random(n * 100 + k), n, k)
-        assert len(chain_edit._solve(K, chain_edit._EDIT, None, None)[2]) == 1
+        assert len(chain_edit._solve(chain_edit._classes(K, chain_edit._EDIT)[0], None)[1]) == 1
         assert len(members) == 1 << k
         assert min_chain_set(K) == MinChainSet(k, members)
         assert chain_completion(K).members == (complete,)
@@ -483,12 +484,12 @@ class TestMemberCap:
 class TestStateCap:
     def test_boundary(self, monkeypatch):
         # a random 9x9 whose search stores 903 states
-        costs = chain_edit._cell_costs(random_tournament(random.Random(0), 9, 9), chain_edit._EDIT, None)
+        classes = chain_edit._classes(random_tournament(random.Random(0), 9, 9), chain_edit._EDIT)[0]
         monkeypatch.setattr(chain_edit, "STATE_CAP", 902)
         with pytest.raises(ResourceCapError, match="9 columns .* more than 902 states, .* cap of 902"):
-            _search(*costs, 9)
+            _search(classes, 9)
         monkeypatch.setattr(chain_edit, "STATE_CAP", 903)
-        assert _search(*costs, 9)[0] == 13
+        assert _search(classes, 9)[0] == 13
 
 
 COSTS = st.sampled_from([0, 1, 2, 3, 1 << 40, 1 << 64, 1 << 100, -1, -5, -(1 << 41)])
@@ -523,11 +524,14 @@ class TestSearchOracle:
         wide = n > m
         if wide:  # searched as the dual: transposed, each cell's two costs swapped
             c0, c1, m, n = list(zip(*c1)), list(zip(*c0)), n, m
-        got, row_class, tuples = _search(c0, c1, None)
+        # rows with equal costs form a class, in order of first appearance
+        sizes = collections.Counter(zip(c0, c1))
+        row_class = tuple(map(list(sizes).index, zip(c0, c1)))
+        got, tuples = _search(tuple((r0, r1, k) for (r0, r1), k in sizes.items()), None)
         assert got == cost
         # each class's argmins along each optimal ordering, counted: a class
         # settled early may still tie at a later prefix
-        first = [row_class.index(i) for i in range(max(row_class) + 1)]
+        first = [row_class.index(i) for i in range(len(sizes))]
         scanned = ordering_argmins(c0, c1)[1] if got < math.inf else []
         assert tuples == collections.Counter(tuple(map(per_row.__getitem__, first)) for per_row in scanned)
         expanded = _expand(row_class, tuples, m, n, wide)
@@ -546,7 +550,7 @@ def test_search_expands_few_states(monkeypatch):
     pops = []
     heappop = heapq.heappop
     monkeypatch.setattr(heapq, "heappop", lambda heap: pops.append(None) or heappop(heap))
-    distance, _, tuples = _search(*chain_edit._cell_costs(K, chain_edit._EDIT, None), 14)
+    distance, tuples = _search(chain_edit._classes(K, chain_edit._EDIT)[0], 14)
     assert (distance, len(tuples), sum(tuples.values())) == (8, 6, 384)
     assert 0 < len(pops) <= 2500  # the search pops every state it expands
 
@@ -619,7 +623,7 @@ class TestLeastMember:
                 min_chain_set(K)
             except ResourceCapError:
                 continue
-            tied += len(chain_edit._solve(K, chain_edit._EDIT, None, None)[2]) > 1
+            tied += len(chain_edit._solve(chain_edit._classes(K, chain_edit._EDIT)[0], None)[1]) > 1
             for L in (K, transpose(K)):
                 zero = Tournament(L.rows, L.cols, (0,) * L.rows)
                 noise = random_tournament(rng, L.rows, L.cols)
@@ -710,7 +714,7 @@ class TestSolveMemo:
         for m, n in ((1, 3), (2, 5), (3, 6), (4, 5)):
             K = random_tournament(rng, m, n)
             for cost in costs:
-                distance, _, members = permutation_search(*chain_edit._cell_costs(K, cost, None))
+                distance, _, members = permutation_search(*cell_costs(K, cost))
                 chain_edit._solve.cache_clear()
                 got, expanded = chain_edit._optimum(K, cost, None)
                 assert got == distance
@@ -724,7 +728,8 @@ def test_solve_keeps_each_class_once_per_distinct_argmin_tuple():
     # 2,000 rows of two masks: one entry per class, not per row, in each of
     # the 30 distinct argmin tuples of the 4,608 tied optimal orderings
     K = Tournament.from_cells(two_patterns(2000, 4))
-    distance, row_class, tuples = chain_edit._solve(K, chain_edit._EDIT, None, None)
+    classes, row_class = chain_edit._classes(K, chain_edit._EDIT)
+    distance, tuples = chain_edit._solve(classes, None)
     assert distance == 4000
     assert row_class == (0, 1) * 1000
     assert (len(tuples), sum(tuples.values())) == (30, 4608)

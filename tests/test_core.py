@@ -170,6 +170,22 @@ class TestChainProperty:
         )
         subprocess.run([sys.executable, "-c", code], check=True, timeout=30)
 
+    def test_violation_named_in_linear_time(self):
+        # the same input: the first incomparable pair is the last two rows,
+        # which a scan of row pairs in index order reaches only after minutes
+        code = (
+            "from chainrank import NotChainError, Tournament, chain_rankings\n"
+            "from chainrank.core import chain_violation\n"
+            "K = Tournament(100000, 2, (0, 3) * 49999 + (1, 2))\n"
+            "assert chain_violation(K) == (99999, 100000)\n"
+            "try:\n"
+            "    chain_rankings(K)\n"
+            "except NotChainError as e:\n"
+            "    message = str(e)\n"
+            "assert message == 'rows 99999 and 100000 have incomparable neighbourhoods; not a chain tournament'\n"
+        )
+        subprocess.run([sys.executable, "-c", code], check=True, timeout=30)
+
 
 class TestChainRankings:
     def test_example1(self):

@@ -47,6 +47,7 @@ from chainrank.axiom_lab import Scope, scope_verdicts
 from chainrank.cli import main
 from chainrank.fileio import to_csv
 from chainrank.match_pref import parse_order_name
+from chainrank.picks import least_member
 
 from helpers import planted_chain, two_patterns
 
@@ -230,7 +231,7 @@ def test_solve_holds_one_entry_per_distinct_argmin_tuple(two_patterns_2000x8):
     chain_edit._solve.cache_clear()
     tracemalloc.start()
     try:
-        result = chain_edit._solve(K, chain_edit._EDIT, None, None)
+        result = chain_edit._solve(chain_edit._classes(K, chain_edit._EDIT)[0], None)
         gc.collect()  # a full collection also empties the interpreter's free lists
         held = tracemalloc.get_traced_memory()[0]
     finally:
@@ -246,7 +247,7 @@ def test_search_beyond_the_default_cap():
     chain_edit._solve.cache_clear()
     tracemalloc.start()
     try:
-        distance, _, tuples = chain_edit._solve(K, chain_edit._EDIT, 16, None)
+        distance, tuples = chain_edit._solve(chain_edit._classes(K, chain_edit._EDIT)[0], 16)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -259,15 +260,32 @@ def test_search_stores_no_state_above_an_ordering_cost():
     # the dive's ordering cost bounds what the search stores; without it,
     # states up to the bound of all allowed totals peaked at 40.5 MiB here
     K = sample_tournament(sample_state(16, 16, 1), NoiseParams.symmetric(0.05), 8)
-    costs = chain_edit._cell_costs(K, chain_edit._EDIT, None)
+    classes = chain_edit._classes(K, chain_edit._EDIT)[0]
     tracemalloc.start()
     try:
-        distance, _, tuples = chain_edit._search(*costs, 16)
+        distance, tuples = chain_edit._search(classes, 16)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
     assert (distance, len(tuples), sum(tuples.values())) == (9, 17, 15120)
     assert peak <= 24 * MB, f"peak traced memory {peak / MB:.2f} MB exceeds 24 MB"
+
+
+@pytest.mark.parametrize("pick", ["distance", "least member"])
+def test_exam_shape_solve_is_sized_by_its_classes(pick):
+    # 64,000 rows of 8 columns have at most 256 distinct masks: a cost tuple
+    # per row, folded into classes only by the search, peaked at 15.4 MiB here
+    K = sample_tournament(sample_state(64000, 8, 1), NoiseParams.symmetric(0.1), 8)
+    solve = min_chain_distance if pick == "distance" else lambda K: least_member(K, None, None)
+    chain_edit._solve.cache_clear()
+    tracemalloc.start()
+    try:
+        solve(K)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+        chain_edit._solve.cache_clear()
+    assert peak <= 4 * MB, f"peak traced memory {peak / MB:.2f} MB exceeds 4 MB"
 
 
 def test_scope_verdicts_keep_one_pair_per_distinct_answer():
