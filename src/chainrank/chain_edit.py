@@ -28,7 +28,8 @@ Every problem is solved tall, searching orderings of the smaller side.
 dual(K) transposes and complements K and maps its chain tournaments one to
 one onto those of dual(K), so a wide K is solved as dual(K), with cost[o][r]
 taken as cost[1 - o][1 - r], and the members are mapped back by dual.
-_optimum, the entry of every listing, and weighted_min_chain apply this rule.
+_classes alone applies this rule, and each caller maps its own weights,
+flips and results.
 
 One solve serves every exact pick of a tournament: _solve keeps the last
 factored optimum it found, keyed on what the search reads, the class table
@@ -79,18 +80,25 @@ class MinChainSet(_Value):
 
 
 def _classes(K: Tournament, cost):
-    """(classes, row_class): K's class table under cost[observed][result], one
-    (c0 row, c1 row, size) entry per distinct row mask in order of first
-    appearance, c0 and c1 each cell's cost of being 0 and of being 1, and
-    each row's class."""
+    """(classes, row_class, tall, wide): the class table of tall under
+    cost[observed][result], each of its rows' class, tall, and whether K was
+    wide, tall being K or, when K has more columns than rows, dual(K) with
+    cost[o][r] taken as cost[1 - o][1 - r]. The table holds one (c0 row, c1
+    row, size) entry per distinct row mask in order of first appearance, c0
+    and c1 each cell's cost of being 0 and of being 1."""
     (z0, z1), (o0, o1) = cost
+    wide = K.cols > K.rows
+    if wide:
+        K, (z0, z1), (o0, o1) = dual(K), (o1, o0), (z1, z0)
     cols = range(K.cols)
-    sizes = collections.Counter(K.row_masks)
+    sizes = dict.fromkeys(K.row_masks, 0)
+    for mask in K.row_masks:
+        sizes[mask] += 1
     classes = tuple(
         (tuple(o0 if mask >> b & 1 else z0 for b in cols), tuple(o1 if mask >> b & 1 else z1 for b in cols), k)
         for mask, k in sizes.items()
     )
-    return classes, tuple(map(dict(zip(sizes, itertools.count())).__getitem__, K.row_masks))
+    return classes, tuple(map(dict(zip(sizes, itertools.count())).__getitem__, K.row_masks)), K, wide
 
 
 def _search(classes, cap: int | None):
@@ -215,10 +223,10 @@ def _search(classes, cap: int | None):
             reach(state, child, runs, settled)
     # each state's tails: each class's (least cost, argmins) on the prefixes
     # from the state's to the full one, and how many paths share them
-    last = collections.Counter([tuple((c, (done,)) for c in full)])
+    last = {tuple((c, (done,)) for c in full): 1}
     level = {s: last for s, e in seen.items() if e[0] == best and s[0].bit_count() == n - 1}
     for _ in range(n):  # back one prefix size at a time, to the empty prefix's parent None
-        below = collections.defaultdict(collections.Counter)
+        below: dict = {}  # each parent's tails and their counts
         for (prefix, runs), tails in level.items():
             for tail, count in tails.items():
                 tail = tuple(
@@ -226,7 +234,8 @@ def _search(classes, cap: int | None):
                     for c, (least, argmins) in zip(costs[prefix], tail)
                 )
                 for parent in seen[prefix, runs][1]:
-                    below[parent][tail] += count
+                    merged = below.setdefault(parent, {})
+                    merged[tail] = merged.get(tail, 0) + count
         level = below
     tuples = {tuple(argmins for _, argmins in tail): count for tail, count in level.get(None, {}).items()}
     return best if tuples else math.inf, tuples
@@ -309,13 +318,9 @@ def _optimum(K: Tournament, cost, cap: int | None):
     """(distance, blocks): the least total cost of a chain tournament from K
     under cost[observed][result], and _expand's generator of the blocks
     listing every chain tournament at that cost, in canonical order."""
-    wide = K.cols > K.rows
-    if wide:
-        (z0, z1), (o0, o1) = cost
-        K, cost = dual(K), ((o1, o0), (z1, z0))
-    classes, row_class = _classes(K, cost)
+    classes, row_class, tall, wide = _classes(K, cost)
     distance, tuples = _solve(classes, cap)
-    return distance, _expand(row_class, tuples, K.rows, K.cols, wide)
+    return distance, _expand(row_class, tuples, tall.rows, tall.cols, wide)
 
 
 def min_chain_set(K: Tournament, cap: int | None = None) -> MinChainSet:
@@ -357,14 +362,13 @@ def weighted_min_chain(K: Tournament, weights, cap: int | None = None) -> Tourna
     A tied optimum raises AmbiguityError listing the tied tournaments; weights
     built by match_pref.weights_for can never tie.
     """
-    rows, tall, wide = _check_weights(K, weights), K, K.cols > K.rows
-    if wide:  # solved as dual(K), under the same costs, as _EDIT is its own dual
-        rows, tall = tuple(zip(*rows)), dual(K)
-    # equal masks may weigh differently, so each row is its own class: its
-    # mask's unit costs times its weights
-    unit, row_class = _classes(tall, _EDIT)
+    rows = _check_weights(K, weights)
+    unit, row_class, tall, wide = _classes(K, _EDIT)
+    # equal masks may weigh differently, so each row of tall is its own class:
+    # its mask's unit costs times its weights, cell (b, a) of dual(K) weighing
+    # weights[a][b]
     classes = tuple((tuple(map(operator.mul, c0, ws)), tuple(map(operator.mul, c1, ws)), 1)
-                    for (c0, c1, _), ws in zip(map(unit.__getitem__, row_class), rows))
+                    for (c0, c1, _), ws in zip(map(unit.__getitem__, row_class), zip(*rows) if wide else rows))
     out = _members(K, _expand(range(tall.rows), _solve(classes, cap)[1], tall.rows, tall.cols, wide))
     if len(out) != 1:
         listing = "; ".join(str(M.cells) for M in out)

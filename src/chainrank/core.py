@@ -13,6 +13,7 @@ The rankings read off a tournament are in rankings.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import operator
 from typing import TYPE_CHECKING, Iterable, Sequence
@@ -36,28 +37,6 @@ OPERATOR_NAMES = (
 
 # sets a field past a value type's frozen __setattr__
 _set = object.__setattr__
-
-
-class _lazy:
-    """An attribute computed on its first read and then stored on the instance.
-
-    A non-data descriptor: the value is stored with _set, past the frozen
-    __setattr__, under the method's own name, so every later read finds it in
-    the instance and never calls this again. Unlike functools.cached_property,
-    which takes a lock on every first read before Python 3.12, it takes none:
-    two threads that race on a first read compute the same value twice.
-    """
-
-    def __init__(self, func):
-        self.func = func
-        self.name = func.__name__
-
-    def __get__(self, obj, cls=None):
-        if obj is None:
-            return self
-        value = self.func(obj)
-        _set(obj, self.name, value)
-        return value
 
 
 class _Value:
@@ -211,7 +190,7 @@ class Tournament(_Value):
         self._check_row(a)
         return self.row_masks[a - 1]
 
-    @_lazy
+    @functools.cached_property
     def col_masks(self) -> tuple[int, ...]:
         masks = [0] * self.cols
         for a0, row in enumerate(self.row_masks):
@@ -301,7 +280,6 @@ def chain_violation(K: Tournament) -> tuple[int, int] | None:
             reach[mask] = max((j for other, j in last.items() if mask & other not in (mask, other)), default=-1)
         if reach[mask] > i:
             return i + 1, 1 + next(j for j in range(i + 1, K.rows) if mask & masks[j] not in (mask, masks[j]))
-    return None
 
 
 def has_chain_property(K: Tournament) -> bool:

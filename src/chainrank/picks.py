@@ -26,20 +26,19 @@ def least_member(K: Tournament, order, flip: Tournament | None, cap: int | None 
     order the match-preference selection.
 
     Nothing is expanded, so MEMBER_CAP does not apply. A wide K is answered
-    on its dual: cell (b, a) of dual(M) XOR dual(flip) is cell (a, b) of M
-    XOR flip. For a fixed argmin tuple the rows pick their argmin prefixes
-    independently, and every cell belongs to one row, so the least vector
-    of that tuple takes, in every row, the argmin whose own cells are least
-    (see _least_prefix). Rows with the same search class (equal argmins),
-    the same flip row and the same order of their own cells pick alike, so
-    each distinct argmin tuple is read once per class of such rows, and the
-    tuples' picks are compared cell by cell only when they differ.
+    on its dual, which chain_edit._classes solves: cell (b, a) of dual(M)
+    XOR dual(flip) is cell (a, b) of M XOR flip, so flip and order are
+    mapped onto the dual here. For a fixed argmin tuple the rows pick their
+    argmin prefixes independently, and every cell belongs to one row, so the
+    least vector of that tuple takes, in every row, the argmin whose own
+    cells are least (see _least_prefix). Rows with the same search class
+    (equal argmins), the same flip row and the same order of their own cells
+    pick alike, so each distinct argmin tuple is read once per class of such
+    rows, and the tuples' picks are compared cell by cell only when they
+    differ.
     """
     rows, cols = K.rows, K.cols
-    wide = cols > rows
-    if wide:
-        K = dual(K)
-    table, search_class = _classes(K, _EDIT)
+    table, search_class, K, wide = _classes(K, _EDIT)
     tuples = _solve(table, cap)[1]
     m, n = K.rows, K.cols
     full = (1 << n) - 1

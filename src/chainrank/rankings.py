@@ -8,9 +8,10 @@ which on a chain tournament are its neighbourhood-subset rankings.
 
 from __future__ import annotations
 
+import functools
 from typing import Iterable, Sequence
 
-from .core import Tournament, _lazy, _set, _Value
+from .core import Tournament, _set, _Value
 from .errors import InputError
 
 
@@ -38,7 +39,7 @@ class TotalPreorder(_Value):
     def from_ranks(cls, ranks: Iterable[Iterable[int]]) -> "TotalPreorder":
         return cls(tuple(frozenset(r) for r in ranks))
 
-    @_lazy
+    @functools.cached_property
     def _rank_index(self) -> dict[int, int]:
         return {p: i for i, rank in enumerate(self.ranks) for p in rank}
 

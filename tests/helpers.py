@@ -380,3 +380,60 @@ def kendall_tau_b_by_pairs(p, q):
     if denom == 0:
         return 0.0
     return (concordant - discordant) / denom
+
+
+def _obstruction(masks):
+    """Two rows and two columns, ((i, b), (j, c)), in which row i beats column
+    b that row j loses to and row j beats column c that row i loses to, or
+    None for a chain: the distinct masks, fewest bits first, are each inside
+    the next unless some such neighbouring pair is incomparable."""
+    first = {}
+    for i, mask in enumerate(masks):
+        first.setdefault(mask, i)
+    distinct = sorted(first, key=int.bit_count)
+    for low, high in zip(distinct, distinct[1:]):
+        if low & high != low:
+            b, c = (low & ~high).bit_length() - 1, (high & ~low).bit_length() - 1
+            return (first[low], b), (first[high], c)
+    return None
+
+
+def obstruction_oracle(K, allowed=(0, 1)):
+    """Branching oracle: the closest chain tournaments to K that flip only cells
+    whose observed value is in allowed, as a MinChainSet.
+
+    Chain tournaments are exactly those without an obstruction (two rows and
+    two columns in which each row beats a column the other row loses to), so
+    every chain tournament near K flips one of an obstruction's four cells.
+    The search branches on those cells, flipping each at most once, and
+    deepens the distance one step at a time; (0,) allows completion's
+    additions only and (1,) deletion's removals only. At the least distance,
+    a branch whose flips lie inside an optimum flips a cell of that optimum
+    next, so every optimum is found. Its leaves number about 4^distance,
+    whatever the number of columns, so it reaches columns that a scan of
+    orderings cannot.
+    """
+    found = set()
+
+    def branch(masks, flipped, budget, seen):
+        if flipped in seen:
+            return
+        seen.add(flipped)
+        cells = _obstruction(masks)
+        if cells is None:
+            found.add(masks)
+            return
+        if budget == 0:
+            return
+        (i, b), (j, c) = cells
+        for a, col in ((i, b), (j, b), (i, c), (j, c)):
+            if (a, col) not in flipped and K.row_masks[a] >> col & 1 in allowed:
+                flipped_masks = list(masks)
+                flipped_masks[a] ^= 1 << col
+                branch(tuple(flipped_masks), flipped | {(a, col)}, budget - 1, seen)
+
+    for distance in itertools.count():
+        branch(K.row_masks, frozenset(), distance, set())
+        if found:
+            members = (Tournament(K.rows, K.cols, masks) for masks in found)
+            return MinChainSet(distance, tuple(sorted(members, key=canonical_key)))

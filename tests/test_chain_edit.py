@@ -26,7 +26,9 @@ from chainrank import (
     neighborhood,
     permute,
     swap_rows,
+    vectorize,
     weighted_min_chain,
+    xor,
 )
 from chainrank import chain_edit
 from chainrank.chain_edit import _expand, _rows, _search, all_chain_tournaments
@@ -47,6 +49,7 @@ from helpers import (
     cell_costs,
     match_pref_oracle,
     monotone_oracle,
+    obstruction_oracle,
     ordering_argmins,
     permutation_search,
     planted_chain,
@@ -555,6 +558,79 @@ def test_search_expands_few_states(monkeypatch):
     assert 0 < len(pops) <= 2500  # the search pops every state it expands
 
 
+def _planted(m, n, seed):
+    return sample_tournament(sample_state(m, n, seed), NoiseParams.symmetric(0.05), seed + 7)
+
+
+def _uniform(m, n, seed):
+    rng = random.Random(seed)
+    return Tournament.from_cells([[int(rng.random() < 0.5) for _ in range(n)] for _ in range(m)])
+
+
+# (heappush, heappop) calls of one search at --cap 16: a change to what the
+# search stores or pops shows here even where no output moves
+SEARCH_WORK = {
+    **{
+        f"planted 14x14 seed {seed}": work
+        for seed, work in enumerate([
+            (274, 274), (3879, 1961), (1583, 802), (539, 210), (150, 150),
+            (113, 113), (222, 144), (486, 215), (589, 506), (75, 75),
+        ])
+    },
+    **{
+        f"planted 16x16 seed {seed}": work
+        for seed, work in enumerate([
+            (572, 572), (27502, 12841), (3388, 748), (1475, 440), (466, 324),
+            (680, 331), (443, 285), (265, 160), (16309, 7461), (706, 396),
+        ])
+    },
+    "uniform 10x10 seed 10": (7257, 4340),
+    "uniform 11x11 seed 11": (73923, 38120),
+}
+
+
+def test_search_work_is_pinned(monkeypatch):
+    counts = collections.Counter()
+    heappush, heappop = heapq.heappush, heapq.heappop
+    monkeypatch.setattr(heapq, "heappush", lambda heap, item: counts.update(["push"]) or heappush(heap, item))
+    monkeypatch.setattr(heapq, "heappop", lambda heap: counts.update(["pop"]) or heappop(heap))
+    inputs = {f"planted {n}x{n} seed {seed}": _planted(n, n, seed) for n in (14, 16) for seed in range(10)}
+    inputs.update({f"uniform {n}x{n} seed {n}": _uniform(n, n, n) for n in (10, 11)})
+    work = {}
+    for name, K in inputs.items():
+        counts.clear()
+        chain_edit._solve.cache_clear()
+        min_chain_distance(K, 16)
+        work[name] = (counts["push"], counts["pop"])
+    assert work == SEARCH_WORK
+
+
+# planted inputs at 9-16 columns, square and wide, and uniform ones with a few
+# rows and many columns, each at edit distance at most 7
+OBSTRUCTION_INPUTS = [
+    *((_planted, n, n, seed) for n, seed in [(9, 4), (10, 2), (11, 4), (12, 4), (13, 1), (14, 0), (15, 38), (16, 17), (16, 18)]),
+    (_planted, 9, 12, 3), (_planted, 10, 14, 2), (_planted, 12, 16, 1),
+    (_uniform, 3, 9, 1), (_uniform, 3, 12, 0), (_uniform, 2, 14, 2), (_uniform, 3, 16, 2),
+]
+
+
+@pytest.mark.parametrize(
+    "make, m, n, seed", OBSTRUCTION_INPUTS, ids=[f"{make.__name__[1:]} {m}x{n} seed {seed}" for make, m, n, seed in OBSTRUCTION_INPUTS]
+)
+def test_obstruction_oracle_past_seven_columns(make, m, n, seed):
+    # the permutation oracle stops at seven columns; the obstruction oracle's
+    # work grows with the distance, not the columns. dual(K) of a wide K is
+    # tall, so both orientations of every problem are checked
+    pref = MatchPreference.row_major()
+    for K in (make(m, n, seed), dual(make(m, n, seed))):
+        edit = obstruction_oracle(K)
+        assert min_chain_set(K, 16) == edit
+        assert chain_completion(K, 16) == obstruction_oracle(K, (0,))
+        assert chain_deletion(K, 16) == obstruction_oracle(K, (1,))
+        assert monotone_min_chain(K, 16) == min(edit.members, key=canonical_key)
+        assert select_match_pref(K, pref, 16) == min(edit.members, key=lambda M: vectorize(xor(K, M), pref))
+
+
 def _preferences(m, n, rng):
     grid = [(a, b) for a in range(1, m + 1) for b in range(1, n + 1)]
     rng.shuffle(grid)
@@ -728,7 +804,7 @@ def test_solve_keeps_each_class_once_per_distinct_argmin_tuple():
     # 2,000 rows of two masks: one entry per class, not per row, in each of
     # the 30 distinct argmin tuples of the 4,608 tied optimal orderings
     K = Tournament.from_cells(two_patterns(2000, 4))
-    classes, row_class = chain_edit._classes(K, chain_edit._EDIT)
+    classes, row_class, _, _ = chain_edit._classes(K, chain_edit._EDIT)
     distance, tuples = chain_edit._solve(classes, None)
     assert distance == 4000
     assert row_class == (0, 1) * 1000

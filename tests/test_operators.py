@@ -221,8 +221,8 @@ class TestRegistry:
 
 class TestSharedSolve:
     def test_threads_never_see_another_inputs_chain(self):
-        # library callers may share an operator across threads: its one-entry
-        # memo and chain_edit's one-entry solve memo are both shared by them
+        # library callers may share an operator across threads, and with it
+        # chain_edit's one-entry solve memo
         spec = chain_min_lex_operator()
         rng = random.Random(12)
         inputs = [random_tournament(rng, 4, 5) for _ in range(16)]
