@@ -15,14 +15,15 @@ takes a class table, one cost row and size per distinct row mask (see
 _classes), and returns the optimum set factored per class: each distinct
 argmin tuple, each class's tied argmin prefixes along an optimal ordering,
 with its number of optimal orderings. A listing of the complete optimum
-set, in canonical order, is read off it as blocks (see _expand), each
-standing for every member that takes, in each row, one of the block's masks
-for that row: one block for one argmin tuple of a tall or square input,
-whose members are never collected, else one block per distinct member.
-min_chain_set and its siblings build their members from the blocks, the
-command line writes a listing from them without building any, and MEMBER_CAP
-bounds every listing. The single-member picks, which expand nothing, are
-read off the factored form in picks.
+set, in canonical order, is read off the argmin tuples and class sizes as
+blocks (see _expand), each standing for every member that takes, in each
+row, one of the block's masks for that row: one block for one argmin tuple
+of a tall or square input, whose members are never collected or sorted,
+else one block per distinct member. min_chain_set and its siblings build
+their members from the blocks, the command line writes a listing from them
+without building any, and MEMBER_CAP bounds the member tuples of every
+listing. The single-member picks, which expand nothing, are read off the
+factored form in picks.
 
 Every problem is solved tall, searching orderings of the smaller side.
 dual(K) transposes and complements K and maps its chain tournaments one to
@@ -49,7 +50,6 @@ from the cost -log P(observed | truth). No float ever enters an argmin.
 
 from __future__ import annotations
 
-import collections
 import functools
 import heapq
 import itertools
@@ -60,7 +60,7 @@ from .core import Tournament, _row_key, _Value, dual
 from .errors import AmbiguityError, InputError, ResourceCapError
 
 DEFAULT_ENUM_CAP = 8
-# most (ordering, argmin) combinations _expand expands before it refuses
+# most member tuples _expand walks, over every distinct argmin tuple, before it refuses
 MEMBER_CAP = 1 << 16
 # most states _search stores before it refuses: far from a chain a raised
 # --cap otherwise stores states until memory runs out
@@ -254,33 +254,33 @@ def _solve(classes, cap: int | None):
     return _search(classes, cap)
 
 
-def _expand(row_class, tuples, m: int, n: int, wide: bool):
+def _expand(classes, row_class, tuples, m: int, n: int, wide: bool):
     """A generator of the blocks listing the distinct m-by-n tournaments that
-    the factored optimum (row_class, tuples) of a search on an m-by-n
-    matrix combines to (their duals when wide), in canonical order.
+    the factored optimum (row_class, tuples) of a search on the class table
+    classes of an m-by-n matrix combines to (their duals when wide), in
+    canonical order.
 
     A block holds, per row, a tuple of row masks, and stands for the members
     that take one of them in every row, in itertools.product order (see
     _rows); blocks never share a member. Raises ResourceCapError, on the
-    first read and before expanding anything, when the orderings combine to
-    more than MEMBER_CAP tuples: the sum over argmin tuples of their number
-    of orderings times the product over classes of |argmins| to the power
-    of the class's size, an upper bound on the members, as different
-    orderings may give the same tournament.
+    first read and before expanding anything, when the argmin tuples combine
+    to more than MEMBER_CAP member tuples: the sum over argmin tuples of the
+    product over classes of |argmins| to the power of the class's size, an
+    upper bound on the members, as different argmin tuples may give the same
+    tournament.
 
     With one distinct argmin tuple of a tall or square input, each row's
     argmins are distinct prefixes of one optimal ordering, so distinct
-    choices give distinct members, and one block of each row's argmins, each
-    class's sorted once by core._row_key, lists the members in canonical
-    order: nothing is collected or sorted. Otherwise two argmin tuples may
-    give the same member, or dual may reorder them, so the distinct members
-    are collected from each tuple's product over its classes' argmins,
-    mapped through dual when wide, sorted once by their rows' keys and given
-    as one block each, every row with a single choice. Either way each
-    distinct mask's key is computed once.
+    choices give distinct members, and one block of each row's argmins lists
+    the members in canonical order: _search gives each class's argmins
+    nested, smallest first, which is core._row_key order, so nothing is
+    collected or sorted. Otherwise two argmin tuples may give the same
+    member, or dual may reorder them, so the distinct members are collected
+    from each tuple's product over its classes' argmins, mapped through dual
+    when wide, sorted once by their rows' keys, computed once per distinct
+    mask, and given as one block each, every row with a single choice.
     """
-    sizes = collections.Counter(row_class)
-    count = sum(k * math.prod(len(a) ** sizes[i] for i, a in enumerate(t)) for t, k in tuples.items())
+    count = sum(math.prod(len(a) ** k for a, (_, _, k) in zip(t, classes)) for t in tuples)
     if count > MEMBER_CAP:
         raise ResourceCapError(
             f"the optimum set has up to {count} members which exceeds the member "
@@ -288,9 +288,7 @@ def _expand(row_class, tuples, m: int, n: int, wide: bool):
         )
     if len(tuples) == 1 and not wide:
         (argmins,) = tuples
-        key = {mask: _row_key(mask, n) for mask in set().union(*argmins)}.__getitem__
-        choices = [tuple(sorted(a, key=key)) for a in argmins]
-        yield tuple(map(choices.__getitem__, row_class))
+        yield tuple(map(argmins.__getitem__, row_class))
         return
     seen: set[tuple[int, ...]] = set()
     for argmins in tuples:
@@ -320,7 +318,7 @@ def _optimum(K: Tournament, cost, cap: int | None):
     listing every chain tournament at that cost, in canonical order."""
     classes, row_class, tall, wide = _classes(K, cost)
     distance, tuples = _solve(classes, cap)
-    return distance, _expand(row_class, tuples, tall.rows, tall.cols, wide)
+    return distance, _expand(classes, row_class, tuples, tall.rows, tall.cols, wide)
 
 
 def min_chain_set(K: Tournament, cap: int | None = None) -> MinChainSet:
@@ -369,7 +367,8 @@ def weighted_min_chain(K: Tournament, weights, cap: int | None = None) -> Tourna
     # weights[a][b]
     classes = tuple((tuple(map(operator.mul, c0, ws)), tuple(map(operator.mul, c1, ws)), 1)
                     for (c0, c1, _), ws in zip(map(unit.__getitem__, row_class), zip(*rows) if wide else rows))
-    out = _members(K, _expand(range(tall.rows), _solve(classes, cap)[1], tall.rows, tall.cols, wide))
+    tuples = _solve(classes, cap)[1]
+    out = _members(K, _expand(classes, range(tall.rows), tuples, tall.rows, tall.cols, wide))
     if len(out) != 1:
         listing = "; ".join(str(M.cells) for M in out)
         raise AmbiguityError(f"weighted argmin is not unique: {listing}")

@@ -36,6 +36,12 @@ EX2_MINCH = (
 )
 K4 = EX2_MINCH[3]
 
+# the 12x8 exam in which six students answered only question 1 and six only
+# question 2: 4,320 + 720 + 4,320 + 720 optimal orderings give 4 distinct
+# argmin tuples, which combine to 2^6 + 1 + 2^6 + 1 member tuples, 128
+# distinct members at distance 6
+SPLIT_EXAM = Tournament.from_cells([[1] + [0] * 7] * 6 + [[0, 1] + [0] * 6] * 6)
+
 # the 4x5 cardinality-interleaving walkthrough
 TABLE1 = Tournament.from_cells(
     [
@@ -203,9 +209,10 @@ def permutation_search(c0, c1):
     """Reference for chain_edit._search: score every column ordering of every row.
 
     Returns (cost, count, members): the least total cost (inf when nothing is
-    allowed), the number of (optimal ordering, per-row argmin) combinations,
-    and, when that is at most MEMBER_CAP, the set of optimal tournaments as
-    row-mask tuples of the input orientation (else None).
+    allowed), the number of member tuples the distinct per-row argmin tuples
+    of the optimal orderings combine to, and, when that is at most
+    MEMBER_CAP, the set of optimal tournaments as row-mask tuples of the
+    input orientation (else None).
     """
     m, n = len(c0), len(c0[0])
     if n > m:
@@ -215,7 +222,7 @@ def permutation_search(c0, c1):
     best, optimal = ordering_argmins(c0, c1)
     if best == math.inf:
         return best, 0, set()
-    count = sum(math.prod(len(options) for options in per_row) for per_row in optimal)
+    count = sum(math.prod(map(len, per_row)) for per_row in set(map(tuple, optimal)))
     if count > MEMBER_CAP:
         return best, count, None
     members = set()

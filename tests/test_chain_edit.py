@@ -43,6 +43,7 @@ from helpers import (
     EX1,
     EX2,
     EX2_MINCH,
+    SPLIT_EXAM,
     TABLE1,
     brute_force_min_chain,
     canonical_min_oracle,
@@ -483,6 +484,14 @@ class TestMemberCap:
         with pytest.raises(ResourceCapError, match="1062882"):
             all_chain_tournaments(12, 2)
 
+    def test_counts_argmin_tuples_not_orderings(self):
+        # 10,080 optimal orderings, 4 argmin tuples walking 130 member tuples
+        result = min_chain_set(SPLIT_EXAM)
+        assert (result.distance, len(result.members)) == (6, 128)
+        # a chain whose 9! orderings are all optimal, with one argmin tuple
+        K = Tournament(9, 9, (0,) * 9)
+        assert min_chain_set(K, cap=9) == MinChainSet(0, (K,))
+
 
 class TestStateCap:
     def test_boundary(self, monkeypatch):
@@ -530,14 +539,19 @@ class TestSearchOracle:
         # rows with equal costs form a class, in order of first appearance
         sizes = collections.Counter(zip(c0, c1))
         row_class = tuple(map(list(sizes).index, zip(c0, c1)))
-        got, tuples = _search(tuple((r0, r1, k) for (r0, r1), k in sizes.items()), None)
+        classes = tuple((r0, r1, k) for (r0, r1), k in sizes.items())
+        got, tuples = _search(classes, None)
         assert got == cost
         # each class's argmins along each optimal ordering, counted: a class
         # settled early may still tie at a later prefix
         first = [row_class.index(i) for i in range(len(sizes))]
         scanned = ordering_argmins(c0, c1)[1] if got < math.inf else []
         assert tuples == collections.Counter(tuple(map(per_row.__getitem__, first)) for per_row in scanned)
-        expanded = _expand(row_class, tuples, m, n, wide)
+        # strictly nested, smallest first: the canonical order a listing of one
+        # argmin tuple yields them in
+        for argmins in itertools.chain.from_iterable(tuples):
+            assert all(p & ~q == 0 and p != q for p, q in zip(argmins, argmins[1:]))
+        expanded = _expand(classes, row_class, tuples, m, n, wide)
         if members is None:
             with pytest.raises(ResourceCapError, match=str(count)):
                 next(expanded)

@@ -38,6 +38,7 @@ from chainrank.prob_model import k_theta, sample_state
 
 from helpers import (
     EX2,
+    SPLIT_EXAM,
     TABLE1,
     kendall_tau_b_by_pairs,
     planted_chain,
@@ -123,11 +124,14 @@ class TestRank:
 
 
 class TestEdit:
-    def test_all(self, ex2_file, capsys):
-        assert main(["edit", ex2_file, "--all", "--json"]) == 0
-        data = json.loads(capsys.readouterr().out)
-        assert data["distance"] == 2
-        assert len(data["members"]) == 4
+    def test_all(self, ex2_file, tmp_path, capsys):
+        exam = tmp_path / "exam.csv"
+        exam.write_text(to_csv(SPLIT_EXAM))
+        for path, distance, members in ((ex2_file, 2, 4), (str(exam), 6, 128)):
+            assert main(["edit", path, "--all", "--json"]) == 0
+            data = json.loads(capsys.readouterr().out)
+            assert data["distance"] == distance
+            assert len(data["members"]) == members
 
     def test_chain_input(self, tmp_path, capsys):
         path = tmp_path / "chain.csv"
