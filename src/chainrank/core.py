@@ -117,16 +117,17 @@ class _Value:
 
 
 def mask_of(labels: Iterable[int]) -> int:
-    """Bit mask for a set of 1-based labels."""
-    mask = 0
+    """Bit mask for a set of 1-based labels; a label below 1 raises IndexError."""
+    labels = tuple(labels)
+    bits = bytearray(b"0") * (max(labels, default=0) + 1)  # label 1 last; the 0 parses no labels
     for lab in labels:
-        mask |= 1 << (lab - 1)
-    return mask
+        bits[len(bits) - lab] = 49  # "1"; counted from the front, a label below 1 falls past the end
+    return int(bits, 2)
 
 
 def labels_of(mask: int) -> frozenset[int]:
     """1-based labels present in a bit mask."""
-    return frozenset(b + 1 for b in range(mask.bit_length()) if mask >> b & 1)
+    return frozenset(b for b, bit in enumerate(bin(mask)[:1:-1], 1) if bit == "1")
 
 
 class Tournament(_Value):
@@ -192,13 +193,11 @@ class Tournament(_Value):
 
     @functools.cached_property
     def col_masks(self) -> tuple[int, ...]:
-        masks = [0] * self.cols
-        for a0, row in enumerate(self.row_masks):
-            while row:
-                low = row & -row
-                masks[low.bit_length() - 1] |= 1 << a0
-                row ^= low
-        return tuple(masks)
+        # each distinct row as n characters, joined last row first: every n-th from n - b is column b
+        n = self.cols
+        row_bits = {row: format(row, f"0{n}b") for row in set(self.row_masks)}
+        bits = "".join(map(row_bits.__getitem__, reversed(self.row_masks)))
+        return tuple(int(bits[n - b :: n], 2) for b in range(1, n + 1))
 
     def col_mask(self, b: int) -> int:
         self._check_col(b)

@@ -337,6 +337,30 @@ def random_tournament(rng, m, n):
     return Tournament(m, n, tuple(rng.randint(0, full) for _ in range(m)))
 
 
+def col_masks_by_bits(K):
+    """K.col_masks, ORing one bit at a time into each column's mask."""
+    masks = [0] * K.cols
+    for a0, row in enumerate(K.row_masks):
+        while row:
+            low = row & -row
+            masks[low.bit_length() - 1] |= 1 << a0
+            row ^= low
+    return tuple(masks)
+
+
+def mask_of_by_bits(labels):
+    """core.mask_of, one shift per label; a label below 1 is a negative shift."""
+    mask = 0
+    for lab in labels:
+        mask |= 1 << (lab - 1)
+    return mask
+
+
+def labels_of_by_bits(mask):
+    """core.labels_of, testing one bit at a time."""
+    return frozenset(b + 1 for b in range(mask.bit_length()) if mask >> b & 1)
+
+
 def state_gap_by_pairs(x, y):
     """The message StateOfWorld's check gives a state with numeric levels x and
     y, or None: every ordered pair of same-side levels against every level of

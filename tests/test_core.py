@@ -26,7 +26,7 @@ from chainrank import (
     xor,
 )
 from chainrank.chain_edit import all_chain_tournaments
-from chainrank.core import canonical_key, chain_violation
+from chainrank.core import canonical_key, chain_violation, labels_of, mask_of
 
 from helpers import (
     EX1,
@@ -36,6 +36,9 @@ from helpers import (
     TABLE1,
     chain_violation_by_pairs,
     chains_by_definition,
+    col_masks_by_bits,
+    labels_of_by_bits,
+    mask_of_by_bits,
     pair,
     preorder,
     random_tournament,
@@ -113,6 +116,49 @@ class TestNeighborhoods:
     def test_co_neighborhood_out_of_range(self):
         with pytest.raises(InputError):
             co_neighborhood(EX1, 5)
+
+
+class TestBitMasks:
+    """col_masks, mask_of and labels_of against one-bit-at-a-time loops."""
+
+    SHAPES = [(1, 1), (1, 9), (1, 40), (9, 1), (40, 1), (7, 40), (3000, 3)]
+
+    @pytest.mark.parametrize("m, n", SHAPES)
+    def test_against_bit_loops(self, m, n):
+        rng = random.Random(m * 1000 + n)
+        full = (1 << n) - 1
+        inputs = [
+            Tournament(m, n, (0,) * m),
+            Tournament(m, n, (full,) * m),
+            Tournament(m, n, tuple(rng.choice((0, full)) for _ in range(m))),
+            *(random_tournament(rng, m, n) for _ in range(3)),
+        ]
+        for K in inputs:
+            assert K.col_masks == col_masks_by_bits(K)
+            for masks, size in ((K.row_masks, n), (K.col_masks, m)):
+                for mask in masks:
+                    labels = labels_of(mask)
+                    assert labels == labels_of_by_bits(mask)
+                    assert labels <= frozenset(range(1, size + 1))
+                    assert mask_of(labels) == mask_of_by_bits(labels) == mask
+                    assert mask_of(iter(sorted(labels))) == mask
+
+    def test_labels_seeded(self):
+        rng = random.Random(35)
+        for _ in range(200):
+            top = rng.randint(0, 300)
+            labels = [rng.randint(1, top) for _ in range(rng.randint(0, 12))] if top else []
+            mask = mask_of(labels)  # repeated labels set one bit
+            assert mask == mask_of_by_bits(labels)
+            assert labels_of(mask) == labels_of_by_bits(mask) == frozenset(labels)
+
+    @pytest.mark.parametrize("labels", [[0], [-1], [3, 0], [2, -4], [1, 5, -7]])
+    def test_label_below_one_raises(self, labels):
+        with pytest.raises(ValueError):
+            mask_of_by_bits(labels)
+        # an index into the bit string must not set its leading pad bit
+        with pytest.raises(IndexError):
+            mask_of(labels)
 
 
 class TestChainProperty:

@@ -16,7 +16,8 @@ table of all 2^16 prefixes per class, and stores no state whose sum exceeds
 the cost of an ordering found by a first dive. The axiom lab's
 scoped checks keep one ranking pair and one order per distinct answer, keyed
 on row masks rather than tournaments, and test chain-minimality without
-listing any optimum set.
+listing any optimum set. One 64,000x8 simulation trial of the five sweep
+operators keeps its traced peak where it was measured.
 """
 
 import contextlib
@@ -44,7 +45,7 @@ from chainrank import (
     select_match_pref,
 )
 from chainrank.axiom_lab import Scope, scope_verdicts
-from chainrank.cli import main
+from chainrank.cli import ExperimentConfig, main, run_simulation
 from chainrank.fileio import to_csv
 from chainrank.match_pref import parse_order_name
 from chainrank.picks import least_member
@@ -159,8 +160,8 @@ def test_monotone_pick_on_tall_input(planted_2000x8):
 
 @pytest.mark.parametrize("order", ["row-major", "col-major"])
 def test_match_pref_pick_on_tall_input(planted_2000x8, order):
-    # each distinct row is read once per optimal ordering; summing mn-bit
-    # cell weights per row and prefix took about 20 MB here
+    # each class of equal rows is read once per distinct argmin tuple; summing
+    # mn-bit cell weights per row and prefix took about 20 MB here
     path, K = planted_2000x8
     argv = ["rank", path, "-o", f"match-pref:{order}", "--json"]
     _traced(argv)
@@ -286,6 +287,28 @@ def test_exam_shape_solve_is_sized_by_its_classes(pick):
         tracemalloc.stop()
         chain_edit._solve.cache_clear()
     assert peak <= 4 * MB, f"peak traced memory {peak / MB:.2f} MB exceeds 4 MB"
+
+
+def test_exam_shape_trial():
+    # one 64,000x8 trial of the five sweep operators: building the column and
+    # label masks one bit at a time or from whole bit strings, the trial's
+    # traced peak was 57.3 MiB
+    def config(m):
+        operators = ("count", "ci", "chain-min-lex", "chain-min-mon", "match-pref:row-major")
+        return ExperimentConfig(m, 8, NoiseParams.symmetric(0.1), operators, trials=1, seed=0)
+
+    run_simulation(config(6))  # imports every module the trial uses
+    chain_edit._solve.cache_clear()
+    tracemalloc.start()
+    try:
+        results = run_simulation(config(64000))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+        chain_edit._solve.cache_clear()
+    costs = [results[op]["edit_cost"] for op in ("ci", "chain-min-lex", "match-pref:row-major")]
+    assert costs == [67878.0, 38260.0, 38260.0]
+    assert peak <= 60 * MB, f"peak traced memory {peak / MB:.2f} MB exceeds 60 MB"
 
 
 def test_scope_verdicts_keep_one_pair_per_distinct_answer():
