@@ -282,9 +282,10 @@ def _expand(classes, row_class, tuples, m: int, n: int, wide: bool):
     """
     count = sum(math.prod(len(a) ** k for a, (_, _, k) in zip(t, classes)) for t in tuples)
     if count > MEMBER_CAP:
+        # a count can have more digits than int() converts to a string
+        size = f"up to {count}" if count < 10**30 else "more than 10^30"
         raise ResourceCapError(
-            f"the optimum set has up to {count} members which exceeds the member "
-            f"cap of {MEMBER_CAP}"
+            f"the optimum set has {size} members which exceeds the member cap of {MEMBER_CAP}"
         )
     if len(tuples) == 1 and not wide:
         (argmins,) = tuples

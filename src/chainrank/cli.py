@@ -1,6 +1,6 @@
 """Command-line interface.
 
-Subcommands: rank, edit, axioms, simulate, likelihood, weights.
+Subcommands: rank, edit, axioms, simulate (chainrank.experiment), likelihood, weights.
 Exit codes: 0 ok, 1 standard output closed early (nothing is written to
 stderr), 2 input error, 3 resource cap exceeded, 4 internal assertion.
 The enumeration cap for exact chain editing defaults to 8 on the smaller side
@@ -22,17 +22,21 @@ from typing import TYPE_CHECKING
 
 # each subcommand imports the engine it runs, and the file reader if it reads
 # a file, so a command loads only those
-from .core import OPERATOR_NAMES, _Value, chain_rankings, hamming
+from .core import ALL_METRICS, OPERATOR_NAMES, hamming
 from .errors import AmbiguityError, ContractError, InputError, ResourceCapError
 
 if TYPE_CHECKING:
     from .prob_model import NoiseParams
     from .rankings import TotalPreorder
 
-ALL_METRICS = ("exact_match", "tie_aware_rank_correlation", "edit_cost")
-# most cells m x n a simulated tournament may hold; at 262,144x8, five
-# operators take about 330 MB
-SIMULATE_CELL_CAP = 1 << 21
+
+def __getattr__(name: str):
+    # perfbench traces the experiment's entry points as cli attributes (PEP 562)
+    if name in ("run_simulation", "kendall_tau_b"):
+        from . import experiment
+
+        return getattr(experiment, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
 def _enum_cap(args) -> int | None:
@@ -196,113 +200,6 @@ def cmd_axioms(args) -> int:
     return 0
 
 
-def kendall_tau_b(p: TotalPreorder, q: TotalPreorder) -> float:
-    """Tie-aware rank correlation over the pair classification of two preorders
-    of the same players.
-
-    The players are counted per cell (rank in p, rank in q). Two players of
-    different cells are concordant or discordant by the sign of
-    (px - py)(qx - qy), so each pair of cells adds the product of their
-    counts, and a preorder's ties are the pairs within each of its ranks.
-    That is linear in the players and quadratic in the distinct cells, of
-    which there are at most as many as players.
-    """
-    cells: dict[tuple[int, int], int] = {}
-    for px, rank in enumerate(p.ranks):
-        for x in rank:
-            key = (px, q.rank_of(x))
-            cells[key] = cells.get(key, 0) + 1
-    counted = list(cells.items())
-    concordant = discordant = 0
-    for i, ((px, qx), cx) in enumerate(counted):
-        for (py, qy), cy in counted[i + 1 :]:
-            sign = (px - py) * (qx - qy)
-            if sign > 0:
-                concordant += cx * cy
-            elif sign < 0:
-                discordant += cx * cy
-    total = len(p.players) * (len(p.players) - 1) // 2
-    ties_p, ties_q = (sum(len(r) * (len(r) - 1) // 2 for r in o.ranks) for o in (p, q))
-    denom = math.sqrt((total - ties_p) * (total - ties_q))
-    if denom == 0:
-        return 0.0
-    return (concordant - discordant) / denom
-
-
-class ExperimentConfig(_Value):
-    m: int
-    n: int
-    alpha: NoiseParams
-    operator_names: tuple[str, ...]
-    trials: int
-    seed: int
-    metrics: tuple[str, ...] = ALL_METRICS
-
-    def _check(self) -> None:
-        if self.trials < 1:
-            raise InputError("trials must be at least 1")
-        # a size below 1x1 is refused as an input error when sampling
-        if min(self.m, self.n) > 0 and self.m * self.n > SIMULATE_CELL_CAP:
-            raise ResourceCapError(
-                f"simulate {self.m}x{self.n} holds {self.m * self.n} cells, "
-                f"over the cap of {SIMULATE_CELL_CAP}"
-            )
-        for metric in self.metrics:
-            if metric not in ALL_METRICS:
-                raise InputError(f"unknown metric {metric!r}")
-        for kind, names in (("operator", self.operator_names), ("metric", self.metrics)):
-            for i, name in enumerate(names):
-                if name in names[:i]:
-                    raise InputError(f"{kind} {name!r} is listed more than once")
-
-
-def _run_trial(config: ExperimentConfig, specs, trial: int) -> dict:
-    from .prob_model import derive_seed, k_theta, sample_state, sample_tournament
-
-    theta = sample_state(config.m, config.n, derive_seed(config.seed, trial, 0))
-    observed = sample_tournament(theta, config.alpha, derive_seed(config.seed, trial, 1))
-    truth = chain_rankings(k_theta(theta))
-    row: dict = {}
-    for spec in specs:
-        predicted = spec.evaluate(observed)
-        values: dict = {}
-        if "exact_match" in config.metrics:
-            values["exact_match"] = 1.0 if predicted == truth else 0.0
-        if "tie_aware_rank_correlation" in config.metrics:
-            values["tie_aware_rank_correlation"] = 0.5 * (
-                kendall_tau_b(truth.a_order, predicted.a_order)
-                + kendall_tau_b(truth.b_order, predicted.b_order)
-            )
-        if "edit_cost" in config.metrics:
-            values["edit_cost"] = (
-                float(hamming(observed, spec.edit_chain(observed)))
-                if spec.edit_chain
-                else None
-            )
-        row[spec.name] = values
-    return row
-
-
-def run_simulation(config: ExperimentConfig, cap: int | None = None):
-    """Mean metric per operator; per-trial RNG streams derive from (seed, trial)."""
-    from .operators import resolve_operator
-
-    specs = [resolve_operator(name, cap) for name in config.operator_names]
-    # a running total per operator and metric, added in trial order from 0 as
-    # sum() adds before Python 3.12, so the means are bit-identical on every
-    # version and memory does not grow with the trials
-    totals = {spec.name: dict.fromkeys(config.metrics, 0) for spec in specs}
-    for trial in range(config.trials):
-        for name, values in _run_trial(config, specs, trial).items():
-            total = totals[name]
-            for metric, value in values.items():
-                total[metric] = None if value is None else total[metric] + value
-    return {
-        name: {metric: None if t is None else t / config.trials for metric, t in total.items()}
-        for name, total in totals.items()
-    }
-
-
 def _noise(args) -> NoiseParams:
     from .prob_model import NoiseParams
 
@@ -312,6 +209,8 @@ def _noise(args) -> NoiseParams:
 
 
 def cmd_simulate(args) -> int:
+    from .experiment import ExperimentConfig, run_simulation
+
     cap = _enum_cap(args)
     alpha = _noise(args)
     metrics = tuple(args.metrics.split(",")) if args.metrics else ALL_METRICS

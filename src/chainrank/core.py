@@ -23,8 +23,9 @@ from .errors import InputError, NotChainError
 if TYPE_CHECKING:
     from .rankings import RankingPair
 
-# the operators operators.resolve_operator accepts; here so that listing them
-# (the CLI's help, for one) does not load the operators
+# the operators operators.resolve_operator accepts and the metrics an
+# experiment reports; here so that listing them (the CLI's help, for one)
+# loads neither the operators nor the experiment
 OPERATOR_NAMES = (
     "count",
     "chain-min-lex",
@@ -33,6 +34,7 @@ OPERATOR_NAMES = (
     "match-pref:<row-major|col-major|file.json>",
     "ci",
 )
+ALL_METRICS = ("exact_match", "tie_aware_rank_correlation", "edit_cost")
 
 
 # sets a field past a value type's frozen __setattr__

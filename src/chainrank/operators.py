@@ -54,14 +54,14 @@ def _well_formed(name: str, fn: Callable[[Tournament], RankingPair]):
 
 def _exact_operator(name: str, choice: Callable[[Tournament], Tournament], dual_choice=None) -> OperatorSpec:
     """An operator that ranks by its chosen chain tournament; evaluate, choice
-    and edit_chain share one solve, chain_edit's memo. Given dual_choice, only
+    and edit_chain share one pick of the last tournament. Given dual_choice, only
     a canonical K, one smaller than dual(K) under the global order, takes
     choice(K), and any other K takes dual_choice(K)."""
 
     def canonical_or_dual(K: Tournament) -> Tournament:
         return choice(K) if canonical_key(K) < canonical_key(dual(K)) else dual_choice(K)
 
-    pick = choice if dual_choice is None else canonical_or_dual
+    pick = functools.lru_cache(maxsize=1)(choice if dual_choice is None else canonical_or_dual)
     return OperatorSpec(
         name,
         _well_formed(name, lambda K: chain_rankings(pick(K))),

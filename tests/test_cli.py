@@ -23,6 +23,7 @@ from chainrank import (
     chain_deletion,
     chain_edit,
     cli,
+    experiment,
     hamming,
     min_chain_set,
     mle_search,
@@ -662,8 +663,18 @@ class TestRefusals:
         err = self.one_line_error(capsys, 2, TestSimulate.ARGS + [flag, names])
         assert f"{names.split(',')[-1]!r} is listed more than once" in err
 
+    def test_member_cap_past_the_digit_limit(self, tmp_path, capsys):
+        # 30,000 rows alternating 1,0 and 0,1 combine to about 2^15,000 member
+        # tuples, a count with more digits than int() converts to a string
+        path = tmp_path / "alternating.csv"
+        path.write_text(to_csv(Tournament.from_cells(two_patterns(30_000, 1))))
+        path = str(path)
+        for args in (["edit", path], ["edit", path, "--json"], ["likelihood", path, "--mle", "--beta", "0.1"]):
+            err = self.one_line_error(capsys, 3, args)
+            assert "more than 10^30 members" in err
+
     def test_simulate_cells_over_cap(self, capsys, monkeypatch):
-        monkeypatch.setattr(cli, "SIMULATE_CELL_CAP", 12)
+        monkeypatch.setattr(experiment, "SIMULATE_CELL_CAP", 12)
         args = ["simulate", "--beta", "0.1", "--operators", "ci", "--trials", "1", "--seed", "0"]
         assert main([*args, "--m", "4", "--n", "3"]) == 0
         capsys.readouterr()

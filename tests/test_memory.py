@@ -45,7 +45,8 @@ from chainrank import (
     select_match_pref,
 )
 from chainrank.axiom_lab import Scope, scope_verdicts
-from chainrank.cli import ExperimentConfig, main, run_simulation
+from chainrank.cli import main
+from chainrank.experiment import ExperimentConfig, run_simulation
 from chainrank.fileio import to_csv
 from chainrank.match_pref import parse_order_name
 from chainrank.picks import least_member
@@ -292,7 +293,8 @@ def test_exam_shape_solve_is_sized_by_its_classes(pick):
 def test_exam_shape_trial():
     # one 64,000x8 trial of the five sweep operators: building the column and
     # label masks one bit at a time or from whole bit strings, the trial's
-    # traced peak was 57.3 MiB
+    # traced peak was 57.3 MiB, and 58.4 MiB once each exact operator keeps
+    # its last pick
     def config(m):
         operators = ("count", "ci", "chain-min-lex", "chain-min-mon", "match-pref:row-major")
         return ExperimentConfig(m, 8, NoiseParams.symmetric(0.1), operators, trials=1, seed=0)

@@ -6,6 +6,7 @@ import pytest
 
 from chainrank import (
     InputError,
+    NoiseParams,
     Tournament,
     all_tournaments,
     chain_rankings,
@@ -26,7 +27,8 @@ from chainrank.operators import (
     count_operator,
     match_pref_operator,
 )
-from chainrank import MatchPreference
+from chainrank import MatchPreference, picks
+from chainrank.experiment import ExperimentConfig, run_simulation
 
 from helpers import ANON_K, EX1, EX2, TABLE1, pair, random_tournament
 
@@ -220,6 +222,16 @@ class TestRegistry:
 
 
 class TestSharedSolve:
+    def test_one_pick_per_tournament(self, monkeypatch):
+        # evaluate and edit_chain share the pick: of the five sweep operators,
+        # chain-min-lex, chain-min-mon and match-pref pick once per trial each
+        calls = []
+        least_member = picks.least_member
+        monkeypatch.setattr(picks, "least_member", lambda *args: calls.append(args) or least_member(*args))
+        operators = ("count", "ci", "chain-min-lex", "chain-min-mon", "match-pref:row-major")
+        run_simulation(ExperimentConfig(6, 6, NoiseParams.symmetric(0.1), operators, trials=20, seed=41))
+        assert len(calls) == 60
+
     def test_threads_never_see_another_inputs_chain(self):
         # library callers may share an operator across threads, and with it
         # chain_edit's one-entry solve memo

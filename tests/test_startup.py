@@ -15,9 +15,9 @@ import pytest
 import chainrank
 from chainrank.axiom_lab import AxiomVerdict, ImpossibilityReport, Scope, SuiteRow
 from chainrank.chain_edit import MinChainSet
-from chainrank.cli import ALL_METRICS, ExperimentConfig
-from chainrank.core import Tournament
+from chainrank.core import ALL_METRICS, Tournament
 from chainrank.errors import InputError, ResourceCapError
+from chainrank.experiment import ExperimentConfig
 from chainrank.fileio import TournamentFile
 from chainrank.interleave import InterleaveRound, InterleaveTrace, SelectionFunctionPair
 from chainrank.match_pref import MatchPreference
@@ -66,11 +66,11 @@ def source_lines(modules):
 # compiling a module after the heavy imports are resident sets the command's
 # peak RSS
 SUBCOMMANDS = [
-    ("edit", ["edit", "{square}", "--all"], 1650),
-    ("likelihood", ["likelihood", "{square}", "--mle", "--beta", "0.1"], 1960),
+    ("edit", ["edit", "{square}", "--all"], 1524),
+    ("likelihood", ["likelihood", "{square}", "--mle", "--beta", "0.1"], 1835),
     ("rank", ["rank", "{square}", "-o", "chain-min-lex"], None),
-    ("weights", ["weights", "--order", "row-major", "--m", "2", "--n", "2"], 1250),
-    ("axioms", ["axioms", "-o", "ci", "--scope", "2x2"], None),
+    ("weights", ["weights", "--order", "row-major", "--m", "2", "--n", "2"], 1101),
+    ("axioms", ["axioms", "-o", "ci", "--scope", "2x2"], 2392),
     ("simulate", ["simulate", "--m", "3", "--n", "3", "--beta", "0.1", "--operators",
                   "count,ci,chain-min-lex,chain-min-mon,match-pref:row-major",
                   "--trials", "2", "--seed", "1"], None),
@@ -159,6 +159,18 @@ class TestImportFootprint:
     def test_help_builds_parser_without_engines(self):
         loaded = loaded_by(["rank", "--help"])
         assert not {f"chainrank.{name}" for name in ENGINES} & loaded
+
+    def test_only_simulate_loads_the_experiment(self, square):
+        for command, args, _ in [*SUBCOMMANDS, ("rank --help", ["rank", "--help"], None)]:
+            loaded = loaded_by([arg.format(square=square) for arg in args])
+            assert ("chainrank.experiment" in loaded) == (command == "simulate"), command
+
+    def test_experiment_loads_no_cli(self):
+        proc = subprocess.run(
+            [sys.executable, "-c", "import json, sys, chainrank.experiment; print(json.dumps(sorted(sys.modules)))"],
+            capture_output=True, text=True, check=True,
+        )
+        assert not {"argparse", "chainrank.cli"} & set(json.loads(proc.stdout))
 
     def test_source_lines_per_subcommand(self, square, record_property):
         for command, args, bound in SUBCOMMANDS:
