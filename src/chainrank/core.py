@@ -180,9 +180,9 @@ class Tournament(_Value):
 
     @property
     def cells(self) -> tuple[tuple[int, ...], ...]:
-        return tuple(
-            tuple((mask >> b) & 1 for b in range(self.cols)) for mask in self.row_masks
-        )
+        # one tuple per distinct row, shared by the rows that equal it
+        rows = {mask: tuple((mask >> b) & 1 for b in range(self.cols)) for mask in set(self.row_masks)}
+        return tuple(map(rows.__getitem__, self.row_masks))
 
     def cell(self, a: int, b: int) -> int:
         self._check_row(a)

@@ -14,36 +14,35 @@ if TYPE_CHECKING:
     from .rankings import TotalPreorder
 
 # most cells m x n a simulated tournament may hold; at 262,144x8, five
-# operators take about 330 MB
+# operators take about 170 MB
 SIMULATE_CELL_CAP = 1 << 21
 
 
 def kendall_tau_b(p: TotalPreorder, q: TotalPreorder) -> float:
     """Tie-aware rank correlation over the pair classification of two preorders
-    of the same players.
+    of the same players; preorders of different players raise InputError.
 
-    The players are counted per cell (rank in p, rank in q). Two players of
-    different cells are concordant or discordant by the sign of
-    (px - py)(qx - qy), so each pair of cells adds the product of their
-    counts, and a preorder's ties are the pairs within each of its ranks.
-    That is linear in the players and quadratic in the distinct cells, of
-    which there are at most as many as players.
+    The players are counted per cell (rank in p, rank in q), a cell's count
+    being the size of the two ranks' intersection. Two players of different
+    cells are concordant or discordant by the sign of (px - py)(qx - qy), so
+    each pair of cells adds the product of their counts, and a preorder's
+    ties are the pairs within each of its ranks. That is one intersection per
+    pair of ranks, and quadratic in the cells met, of which there are at most
+    as many as players.
     """
-    cells: dict[tuple[int, int], int] = {}
-    for px, rank in enumerate(p.ranks):
-        for x in rank:
-            key = (px, q.rank_of(x))
-            cells[key] = cells.get(key, 0) + 1
-    counted = list(cells.items())
+    counted = [(px, qx, c) for px, a in enumerate(p.ranks) for qx, b in enumerate(q.ranks) if (c := len(a & b))]
+    players = sum(c for _, _, c in counted)
+    if players != sum(map(len, p.ranks)) or players != sum(map(len, q.ranks)):
+        raise InputError("the two preorders rank different players")
     concordant = discordant = 0
-    for i, ((px, qx), cx) in enumerate(counted):
-        for (py, qy), cy in counted[i + 1 :]:
+    for i, (px, qx, cx) in enumerate(counted):
+        for py, qy, cy in counted[i + 1 :]:
             sign = (px - py) * (qx - qy)
             if sign > 0:
                 concordant += cx * cy
             elif sign < 0:
                 discordant += cx * cy
-    total = len(p.players) * (len(p.players) - 1) // 2
+    total = players * (players - 1) // 2
     ties_p, ties_q = (sum(len(r) * (len(r) - 1) // 2 for r in o.ranks) for o in (p, q))
     denom = math.sqrt((total - ties_p) * (total - ties_q))
     if denom == 0:

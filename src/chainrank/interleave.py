@@ -174,11 +174,11 @@ def ranks_to_chain(pair: RankingPair) -> Tournament:
             f"rank counts {s} and {t} differ by more than one; "
             "no chain tournament realises these rankings"
         )
-    m = len(pair.a_order.players)
-    n = len(pair.b_order.players)
-    if pair.a_order.players != frozenset(range(1, m + 1)):
+    a_players, b_players = pair.a_order.players, pair.b_order.players
+    m, n = len(a_players), len(b_players)
+    if a_players != frozenset(range(1, m + 1)):
         raise InputError("A-side players must be labelled 1..m")
-    if pair.b_order.players != frozenset(range(1, n + 1)):
+    if b_players != frozenset(range(1, n + 1)):
         raise InputError("B-side players must be labelled 1..n")
     shift = 0 if s in (t - 1, t) else 1
     cumulative = [0]

@@ -118,15 +118,16 @@ def match_pref_operator(pref: MatchPreference, cap: int | None = None, label: st
 
 
 def ci_operator() -> OperatorSpec:
-    """ci's rankings, and its greedy chain for edit costs, from one interleaving run."""
+    """ci's rankings, and its greedy chain for edit costs, from one interleaving
+    run; the cache keeps the two answers of the last tournament, not its trace."""
     from .interleave import _greedy_chain, ci_selection, interleave
 
-    run = functools.lru_cache(maxsize=1)(lambda K: interleave(K, ci_selection()))
-    return OperatorSpec(
-        "ci",
-        _well_formed("ci", lambda K: run(K)[0]),
-        edit_chain=lambda K: _greedy_chain(K, run(K)[1]),
-    )
+    @functools.lru_cache(maxsize=1)
+    def run(K: Tournament) -> tuple[RankingPair, Tournament]:
+        pair, trace = interleave(K, ci_selection())
+        return pair, _greedy_chain(K, trace)
+
+    return OperatorSpec("ci", _well_formed("ci", lambda K: run(K)[0]), edit_chain=lambda K: run(K)[1])
 
 
 def dual_symmetrized(base: OperatorSpec) -> OperatorSpec:

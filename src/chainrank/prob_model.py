@@ -98,15 +98,10 @@ class NoiseParams(_Value):
 
 
 def k_theta(theta: StateOfWorld) -> Tournament:
-    """The deterministic tournament of a state: a win wherever x_a >= y_b."""
-    masks = []
-    for xa in theta.x:
-        mask = 0
-        for b0, yb in enumerate(theta.y):
-            if xa >= yb:
-                mask |= 1 << b0
-        masks.append(mask)
-    return Tournament(len(theta.x), len(theta.y), tuple(masks))
+    """The deterministic tournament of a state: a win wherever x_a >= y_b; one
+    mask per distinct skill level."""
+    masks = {xa: sum(1 << b0 for b0, yb in enumerate(theta.y) if xa >= yb) for xa in set(theta.x)}
+    return Tournament(len(theta.x), len(theta.y), tuple(map(masks.__getitem__, theta.x)))
 
 
 def canonical_state(K: Tournament) -> StateOfWorld:
@@ -116,17 +111,15 @@ def canonical_state(K: Tournament) -> StateOfWorld:
     column skill = least skill among the rows defeating it, or one past the
     row count for undefeated columns. Nested neighbourhoods are ordered by
     inclusion exactly as by size, so a row's skill is the number of rows
-    with at most as many wins.
+    with at most as many wins. Equal rows have equal skills, so each is
+    computed once per distinct row.
     """
     if not has_chain_property(K):
         raise NotChainError("canonical states exist only for chain tournaments")
     wins = sorted(mask.bit_count() for mask in K.row_masks)
-    x = [bisect.bisect_right(wins, mask.bit_count()) for mask in K.row_masks]
-    y = [
-        min((xa for xa, mask in zip(x, K.row_masks) if mask >> b0 & 1), default=K.rows + 1)
-        for b0 in range(K.cols)
-    ]
-    return StateOfWorld(tuple(x), tuple(y))
+    skill = {mask: bisect.bisect_right(wins, mask.bit_count()) for mask in set(K.row_masks)}
+    y = (min((xa for mask, xa in skill.items() if mask >> b0 & 1), default=K.rows + 1) for b0 in range(K.cols))
+    return StateOfWorld(tuple(map(skill.__getitem__, K.row_masks)), tuple(y))
 
 
 def _mismatch_counts(K: Tournament, theta: StateOfWorld) -> tuple[int, int, int, int]:

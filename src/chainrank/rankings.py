@@ -16,7 +16,8 @@ from .errors import InputError
 
 
 class TotalPreorder(_Value):
-    """An ordered partition of a player set into ranks, weakest rank first."""
+    """An ordered partition of a player set into ranks, weakest rank first; the
+    ranks hold the only copy of the players, which players builds on each read."""
 
     ranks: tuple[frozenset[int], ...]
 
@@ -32,12 +33,15 @@ class TotalPreorder(_Value):
             if rank & seen:
                 raise InputError("ranks must be pairwise disjoint")
             seen |= rank
-        # players, every ranked player, is an attribute, not a field
-        _set(self, "__dict__", {"ranks": ranks, "players": frozenset(seen)})
+        _set(self, "__dict__", {"ranks": ranks})
 
     @classmethod
     def from_ranks(cls, ranks: Iterable[Iterable[int]]) -> "TotalPreorder":
         return cls(tuple(frozenset(r) for r in ranks))
+
+    @property
+    def players(self) -> frozenset[int]:
+        return frozenset().union(*self.ranks)
 
     @functools.cached_property
     def _rank_index(self) -> dict[int, int]:

@@ -31,7 +31,7 @@ from chainrank import (
     select_match_pref,
 )
 from chainrank.cli import kendall_tau_b, main
-from chainrank.errors import AmbiguityError, ContractError
+from chainrank.errors import AmbiguityError, ContractError, InputError
 from chainrank.rankings import TotalPreorder
 from chainrank.fileio import parse_tournament, to_csv, to_json
 from chainrank.match_pref import parse_order_name
@@ -956,3 +956,11 @@ class TestKendallTauB:
     def test_partial_ties(self):
         got = kendall_tau_b(preorder("{12}3"), preorder("123"))
         assert 0.0 < got < 1.0
+
+    @pytest.mark.parametrize("p, q", [("12", "{13}2"), ("12", "123")])
+    def test_different_players_are_refused(self, p, q):
+        # both ways round: the cells of the players ranked by both sides
+        # must hold every player of each side
+        for x, y in ((p, q), (q, p)):
+            with pytest.raises(InputError, match="^the two preorders rank different players$"):
+                kendall_tau_b(preorder(x), preorder(y))

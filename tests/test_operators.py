@@ -1,3 +1,4 @@
+import gc
 import random
 import sys
 from concurrent.futures import ThreadPoolExecutor
@@ -29,6 +30,8 @@ from chainrank.operators import (
 )
 from chainrank import MatchPreference, picks
 from chainrank.experiment import ExperimentConfig, run_simulation
+from chainrank.interleave import InterleaveRound, InterleaveTrace, ci_selection, greedy_chain_tournament
+from chainrank.rankings import TotalPreorder
 
 from helpers import ANON_K, EX1, EX2, TABLE1, pair, random_tournament
 
@@ -231,6 +234,31 @@ class TestSharedSolve:
         operators = ("count", "ci", "chain-min-lex", "chain-min-mon", "match-pref:row-major")
         run_simulation(ExperimentConfig(6, 6, NoiseParams.symmetric(0.1), operators, trials=20, seed=41))
         assert len(calls) == 60
+
+    def test_a_trial_builds_no_rank_index(self, monkeypatch):
+        # the rank correlation counts players per pair of ranks, so no
+        # ranking of a trial needs a second copy of its players
+        def refuse(order):
+            raise AssertionError("a trial built a rank index")
+
+        monkeypatch.setattr(TotalPreorder, "_rank_index", property(refuse))
+        operators = ("count", "ci", "chain-min-lex", "chain-min-mon", "match-pref:row-major")
+        run_simulation(ExperimentConfig(40, 6, NoiseParams.symmetric(0.1), operators, trials=3, seed=41))
+
+    def test_ci_keeps_its_answers_not_its_trace(self):
+        # the interleaving trace holds a pool of players per round; once the
+        # run returns, ci's cache keeps only its rankings and greedy chain
+        def traces():
+            gc.collect()
+            return sum(isinstance(o, (InterleaveTrace, InterleaveRound)) for o in gc.get_objects())
+
+        spec = resolve_operator("ci")
+        K = random_tournament(random.Random(37), 30, 6)
+        before = traces()
+        pair = spec.evaluate(K)
+        assert traces() == before
+        assert spec.edit_chain(K) == greedy_chain_tournament(K, ci_selection())
+        assert vars(pair.a_order) == {"ranks": pair.a_order.ranks}
 
     def test_threads_never_see_another_inputs_chain(self):
         # library callers may share an operator across threads, and with it
