@@ -1,8 +1,8 @@
 """The input file formats: tournaments, states and match preferences.
 
 Two tournament formats are supported:
-  * csv: one row per line of comma-separated 0/1 cells; blank lines and
-    lines starting with '#' are ignored.
+  * csv: one row per line of comma-separated 0/1 cells, each distinct line
+    parsed once; blank lines and lines starting with '#' are ignored.
   * json: {"rows": m, "cols": n, "matrix": [[...]]}, optionally with
     "a_labels" and "b_labels" arrays of player names, strings or integers.
 
@@ -11,8 +11,8 @@ A state file is JSON {"x": [...], "y": [...]} of skill levels.
 A match-preference file is a JSON list of 1-based [row, col] integer pairs,
 most changeable cell first, listing every cell exactly once.
 
-Every file is read by _read and its JSON parsed by _parse, so each read or
-parse error becomes InputError in one place for all three formats.
+Every file is read by _read, past a leading byte-order mark, and its JSON
+parsed by _parse: each read or parse error becomes InputError in one place.
 """
 
 from __future__ import annotations
@@ -29,9 +29,9 @@ if TYPE_CHECKING:
 
 
 def _read(path: str, what: str = "") -> str:
-    """The text of a UTF-8 file; what names the file in the message."""
+    """The text of a UTF-8 file, less any byte-order mark; what names the file in the message."""
     try:
-        with open(path, "r", encoding="utf-8") as fh:
+        with open(path, "r", encoding="utf-8-sig") as fh:
             return fh.read()
     except (OSError, UnicodeDecodeError) as exc:
         raise InputError(f"cannot read {what}{path}: {exc}") from exc
@@ -54,18 +54,22 @@ class TournamentFile(_Value):
 
 
 def parse_csv(text: str) -> TournamentFile:
-    rows = []
+    cells, lines = {}, []  # each distinct matrix line's cells, by first appearance; every matrix line
     for lineno, line in enumerate(text.splitlines(), start=1):
         line = line.strip()
         if not line or line.startswith("#"):
             continue
-        try:
-            rows.append([int(tok.strip()) for tok in line.split(",")])
-        except ValueError:
-            raise InputError(f"line {lineno}: cells must be integers 0 or 1") from None
-    if not rows:
+        if line not in cells:
+            try:
+                cells[line] = [int(tok.strip()) for tok in line.split(",")]
+            except ValueError:
+                raise InputError(f"line {lineno}: cells must be integers 0 or 1") from None
+        lines.append(line)
+    if not cells:
         raise InputError("no matrix rows found")
-    return TournamentFile(Tournament.from_cells(rows))
+    distinct = Tournament.from_cells(cells.values())
+    masks = dict(zip(cells, distinct.row_masks))
+    return TournamentFile(Tournament(len(lines), distinct.cols, map(masks.__getitem__, lines)))
 
 
 def to_csv(K: Tournament) -> str:

@@ -22,6 +22,7 @@ from chainrank import (
     xor,
 )
 from chainrank.chain_edit import MEMBER_CAP
+from chainrank.fileio import TournamentFile
 
 # running example with the chain property and its non-chain variant
 EX1 = Tournament.from_cells([[1, 0, 0, 0], [1, 1, 0, 0], [1, 1, 1, 1]])
@@ -335,6 +336,23 @@ def cellwise_likelihood(K, theta, alpha):
 def random_tournament(rng, m, n):
     full = (1 << n) - 1
     return Tournament(m, n, tuple(rng.randint(0, full) for _ in range(m)))
+
+
+def parse_csv_by_rows(text):
+    """fileio.parse_csv, parsing and checking every matrix line, equal lines
+    included: every line's integers first, in line order, then the cells."""
+    rows = []
+    for lineno, line in enumerate(text.splitlines(), start=1):
+        line = line.strip()
+        if not line or line.startswith("#"):
+            continue
+        try:
+            rows.append([int(tok.strip()) for tok in line.split(",")])
+        except ValueError:
+            raise InputError(f"line {lineno}: cells must be integers 0 or 1") from None
+    if not rows:
+        raise InputError("no matrix rows found")
+    return TournamentFile(Tournament.from_cells(rows))
 
 
 def col_masks_by_bits(K):

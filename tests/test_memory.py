@@ -17,7 +17,8 @@ the cost of an ordering found by a first dive. The axiom lab's
 scoped checks keep one ranking pair and one order per distinct answer, keyed
 on row masks rather than tournaments, and test chain-minimality without
 listing any optimum set. One 64,000x8 simulation trial of the five sweep
-operators keeps its traced peak where it was measured.
+operators keeps its traced peak where it was measured, and the CSV reader
+keeps one parsed row per distinct line of a 64,000x8 exam, not one per line.
 """
 
 import contextlib
@@ -47,11 +48,11 @@ from chainrank import (
 from chainrank.axiom_lab import Scope, scope_verdicts
 from chainrank.cli import main
 from chainrank.experiment import ExperimentConfig, run_simulation
-from chainrank.fileio import to_csv
+from chainrank.fileio import parse_csv, to_csv
 from chainrank.match_pref import parse_order_name
 from chainrank.picks import least_member
 
-from helpers import planted_chain, two_patterns
+from helpers import parse_csv_by_rows, planted_chain, two_patterns
 
 MB = 1 << 20
 
@@ -312,6 +313,23 @@ def test_exam_shape_trial():
     costs = [results[op]["edit_cost"] for op in ("ci", "chain-min-lex", "match-pref:row-major")]
     assert costs == [67878.0, 38260.0, 38260.0]
     assert peak <= 37 * MB, f"peak traced memory {peak / MB:.2f} MB exceeds 37 MB"
+
+
+def test_exam_shape_read():
+    # 64,000 lines of 8 cells hold at most 256 distinct lines: a list of ints
+    # per line, each then checked and ORed into its mask, peaked at 16.7 MiB
+    # here; parsing each distinct line once it is 5.1 MiB, bounded here at
+    # that plus 10%
+    text = to_csv(sample_tournament(sample_state(64000, 8, 1), NoiseParams.symmetric(0.1), 8))
+    tracemalloc.start()
+    try:
+        K = parse_csv(text).tournament
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert (K.rows, len(set(K.row_masks))) == (64000, 253)
+    assert K == parse_csv_by_rows(text).tournament
+    assert peak <= 5.6 * MB, f"peak traced memory {peak / MB:.2f} MB exceeds 5.6 MB"
 
 
 def test_scope_verdicts_keep_one_pair_per_distinct_answer():
