@@ -4,7 +4,8 @@ Two tournament formats are supported:
   * csv: one row per line of comma-separated 0/1 cells, each distinct line
     parsed once; blank lines and lines starting with '#' are ignored.
   * json: {"rows": m, "cols": n, "matrix": [[...]]}, optionally with
-    "a_labels" and "b_labels" arrays of player names, strings or integers.
+    "a_labels" and "b_labels" arrays of player names, strings or integers;
+    each distinct matrix row is checked once.
 
 A state file is JSON {"x": [...], "y": [...]} of skill levels.
 
@@ -67,9 +68,14 @@ def parse_csv(text: str) -> TournamentFile:
         lines.append(line)
     if not cells:
         raise InputError("no matrix rows found")
+    return TournamentFile(_from_distinct(cells, lines))
+
+
+def _from_distinct(cells: dict, keys: list) -> Tournament:
+    """The rows cells[key] for key in keys, each distinct row checked once, in order of first appearance."""
     distinct = Tournament.from_cells(cells.values())
     masks = dict(zip(cells, distinct.row_masks))
-    return TournamentFile(Tournament(len(lines), distinct.cols, map(masks.__getitem__, lines)))
+    return Tournament(len(keys), distinct.cols, map(masks.__getitem__, keys))
 
 
 def to_csv(K: Tournament) -> str:
@@ -96,11 +102,13 @@ def parse_json(text: str) -> TournamentFile:
     if not isinstance(data, dict) or "matrix" not in data:
         raise InputError('JSON tournament needs a "matrix" field')
     matrix = data["matrix"]
-    if not isinstance(matrix, list) or not all(
-        isinstance(row, list) and all(type(v) is int for v in row) for row in matrix
-    ):
+    if not isinstance(matrix, list):
         raise InputError('"matrix" must be a list of rows of integers 0 or 1')
-    K = Tournament.from_cells(matrix)
+    keys = list(map(repr, matrix))  # 1, 1.0, true and "1" never share a key
+    cells = dict(zip(keys, matrix))
+    if not all(isinstance(row, list) and all(type(v) is int for v in row) for row in cells.values()):
+        raise InputError('"matrix" must be a list of rows of integers 0 or 1')
+    K = _from_distinct(cells, keys)
     for key, expected in (("rows", K.rows), ("cols", K.cols)):
         if key in data and data[key] != expected:
             raise InputError(f'"{key}" is {data[key]} but the matrix has {expected}')

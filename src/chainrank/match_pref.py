@@ -99,13 +99,14 @@ def select_match_pref(K: Tournament, pref: MatchPreference, cap: int | None = No
 
     Distinct matrices at equal distance differ somewhere, so their difference
     vectors never coincide; the pick is read off the factored optimum set
-    without expanding it. Row-major order is least_member's own (order None),
-    so it builds no list of the m*n cells.
+    without expanding it. The built-in orders reach least_member by name, so
+    only an explicit preference lists the m*n cells.
     """
-    from .picks import least_member  # here, so that `chainrank weights` loads no pick engine
+    from . import picks  # here, so that `chainrank weights` loads no pick engine
 
-    order = None if pref.kind == ROW_MAJOR else pref.order(K.rows, K.cols)
-    return least_member(K, order, K, cap)
+    if pref.kind == EXPLICIT:
+        return picks.least_member(K, pref.order(K.rows, K.cols), K, cap)
+    return picks.least_member(K, None if pref.kind == ROW_MAJOR else picks.COL_MAJOR, K, cap)
 
 
 def rank_match_pref(K: Tournament, pref: MatchPreference, cap: int | None = None) -> RankingPair:

@@ -89,15 +89,13 @@ def _chain_min_operator(name: str, cap: int | None) -> OperatorSpec:
     solve: a non-canonical K takes dual(M), M the least member of
     min_chain_set(dual(K)) = dual(min_chain_set(K)). M's row-major cells are
     dual(M)'s column-major cells flipped, so dual(M) is K's least_member in
-    column-major order under an all-ones flip.
+    the named column-major order under an all-ones flip, which lists no cell.
     """
     from .chain_edit import monotone_min_chain
-    from .picks import least_member
+    from .picks import COL_MAJOR, least_member
 
     def dual_least(K: Tournament) -> Tournament:
-        m, n = K.rows, K.cols
-        col_major = [(a, b) for b in range(1, n + 1) for a in range(1, m + 1)]
-        return least_member(K, col_major, Tournament(m, n, ((1 << n) - 1,) * m), cap)
+        return least_member(K, COL_MAJOR, Tournament(K.rows, K.cols, ((1 << K.cols) - 1,) * K.rows), cap)
 
     least = functools.partial(monotone_min_chain, cap=cap)
     return _exact_operator(name, least, dual_least if name == "chain-min-dual" else None)

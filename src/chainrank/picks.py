@@ -15,15 +15,18 @@ import operator
 from .chain_edit import _EDIT, _classes, _solve
 from .core import Tournament, dual
 
+COL_MAJOR = "col-major"  # least_member's name for column-major order; None is row-major
+
 
 def least_member(K: Tournament, order, flip: Tournament | None, cap: int | None = None) -> Tournament:
     """The member M of min_chain_set(K) whose cells XOR flip, listed in order, are least.
 
-    order lists every cell (a, b) of K exactly once, 1-based, or is None for
-    row-major order, so distinct members give distinct vectors and the least
-    one is unique; flip None flips nothing. No flip with row-major order
-    gives the canonically least member, flip = K with a match-preference
-    order the match-preference selection.
+    order lists every cell (a, b) of K exactly once, 1-based, or names a
+    built-in order, None row-major or COL_MAJOR column-major, in either of
+    which every row ranks its own cells by column. Distinct members give
+    distinct vectors, so the least one is unique; flip None flips nothing. No
+    flip with row-major order gives the canonically least member, flip = K
+    with a match-preference order the match-preference selection.
 
     Nothing is expanded, so MEMBER_CAP does not apply. A wide K is answered
     on its dual, which chain_edit._classes solves: cell (b, a) of dual(M)
@@ -46,7 +49,7 @@ def least_member(K: Tournament, order, flip: Tournament | None, cap: int | None 
         flips = (full if wide else 0,) * m
     else:
         flips = (dual(flip) if wide else flip).row_masks
-    if order is None:
+    if order is None or order == COL_MAJOR:
         ranked = itertools.repeat(tuple(range(1, n + 1)))
     else:
         # each row's columns in order: a stable sort by row keeps the order of
@@ -65,7 +68,11 @@ def least_member(K: Tournament, order, flip: Tournament | None, cap: int | None 
     if len(picks) == 1:
         (pick,) = picks
     else:
-        grid = itertools.product(range(1, rows + 1), range(1, cols + 1)) if order is None else order
+        grid = order
+        if order is None:
+            grid = itertools.product(range(1, rows + 1), range(1, cols + 1))
+        elif order == COL_MAJOR:
+            grid = ((a, b) for b in range(1, cols + 1) for a in range(1, rows + 1))
         if wide:
             grid = ((b, a) for a, b in grid)
         cells = [(row_class[a - 1], flips[a - 1], b - 1) for a, b in grid]

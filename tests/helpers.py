@@ -22,7 +22,7 @@ from chainrank import (
     xor,
 )
 from chainrank.chain_edit import MEMBER_CAP
-from chainrank.fileio import TournamentFile
+from chainrank.fileio import TournamentFile, _check_labels, _parse
 
 # running example with the chain property and its non-chain variant
 EX1 = Tournament.from_cells([[1, 0, 0, 0], [1, 1, 0, 0], [1, 1, 1, 1]])
@@ -353,6 +353,28 @@ def parse_csv_by_rows(text):
     if not rows:
         raise InputError("no matrix rows found")
     return TournamentFile(Tournament.from_cells(rows))
+
+
+def parse_json_by_rows(text):
+    """fileio.parse_json, checking the type of every cell of every row, equal
+    rows included, then building the tournament from every row."""
+    data = _parse(text)
+    if not isinstance(data, dict) or "matrix" not in data:
+        raise InputError('JSON tournament needs a "matrix" field')
+    matrix = data["matrix"]
+    if not isinstance(matrix, list) or not all(
+        isinstance(row, list) and all(type(v) is int for v in row) for row in matrix
+    ):
+        raise InputError('"matrix" must be a list of rows of integers 0 or 1')
+    K = Tournament.from_cells(matrix)
+    for key, expected in (("rows", K.rows), ("cols", K.cols)):
+        if key in data and data[key] != expected:
+            raise InputError(f'"{key}" is {data[key]} but the matrix has {expected}')
+    return TournamentFile(
+        K,
+        _check_labels(data.get("a_labels"), K.rows, "A"),
+        _check_labels(data.get("b_labels"), K.cols, "B"),
+    )
 
 
 def col_masks_by_bits(K):

@@ -32,7 +32,7 @@ from chainrank import (
 )
 from chainrank import chain_edit
 from chainrank.chain_edit import _expand, _rows, _search, all_chain_tournaments
-from chainrank.picks import least_member
+from chainrank.picks import COL_MAJOR, least_member
 from chainrank.core import canonical_key, dual
 from chainrank.match_pref import MatchPreference, weights_for
 from chainrank.match_pref import select_match_pref
@@ -717,9 +717,11 @@ class TestLeastMember:
             for L in (K, transpose(K)):
                 zero = Tournament(L.rows, L.cols, (0,) * L.rows)
                 noise = random_tournament(rng, L.rows, L.cols)
-                for order in _orders(L.rows, L.cols, rng):
+                orders = _orders(L.rows, L.cols, rng)
+                # every order as listed, then row- and column-major by name
+                for order, listed in [*zip(orders, orders), (None, orders[0]), (COL_MAJOR, orders[1])]:
                     for flip in (zero, L, noise):
-                        assert least_member(L, order, flip) == least_oracle(L, order, flip)
+                        assert least_member(L, order, flip) == least_oracle(L, listed, flip)
             checked += 1
         assert checked > 200 and tied > 50
 

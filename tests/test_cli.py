@@ -33,7 +33,7 @@ from chainrank import (
 from chainrank.cli import kendall_tau_b, main
 from chainrank.errors import AmbiguityError, ContractError, InputError
 from chainrank.rankings import TotalPreorder
-from chainrank.fileio import parse_tournament, to_csv, to_json
+from chainrank.fileio import parse_json, parse_tournament, to_csv, to_json
 from chainrank.match_pref import parse_order_name
 from chainrank.prob_model import k_theta, sample_state
 
@@ -42,6 +42,7 @@ from helpers import (
     SPLIT_EXAM,
     TABLE1,
     kendall_tau_b_by_pairs,
+    parse_json_by_rows,
     planted_chain,
     preorder,
     random_tournament,
@@ -86,6 +87,41 @@ class TestRoundTrips:
 
         with pytest.raises(InputError):
             parse_tournament('{"rows": 9, "matrix": [[1,0]]}')
+
+
+# cells that compare or hash equal to 0 or 1 without being integers, and
+# cells that cannot be hashed
+CELLS = st.sampled_from([0, 1, 1.0, True, False, "1", 0.0, 2, None, [1], [[0]]])
+
+
+@st.composite
+def repeated_rows(draw):
+    pool = draw(st.lists(st.lists(CELLS, max_size=3), min_size=1, max_size=4))
+    data = {"matrix": draw(st.lists(st.sampled_from(pool), max_size=10))}
+    for key in draw(st.sets(st.sampled_from(["rows", "cols"]))):
+        data[key] = draw(st.integers(0, 4))
+    return json.dumps(data)
+
+
+def _outcome(parse, text):
+    try:
+        return parse(text)
+    except InputError as exc:
+        return str(exc)
+
+
+class TestJsonReader:
+    # a row equal to an integer row under == but not in type, and the first
+    # failing row named as if every row were checked
+    @settings(max_examples=500, deadline=None)
+    @given(repeated_rows())
+    @example('{"matrix": [[1, 0], [1.0, 0], [1, 0]]}')
+    @example('{"matrix": [[1, 0], [true, 0]]}')
+    @example('{"matrix": [[1, 0], ["1", 0]]}')
+    @example('{"matrix": [[1, 0], [0, 1], [1, 0], [1, 2], [3, 0]]}')
+    @example('{"matrix": [[1, 0], [1, 0], [1], [1, 0, 1]]}')
+    def test_matches_checking_every_row(self, text):
+        assert _outcome(parse_json, text) == _outcome(parse_json_by_rows, text)
 
 
 class TestRank:
@@ -560,7 +596,10 @@ class TestExitCodes:
 
     def test_json_matrix_not_binary_integers(self, tmp_path, capsys):
         path = tmp_path / "bad.json"
-        for matrix in ("5", "[[true, 0]]", "[[0.0, 1]]", "[1, 0]"):
+        # the last two: a row equal to an integer row under ==, and repeated unhashable rows
+        for matrix in (
+            "5", "[[true, 0]]", "[[0.0, 1]]", "[1, 0]", "[[1, 0], [1.0, 0]]", "[[1, 0], [[1], 0], [[1], 0]]"
+        ):
             path.write_text('{"matrix": %s}' % matrix)
             assert main(["edit", str(path)]) == 2
             assert capsys.readouterr().err.count("\n") == 1
@@ -727,6 +766,7 @@ MALFORMED = {
     "tournament-deep": (b'{"matrix": ' + DEEP.encode() + b"}", ["edit", "FILE"]),
     "state-deep": (DEEP.encode(), ["likelihood", "k.csv", "--state", "FILE", "--beta", "0.1"]),
     "pref-deep": (DEEP.encode(), ["rank", "k.csv", "-o", "match-pref:FILE"]),
+    "tournament-nested-cell": (b'{"matrix": [[1, 0], [0, ' + b"[" * 900 + b"]" * 900 + b"]]}", ["edit", "FILE"]),
     "tournament-long-integer": (b'{"matrix": [[1' + b"0" * 5000 + b"]]}", ["edit", "FILE"]),
     "pref-string-label": (b'[["x", 1]]', ["rank", "k.csv", "-o", "match-pref:FILE"]),
     "pref-null-label": (b"[[null, 1]]", ["rank", "k.csv", "-o", "match-pref:FILE"]),
