@@ -60,7 +60,6 @@ _EXPORTS = {
         "ResourceCapError",
     ),
     "interleave": (
-        "InterleaveTrace",
         "SelectionFunctionPair",
         "ci_selection",
         "greedy_chain_tournament",

@@ -14,7 +14,7 @@ if TYPE_CHECKING:
     from .rankings import TotalPreorder
 
 # most cells m x n a simulated tournament may hold; at 262,144x8, five
-# operators take about 170 MB
+# operators take about 147 MB
 SIMULATE_CELL_CAP = 1 << 21
 
 

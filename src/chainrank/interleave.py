@@ -7,6 +7,10 @@ selection functions obeying the contract below terminates and produces
 rankings whose rank counts differ by at most one, and conversely every
 operator with that rank-count property arises this way.
 
+interleave keeps only the current pools and returns the ranking pair. Each
+round's selections are its ranks, so the pair alone fixes every round's pools
+and every player's removal round; the greedy chain is read off the ranks.
+
 Selection function contract, enforced per call:
   * the selection is a subset of the remaining pool;
   * it is non-empty whenever the pool is non-empty;
@@ -32,30 +36,6 @@ class SelectionFunctionPair(_Value):
     g: Selection
 
 
-class InterleaveRound(_Value):
-    index: int
-    a_remaining: frozenset[int]
-    b_remaining: frozenset[int]
-    f_selected: frozenset[int]
-    g_selected: frozenset[int]
-
-
-class InterleaveTrace(_Value):
-    """Full iteration record: per-round pools and selections, plus removal rounds."""
-
-    rounds: tuple[InterleaveRound, ...]
-    a_round: tuple[int, ...]
-    b_round: tuple[int, ...]
-
-    def r(self, a: int) -> int:
-        """Round at which row a was removed."""
-        return self.a_round[a - 1]
-
-    def s(self, b: int) -> int:
-        """Round at which column b was removed."""
-        return self.b_round[b - 1]
-
-
 def _validate_selection(out, pool, other_pool, side: str, index: int) -> frozenset[int]:
     out = frozenset(out)
     if not out <= pool:
@@ -74,13 +54,12 @@ def _validate_selection(out, pool, other_pool, side: str, index: int) -> frozens
     return out
 
 
-def interleave(K: Tournament, fg: SelectionFunctionPair) -> tuple[RankingPair, InterleaveTrace]:
+def interleave(K: Tournament, fg: SelectionFunctionPair) -> RankingPair:
     """Run the interleaving procedure; earlier removal means a higher rank."""
     a_rem = frozenset(range(1, K.rows + 1))
     b_rem = frozenset(range(1, K.cols + 1))
-    rounds: list[InterleaveRound] = []
-    a_round = [0] * K.rows
-    b_round = [0] * K.cols
+    a_ranks: list[frozenset[int]] = []
+    b_ranks: list[frozenset[int]] = []
     index = 0
     bound = max(K.rows, K.cols) + 1
     while a_rem or b_rem:
@@ -88,19 +67,14 @@ def interleave(K: Tournament, fg: SelectionFunctionPair) -> tuple[RankingPair, I
             raise AssertionError("interleaving exceeded its termination bound")
         f_out = _validate_selection(fg.f(K, a_rem, b_rem), a_rem, b_rem, "A", index)
         g_out = _validate_selection(fg.g(K, a_rem, b_rem), b_rem, a_rem, "B", index)
-        rounds.append(InterleaveRound(index, a_rem, b_rem, f_out, g_out))
-        for a in f_out:
-            a_round[a - 1] = index
-        for b in g_out:
-            b_round[b - 1] = index
+        if f_out:
+            a_ranks.append(f_out)
+        if g_out:
+            b_ranks.append(g_out)
         a_rem -= f_out
         b_rem -= g_out
         index += 1
-    a_ranks = [rnd.f_selected for rnd in reversed(rounds) if rnd.f_selected]
-    b_ranks = [rnd.g_selected for rnd in reversed(rounds) if rnd.g_selected]
-    pair = RankingPair(TotalPreorder(tuple(a_ranks)), TotalPreorder(tuple(b_ranks)))
-    trace = InterleaveTrace(tuple(rounds), tuple(a_round), tuple(b_round))
-    return pair, trace
+    return RankingPair(TotalPreorder(tuple(reversed(a_ranks))), TotalPreorder(tuple(reversed(b_ranks))))
 
 
 def ci_selection() -> SelectionFunctionPair:
@@ -139,19 +113,37 @@ def take_everything_selection() -> SelectionFunctionPair:
 
 
 def greedy_chain_tournament(K: Tournament, fg: SelectionFunctionPair) -> Tournament:
-    """The chain tournament built greedily along the interleaving trace.
+    """The chain tournament built greedily along the interleaving rounds.
 
     Rows removed at round i get the still-remaining columns B_i as their
     neighbourhood, so neighbourhoods are nested by construction. A heuristic:
     its edit cost can exceed the exact minimum.
     """
-    return _greedy_chain(K, interleave(K, fg)[1])
+    return _greedy_chain(K, interleave(K, fg))
 
 
-def _greedy_chain(K: Tournament, trace: InterleaveTrace) -> Tournament:
-    """greedy_chain_tournament along a trace already run on K."""
-    b_masks = [mask_of(rnd.b_remaining) for rnd in trace.rounds]
-    return Tournament(K.rows, K.cols, tuple(b_masks[r] for r in trace.a_round))
+def _greedy_chain(K: Tournament, pair: RankingPair) -> Tournament:
+    """greedy_chain_tournament from the pair interleave returned on K.
+
+    Each round removes one rank from each side until that side is exhausted,
+    so with s A-ranks and t B-ranks the i-th weakest A-rank was removed at
+    round s - i, when the weakest i + t - s B-ranks remained.
+    """
+    return _realise(K.rows, K.cols, pair, rank_count(pair.b_order) - rank_count(pair.a_order))
+
+
+def _realise(m: int, n: int, pair: RankingPair, offset: int) -> Tournament:
+    """The m x n chain tournament whose rows in the i-th weakest A-rank have
+    the weakest i + offset B-ranks as neighbourhood."""
+    cumulative = [0]
+    for y_rank in pair.b_order.ranks:
+        cumulative.append(cumulative[-1] | mask_of(y_rank))
+    masks = [0] * m
+    for i, x_rank in enumerate(pair.a_order.ranks, start=1):
+        neighbourhood = cumulative[i + offset]
+        for a in x_rank:
+            masks[a - 1] = neighbourhood
+    return Tournament(m, n, tuple(masks))
 
 
 def is_chain_definable(pair: RankingPair) -> bool:
@@ -180,16 +172,7 @@ def ranks_to_chain(pair: RankingPair) -> Tournament:
         raise InputError("A-side players must be labelled 1..m")
     if b_players != frozenset(range(1, n + 1)):
         raise InputError("B-side players must be labelled 1..n")
-    shift = 0 if s in (t - 1, t) else 1
-    cumulative = [0]
-    for y_rank in pair.b_order.ranks:
-        cumulative.append(cumulative[-1] | mask_of(y_rank))
-    masks = [0] * m
-    for i, x_rank in enumerate(pair.a_order.ranks, start=1):
-        neighbourhood = cumulative[i - shift]
-        for a in x_rank:
-            masks[a - 1] = neighbourhood
-    return Tournament(m, n, tuple(masks))
+    return _realise(m, n, pair, min(t - s, 0))
 
 
 def selection_from_rankings(table: Mapping[Tournament, RankingPair]) -> SelectionFunctionPair:

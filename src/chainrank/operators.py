@@ -59,7 +59,9 @@ def _exact_operator(name: str, choice: Callable[[Tournament], Tournament], dual_
     choice(K), and any other K takes dual_choice(K)."""
 
     def canonical_or_dual(K: Tournament) -> Tournament:
-        return choice(K) if canonical_key(K) < canonical_key(dual(K)) else dual_choice(K)
+        # keys lead with the row count, so only a square K needs them built
+        canonical = K.rows < K.cols or (K.rows == K.cols and canonical_key(K) < canonical_key(dual(K)))
+        return choice(K) if canonical else dual_choice(K)
 
     pick = functools.lru_cache(maxsize=1)(choice if dual_choice is None else canonical_or_dual)
     return OperatorSpec(
@@ -73,8 +75,7 @@ def _exact_operator(name: str, choice: Callable[[Tournament], Tournament], dual_
 def phi_ci(K: Tournament) -> RankingPair:
     from .interleave import ci_selection, interleave
 
-    pair, _ = interleave(K, ci_selection())
-    return pair
+    return interleave(K, ci_selection())
 
 
 def count_operator() -> OperatorSpec:
@@ -117,15 +118,12 @@ def match_pref_operator(pref: MatchPreference, cap: int | None = None, label: st
 
 def ci_operator() -> OperatorSpec:
     """ci's rankings, and its greedy chain for edit costs, from one interleaving
-    run; the cache keeps the two answers of the last tournament, not its trace."""
-    from .interleave import _greedy_chain, ci_selection, interleave
+    run; the cache keeps the ranking pair of the last tournament, and the greedy
+    chain is read off that pair's ranks."""
+    from .interleave import _greedy_chain
 
-    @functools.lru_cache(maxsize=1)
-    def run(K: Tournament) -> tuple[RankingPair, Tournament]:
-        pair, trace = interleave(K, ci_selection())
-        return pair, _greedy_chain(K, trace)
-
-    return OperatorSpec("ci", _well_formed("ci", lambda K: run(K)[0]), edit_chain=lambda K: run(K)[1])
+    run = functools.lru_cache(maxsize=1)(phi_ci)
+    return OperatorSpec("ci", _well_formed("ci", run), edit_chain=lambda K: _greedy_chain(K, run(K)))
 
 
 def dual_symmetrized(base: OperatorSpec) -> OperatorSpec:

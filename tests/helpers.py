@@ -9,6 +9,7 @@ from chainrank import (
     MinChainSet,
     RankingPair,
     ResourceCapError,
+    SelectionFunctionPair,
     TotalPreorder,
     Tournament,
     all_tournaments,
@@ -16,6 +17,7 @@ from chainrank import (
     canonical_state,
     hamming,
     has_chain_property,
+    interleave,
     log_likelihood,
     min_chain_set,
     vectorize,
@@ -336,6 +338,37 @@ def cellwise_likelihood(K, theta, alpha):
 def random_tournament(rng, m, n):
     full = (1 << n) - 1
     return Tournament(m, n, tuple(rng.randint(0, full) for _ in range(m)))
+
+
+def recording(fg):
+    """fg, and the list it fills with one (A pool, B pool, f's pick, g's pick)
+    per interleaving round, each as a set."""
+    rounds = []
+
+    def f(K, a_rem, b_rem):
+        out = frozenset(fg.f(K, a_rem, b_rem))
+        rounds.append((set(a_rem), set(b_rem), set(out)))
+        return out
+
+    def g(K, a_rem, b_rem):
+        out = frozenset(fg.g(K, a_rem, b_rem))
+        assert rounds[-1][:2] == (set(a_rem), set(b_rem))
+        rounds[-1] += (set(out),)
+        return out
+
+    return SelectionFunctionPair(fg.name, f, g), rounds
+
+
+def greedy_chain_by_rounds(K, fg):
+    """interleave.greedy_chain_tournament by its rule: rows removed in round i
+    get that round's B pool as their neighbourhood."""
+    recorded, rounds = recording(fg)
+    interleave(K, recorded)
+    masks = [0] * K.rows
+    for _, b_pool, f_out, _ in rounds:
+        for a in f_out:
+            masks[a - 1] = mask_of_by_bits(b_pool)
+    return Tournament(K.rows, K.cols, tuple(masks))
 
 
 def parse_csv_by_rows(text):

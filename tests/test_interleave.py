@@ -27,7 +27,7 @@ from chainrank import (
 )
 from chainrank.chain_edit import all_chain_tournaments
 
-from helpers import EX2, TABLE1, pair, preorder, random_tournament
+from helpers import EX2, TABLE1, greedy_chain_by_rounds, pair, preorder, random_tournament, recording
 
 TABLE1_ROUNDS = [
     ({1, 2, 3, 4}, {1, 2, 3, 4, 5}, {1}, {1}),
@@ -39,22 +39,21 @@ TABLE1_ROUNDS = [
 
 class TestTable1:
     def test_trace_reproduces_every_row(self):
-        _, trace = interleave(TABLE1, ci_selection())
-        assert len(trace.rounds) == 4
-        for rnd, (a_i, b_i, f_i, g_i) in zip(trace.rounds, TABLE1_ROUNDS):
-            assert set(rnd.a_remaining) == a_i
-            assert set(rnd.b_remaining) == b_i
-            assert set(rnd.f_selected) == f_i
-            assert set(rnd.g_selected) == g_i
+        fg, rounds = recording(ci_selection())
+        interleave(TABLE1, fg)
+        assert rounds == TABLE1_ROUNDS
 
     def test_final_rankings(self):
-        result, _ = interleave(TABLE1, ci_selection())
+        result = interleave(TABLE1, ci_selection())
         assert result == pair("4231", "25{34}1")
 
     def test_removal_rounds(self):
-        _, trace = interleave(TABLE1, ci_selection())
-        assert [trace.r(a) for a in range(1, 5)] == [0, 2, 1, 3]
-        assert [trace.s(b) for b in range(1, 6)] == [0, 3, 1, 1, 2]
+        fg, rounds = recording(ci_selection())
+        interleave(TABLE1, fg)
+        a_round = {a: i for i, (_, _, f_out, _) in enumerate(rounds) for a in f_out}
+        b_round = {b: i for i, (_, _, _, g_out) in enumerate(rounds) for b in g_out}
+        assert [a_round[a] for a in range(1, 5)] == [0, 2, 1, 3]
+        assert [b_round[b] for b in range(1, 6)] == [0, 3, 1, 1, 2]
 
 
 class TestCiSelection:
@@ -86,14 +85,16 @@ class TestCiSelection:
 
 class TestInterleaveBasics:
     def test_take_everything_single_round(self):
-        result, trace = interleave(EX2, take_everything_selection())
-        assert len(trace.rounds) == 1
+        fg, rounds = recording(take_everything_selection())
+        result = interleave(EX2, fg)
+        assert len(rounds) == 1
         assert rank_count(result.a_order) == rank_count(result.b_order) == 1
 
     def test_1x1(self):
-        result, trace = interleave(Tournament.from_cells([[1]]), ci_selection())
+        fg, rounds = recording(ci_selection())
+        result = interleave(Tournament.from_cells([[1]]), fg)
         assert result == pair("1", "1")
-        assert trace.r(1) == 0 and trace.s(1) == 0
+        assert rounds == [({1}, {1}, {1}, {1})]
 
     def test_contract_subset_violation(self):
         bad = SelectionFunctionPair(
@@ -124,13 +125,14 @@ class TestInterleaveBasics:
             interleave(Tournament.from_cells([[1, 0], [0, 1], [1, 1]]), bad)
 
     def test_partition_invariant(self):
-        result, trace = interleave(TABLE1, ci_selection())
+        fg, rounds = recording(ci_selection())
+        interleave(TABLE1, fg)
         f_union, g_union = set(), set()
-        for rnd in trace.rounds:
-            assert not (set(rnd.f_selected) & f_union)
-            assert not (set(rnd.g_selected) & g_union)
-            f_union |= set(rnd.f_selected)
-            g_union |= set(rnd.g_selected)
+        for _, _, f_selected, g_selected in rounds:
+            assert not (f_selected & f_union)
+            assert not (g_selected & g_union)
+            f_union |= f_selected
+            g_union |= g_selected
         assert f_union == {1, 2, 3, 4}
         assert g_union == {1, 2, 3, 4, 5}
 
@@ -157,6 +159,11 @@ def batch_selection(k_rule_a: int, k_rule_b: int) -> SelectionFunctionPair:
     return SelectionFunctionPair(f"batch-{k_rule_a}-{k_rule_b}", f, g)
 
 
+SELECTIONS = [ci_selection(), take_everything_selection()] + [
+    batch_selection(ka, kb) for ka in range(2) for kb in range(3)
+]
+
+
 class TestTerminationAndRankCounts:
     @settings(max_examples=60, deadline=None)
     @given(
@@ -169,24 +176,25 @@ class TestTerminationAndRankCounts:
     def test_contract_selections_terminate_within_bound(self, m, n, ka, kb, bits):
         masks = tuple((bits >> (i * n)) & ((1 << n) - 1) for i in range(m))
         K = Tournament(m, n, masks)
-        result, trace = interleave(K, batch_selection(ka, kb))
-        assert len(trace.rounds) <= max(m, n) + 1
+        fg, rounds = recording(batch_selection(ka, kb))
+        result = interleave(K, fg)
+        assert len(rounds) <= max(m, n) + 1
         assert is_chain_definable(result)
 
     @settings(max_examples=60, deadline=None)
     @given(st.integers(1, 5), st.integers(1, 5), st.integers(0, 2**25 - 1))
     def test_ci_output_chain_definable(self, m, n, bits):
         masks = tuple((bits >> (i * n)) & ((1 << n) - 1) for i in range(m))
-        result, _ = interleave(Tournament(m, n, masks), ci_selection())
+        result = interleave(Tournament(m, n, masks), ci_selection())
         assert is_chain_definable(result)
 
     def test_operation_ceiling_on_50x50(self):
         rng = random.Random(303)
         K = random_tournament(rng, 50, 50)
-        _, trace = interleave(K, ci_selection())
-        rounds = len(trace.rounds)
-        assert rounds <= 100
-        work = sum(len(r.a_remaining) + len(r.b_remaining) for r in trace.rounds)
+        fg, rounds = recording(ci_selection())
+        interleave(K, fg)
+        assert len(rounds) <= 100
+        work = sum(len(a_pool) + len(b_pool) for a_pool, b_pool, _, _ in rounds)
         assert work <= (50 + 50) * (max(50, 50) + 1)
 
 
@@ -232,6 +240,14 @@ class TestRanksToChain:
                 p = chain_rankings(C)
                 assert chain_rankings(ranks_to_chain(p)) == p
 
+    def test_one_rank_fewer_on_a_takes_the_weakest_i_column_ranks(self):
+        # s = t - 1: the i-th weakest A-rank gets the weakest i B-ranks, where
+        # the greedy chain of an interleaving with these ranks gives it i + 1
+        p = pair("12", "{13}24")
+        K = ranks_to_chain(p)
+        assert K.cells == ((1, 0, 1, 0), (1, 1, 1, 0))
+        assert chain_rankings(K) == p
+
     def test_rejects_rank_gap(self):
         p = RankingPair(preorder("1{23}4"), TotalPreorder.from_ranks([{1, 2}]))
         with pytest.raises(InputError, match="differ by more than one"):
@@ -247,7 +263,7 @@ class TestRanksToChain:
 
     def test_interleave_output_always_realisable(self):
         for K in all_tournaments(2, 3):
-            result, _ = interleave(K, ci_selection())
+            result = interleave(K, ci_selection())
             realised = ranks_to_chain(result)
             assert chain_rankings(realised) == result
 
@@ -256,22 +272,22 @@ class TestSelectionFromRankings:
     def test_table1_round_trip(self):
         stored = pair("4231", "25{34}1")
         fg = selection_from_rankings({TABLE1: stored})
-        result, _ = interleave(TABLE1, fg)
+        result = interleave(TABLE1, fg)
         assert result == stored
 
     def test_flat_rankings_one_round(self):
         stored = RankingPair(
             TotalPreorder.from_ranks([{1, 2, 3}]), TotalPreorder.from_ranks([{1, 2, 3, 4}])
         )
-        fg = selection_from_rankings({EX2: stored})
-        result, trace = interleave(EX2, fg)
+        fg, rounds = recording(selection_from_rankings({EX2: stored}))
+        result = interleave(EX2, fg)
         assert result == stored
-        assert len(trace.rounds) == 1
+        assert len(rounds) == 1
 
     def test_example2_to_example5_rankings(self):
         stored = pair("123", "{13}24")
         fg = selection_from_rankings({EX2: stored})
-        result, _ = interleave(EX2, fg)
+        result = interleave(EX2, fg)
         assert result == stored
 
     def test_rejects_non_chain_definable(self):
@@ -280,9 +296,9 @@ class TestSelectionFromRankings:
             selection_from_rankings({IMPOSS: bad})
 
     def test_unknown_tournament_falls_back_flat(self):
-        fg = selection_from_rankings({TABLE1: pair("4231", "25{34}1")})
-        result, trace = interleave(EX2, fg)
-        assert len(trace.rounds) == 1
+        fg, rounds = recording(selection_from_rankings({TABLE1: pair("4231", "25{34}1")}))
+        result = interleave(EX2, fg)
+        assert len(rounds) == 1
         assert rank_count(result.a_order) == 1
 
 
@@ -297,7 +313,7 @@ class TestGreedyChain:
         assert min_chain_distance(TABLE1) == 2
 
     def test_greedy_realises_the_a_ranking(self):
-        result, _ = interleave(TABLE1, ci_selection())
+        result = interleave(TABLE1, ci_selection())
         greedy = greedy_chain_tournament(TABLE1, ci_selection())
         assert chain_rankings(greedy).a_order == result.a_order
 
@@ -305,3 +321,10 @@ class TestGreedyChain:
         K = Tournament.from_cells([[1, 0, 0, 0], [1, 1, 0, 0], [1, 1, 1, 1]])
         greedy = greedy_chain_tournament(K, ci_selection())
         assert chain_rankings(greedy).a_order == chain_rankings(K).a_order
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.integers(1, 6), st.integers(1, 6), st.integers(0, 2**36 - 1), st.sampled_from(SELECTIONS))
+    def test_equals_the_rule_over_rounds(self, m, n, bits, fg):
+        # read off the ranks, each A-rank gets the B pool of the round that removed it
+        K = Tournament(m, n, tuple((bits >> (i * n)) & ((1 << n) - 1) for i in range(m)))
+        assert greedy_chain_tournament(K, fg) == greedy_chain_by_rounds(K, fg)

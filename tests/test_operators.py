@@ -1,6 +1,6 @@
-import gc
 import random
 import sys
+import tracemalloc
 from concurrent.futures import ThreadPoolExecutor
 
 import pytest
@@ -19,6 +19,8 @@ from chainrank import (
     phi_ci,
     phi_count,
     resolve_operator,
+    sample_state,
+    sample_tournament,
 )
 from chainrank.chain_edit import all_chain_tournaments, monotone_min_chain
 from chainrank.core import canonical_key
@@ -30,7 +32,7 @@ from chainrank.operators import (
 )
 from chainrank import MatchPreference, picks
 from chainrank.experiment import ExperimentConfig, run_simulation
-from chainrank.interleave import InterleaveRound, InterleaveTrace, ci_selection, greedy_chain_tournament
+from chainrank.interleave import ci_selection, greedy_chain_tournament
 from chainrank.rankings import TotalPreorder
 
 from helpers import ANON_K, EX1, EX2, TABLE1, pair, random_tournament
@@ -154,6 +156,18 @@ class TestDualSymmetrized:
         assert canonical_key(K) < canonical_key(dual(K))
         assert spec.choice(K) == base.choice(K) == K
 
+    def test_a_non_square_k_builds_no_canonical_key(self, monkeypatch):
+        # keys lead with the row count, so a K that is not square is canonical
+        # exactly when it is wide
+        def refuse(K):
+            raise AssertionError("a non-square K built its canonical key")
+
+        base = chain_min_lex_operator()
+        expected = (base.choice(EX2), dual(base.choice(EX2)))
+        monkeypatch.setattr("chainrank.operators.canonical_key", refuse)
+        for spec in (dual_symmetrized(base), resolve_operator("chain-min-dual")):
+            assert (spec.choice(EX2), spec.choice(dual(EX2))) == expected
+
     def test_chain_min_dual_is_the_symmetrized_lex_pick(self):
         # chain-min-dual reads a non-canonical K's pick off K's own solve
         rng = random.Random(41)
@@ -246,17 +260,19 @@ class TestSharedSolve:
         run_simulation(ExperimentConfig(40, 6, NoiseParams.symmetric(0.1), operators, trials=3, seed=41))
 
     def test_ci_keeps_its_answers_not_its_trace(self):
-        # the interleaving trace holds a pool of players per round; once the
-        # run returns, ci's cache keeps only its rankings and greedy chain
-        def traces():
-            gc.collect()
-            return sum(isinstance(o, (InterleaveTrace, InterleaveRound)) for o in gc.get_objects())
-
+        # interleave keeps only the current pools and ci caches only its
+        # ranking pair: on a 64,000x8 exam its evaluate peaked at 25.3 MiB
+        # traced while every round's pool of players was recorded
+        K = sample_tournament(sample_state(64000, 8, 1), NoiseParams.symmetric(0.1), 8)
         spec = resolve_operator("ci")
-        K = random_tournament(random.Random(37), 30, 6)
-        before = traces()
-        pair = spec.evaluate(K)
-        assert traces() == before
+        spec.evaluate(EX2)  # imports the interleaving engine
+        tracemalloc.start()
+        try:
+            pair = spec.evaluate(K)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 12 * 2**20, f"peak traced memory {peak / 2**20:.2f} MiB exceeds 12 MiB"
         assert spec.edit_chain(K) == greedy_chain_tournament(K, ci_selection())
         assert vars(pair.a_order) == {"ranks": pair.a_order.ranks}
 

@@ -19,7 +19,7 @@ from chainrank.core import ALL_METRICS, Tournament
 from chainrank.errors import InputError, ResourceCapError
 from chainrank.experiment import ExperimentConfig
 from chainrank.fileio import TournamentFile
-from chainrank.interleave import InterleaveRound, InterleaveTrace, SelectionFunctionPair
+from chainrank.interleave import SelectionFunctionPair
 from chainrank.match_pref import MatchPreference
 from chainrank.prob_model import NoiseParams, StateOfWorld
 from chainrank.rankings import RankingPair, TotalPreorder
@@ -274,9 +274,6 @@ VALUES = [
     (NoiseParams, {"alpha_plus": 0.1, "alpha_minus": 0.3}, 2),
     (MatchPreference, {"kind": "row_major_lex", "explicit": None}, 1),
     (SelectionFunctionPair, {"name": "all", "f": _select, "g": _select}, 3),
-    (InterleaveRound, {"index": 1, "a_remaining": frozenset({1, 2}), "b_remaining": frozenset({1}),
-                       "f_selected": frozenset({2}), "g_selected": frozenset({1})}, 5),
-    (InterleaveTrace, {"rounds": (), "a_round": (1, 1), "b_round": (1,)}, 3),
     (Scope, {"exhaustive": (), "random_sizes": (), "random_count": 0, "seed": 0,
              "tournaments": ()}, 0),
     (AxiomVerdict, {"axiom": "anon", "operator": "ci", "holds": True, "scope": "exhaustive 2x2",
