@@ -11,15 +11,15 @@ the cost of an ordering found by a first greedy dive, and expands every
 state up to the optimum, so it drops no tied optimum (see _search). Every
 optimum arises from some (optimal ordering, per-row argmin prefix)
 combination, and rows with equal costs have equal argmins, so the search
-takes a class table, one cost row and size per distinct row mask (see
-_classes), and returns the optimum set factored per class: each distinct
-argmin tuple, each class's tied argmin prefixes along an optimal ordering,
-with its number of optimal orderings. A listing of the complete optimum
-set, in canonical order, is read off the argmin tuples and class sizes as
-blocks (see _expand), each standing for every member that takes, in each
-row, one of the block's masks for that row: one block for one argmin tuple
-of a tall or square input, whose members are never collected or sorted,
-else one block per distinct member. min_chain_set and its siblings build
+takes a class table, one cost row and size per distinct row mask, read off
+the tournament's row_counts (see _classes), and returns the optimum set
+factored per class: each distinct argmin tuple, each class's tied argmin
+prefixes along an optimal ordering, with its number of optimal orderings.
+A listing of the complete optimum set, in canonical order, is read off the
+argmin tuples and class sizes as blocks (see _expand), each standing for
+every member that takes, in each row, one of the block's masks for that
+row: one block for one argmin tuple of a tall or square input, whose
+members are never collected or sorted, else one block per distinct member. min_chain_set and its siblings build
 their members from the blocks, the command line writes a listing from them
 without building any, and MEMBER_CAP bounds the member tuples of every
 listing. The single-member picks, which expand nothing, are read off the
@@ -84,21 +84,18 @@ def _classes(K: Tournament, cost):
     cost[observed][result], each of its rows' class, tall, and whether K was
     wide, tall being K or, when K has more columns than rows, dual(K) with
     cost[o][r] taken as cost[1 - o][1 - r]. The table holds one (c0 row, c1
-    row, size) entry per distinct row mask in order of first appearance, c0
-    and c1 each cell's cost of being 0 and of being 1."""
+    row, size) entry per (row mask, size) of tall.row_counts, in its order,
+    c0 and c1 each cell's cost of being 0 and of being 1."""
     (z0, z1), (o0, o1) = cost
     wide = K.cols > K.rows
     if wide:
         K, (z0, z1), (o0, o1) = dual(K), (o1, o0), (z1, z0)
     cols = range(K.cols)
-    sizes = dict.fromkeys(K.row_masks, 0)
-    for mask in K.row_masks:
-        sizes[mask] += 1
     classes = tuple(
         (tuple(o0 if mask >> b & 1 else z0 for b in cols), tuple(o1 if mask >> b & 1 else z1 for b in cols), k)
-        for mask, k in sizes.items()
+        for mask, k in K.row_counts.items()
     )
-    return classes, tuple(map(dict(zip(sizes, itertools.count())).__getitem__, K.row_masks)), K, wide
+    return classes, tuple(map(dict(zip(K.row_counts, itertools.count())).__getitem__, K.row_masks)), K, wide
 
 
 def _search(classes, cap: int | None):

@@ -13,9 +13,11 @@ The rankings read off a tournament are in rankings.
 
 from __future__ import annotations
 
+import collections
 import functools
 import itertools
 import operator
+import types
 from typing import TYPE_CHECKING, Iterable, Sequence
 
 from .errors import InputError, NotChainError
@@ -133,7 +135,10 @@ def labels_of(mask: int) -> frozenset[int]:
 
 
 class Tournament(_Value):
-    """An m-by-n tournament; cell (a, b) is 1 when row player a defeats column player b."""
+    """An m-by-n tournament; cell (a, b) is 1 when row player a defeats column player b.
+
+    Rows are regrouped and rendered from row_counts, built once and not a field: a
+    read-only map of each distinct row mask to its row count, in first-appearance order."""
 
     rows: int
     cols: int
@@ -178,10 +183,14 @@ class Tournament(_Value):
             masks.append(mask)
         return cls(len(rows), n, tuple(masks))
 
+    @functools.cached_property
+    def row_counts(self) -> types.MappingProxyType:
+        return types.MappingProxyType(collections.Counter(self.row_masks))
+
     @property
     def cells(self) -> tuple[tuple[int, ...], ...]:
         # one tuple per distinct row, shared by the rows that equal it
-        rows = {mask: tuple((mask >> b) & 1 for b in range(self.cols)) for mask in set(self.row_masks)}
+        rows = {mask: tuple((mask >> b) & 1 for b in range(self.cols)) for mask in self.row_counts}
         return tuple(map(rows.__getitem__, self.row_masks))
 
     def cell(self, a: int, b: int) -> int:
@@ -197,7 +206,7 @@ class Tournament(_Value):
     def col_masks(self) -> tuple[int, ...]:
         # each distinct row as n characters, joined last row first: every n-th from n - b is column b
         n = self.cols
-        row_bits = {row: format(row, f"0{n}b") for row in set(self.row_masks)}
+        row_bits = {row: format(row, f"0{n}b") for row in self.row_counts}
         bits = "".join(map(row_bits.__getitem__, reversed(self.row_masks)))
         return tuple(int(bits[n - b :: n], 2) for b in range(1, n + 1))
 
@@ -225,7 +234,8 @@ class Tournament(_Value):
             raise InputError(f"column label {b} out of range 1..{self.cols}")
 
     def __str__(self) -> str:
-        return "\n".join(" ".join(str(v) for v in row) for row in self.cells)
+        text = {mask: " ".join(str(mask >> b & 1) for b in range(self.cols)) for mask in self.row_counts}
+        return "\n".join(map(text.__getitem__, self.row_masks))
 
 
 def _row_key(mask: int, n: int) -> int:
@@ -257,13 +267,6 @@ def co_neighborhood(K: Tournament, b: int) -> frozenset[int]:
     return labels_of(K.col_mask(b))
 
 
-def _nested(masks: Iterable[int]) -> bool:
-    """True when the masks are totally ordered by inclusion: the distinct
-    masks, fewest bits first, are each inside the next, which takes a sort."""
-    distinct = sorted(set(masks), key=int.bit_count)
-    return all(low & high == low for low, high in zip(distinct, distinct[1:]))
-
-
 def chain_violation(K: Tournament) -> tuple[int, int] | None:
     """First row pair (1-based) with incomparable neighbourhoods, or None.
 
@@ -272,7 +275,7 @@ def chain_violation(K: Tournament) -> tuple[int, int] | None:
     the first such later row; linear in rows plus the distinct masks squared.
     """
     masks = K.row_masks
-    if _nested(masks):
+    if has_chain_property(K):
         return None
     last = {mask: j for j, mask in enumerate(masks)}  # each distinct mask's last row
     reach = {}  # each met mask's last incomparable row, or -1
@@ -284,8 +287,10 @@ def chain_violation(K: Tournament) -> tuple[int, int] | None:
 
 
 def has_chain_property(K: Tournament) -> bool:
-    """True when row neighbourhoods are totally ordered by inclusion."""
-    return _nested(K.row_masks)
+    """True when row neighbourhoods are totally ordered by inclusion: the
+    distinct rows, fewest wins first, are each inside the next."""
+    distinct = sorted(K.row_counts, key=int.bit_count)
+    return all(low & high == low for low, high in zip(distinct, distinct[1:]))
 
 
 # stays here, not in rankings, as perfbench traces it as core.chain_rankings

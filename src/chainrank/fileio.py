@@ -79,7 +79,7 @@ def _from_distinct(cells: dict, keys: list) -> Tournament:
 
 
 def to_csv(K: Tournament) -> str:
-    return "\n".join(",".join(str(v) for v in row) for row in K.cells) + "\n"
+    return str(K).replace(" ", ",") + "\n"
 
 
 def _check_labels(labels, count: int, side: str) -> tuple[str, ...] | None:

@@ -109,15 +109,13 @@ def canonical_state(K: Tournament) -> StateOfWorld:
 
     Row skill = number of rows with a neighbourhood contained in its own;
     column skill = least skill among the rows defeating it, or one past the
-    row count for undefeated columns. Nested neighbourhoods are ordered by
-    inclusion exactly as by size, so a row's skill is the number of rows
-    with at most as many wins. Equal rows have equal skills, so each is
-    computed once per distinct row.
+    row count for undefeated columns. Equal rows have equal skills, so each
+    is a sum of K.row_counts over the distinct rows, of which a chain has at
+    most n + 1.
     """
     if not has_chain_property(K):
         raise NotChainError("canonical states exist only for chain tournaments")
-    wins = sorted(mask.bit_count() for mask in K.row_masks)
-    skill = {mask: bisect.bisect_right(wins, mask.bit_count()) for mask in set(K.row_masks)}
+    skill = {mask: sum(k for row, k in K.row_counts.items() if row | mask == mask) for mask in K.row_counts}
     y = (min((xa for mask, xa in skill.items() if mask >> b0 & 1), default=K.rows + 1) for b0 in range(K.cols))
     return StateOfWorld(tuple(map(skill.__getitem__, K.row_masks)), tuple(y))
 

@@ -1,15 +1,21 @@
 """Shared fixtures: reference example matrices, ranking shorthand, independent oracles."""
 
+import bisect
 import functools
 import itertools
+import json
 import math
+
+from hypothesis import strategies as st
 
 from chainrank import (
     InputError,
     MinChainSet,
+    NotChainError,
     RankingPair,
     ResourceCapError,
     SelectionFunctionPair,
+    StateOfWorld,
     TotalPreorder,
     Tournament,
     all_tournaments,
@@ -20,6 +26,7 @@ from chainrank import (
     interleave,
     log_likelihood,
     min_chain_set,
+    resolve_operator,
     vectorize,
     xor,
 )
@@ -369,6 +376,57 @@ def greedy_chain_by_rounds(K, fg):
         for a in f_out:
             masks[a - 1] = mask_of_by_bits(b_pool)
     return Tournament(K.rows, K.cols, tuple(masks))
+
+
+@st.composite
+def repeated_row_tournaments(draw):
+    """Up to 12x5 tournaments whose rows repeat a few distinct masks: half of
+    them chains, whose rows are prefixes of one column order; sizes 1xn and
+    mx1 among them."""
+    m, n = draw(st.integers(1, 12)), draw(st.integers(1, 5))
+    if draw(st.booleans()):
+        order = draw(st.permutations(range(n)))
+        pool = [sum(1 << b for b in order[:k]) for k in range(n + 1)]
+    else:
+        pool = draw(st.lists(st.integers(0, (1 << n) - 1), min_size=1, max_size=4))
+    return Tournament(m, n, tuple(draw(st.lists(st.sampled_from(pool), min_size=m, max_size=m))))
+
+
+def str_by_rows(K):
+    """str(K) rendering every row, one line of space-separated cells each."""
+    return "\n".join(" ".join(str(v) for v in row) for row in K.cells)
+
+
+def to_csv_by_rows(K):
+    """fileio.to_csv rendering every row, one line of comma-separated cells each."""
+    return "\n".join(",".join(str(v) for v in row) for row in K.cells) + "\n"
+
+
+def rank_json_by_rows(K, operator, cap=None):
+    """What `rank --json` prints for K under operator: json.dumps of its
+    answer, the chosen chain as every row's cell list."""
+    spec = resolve_operator(operator, cap)
+    pair = spec.evaluate(K)
+    chain = spec.choice(K) if spec.choice else None
+    out = {
+        "operator": spec.name,
+        "a_ranks": [sorted(rank) for rank in pair.a_order.ranks],
+        "b_ranks": [sorted(rank) for rank in pair.b_order.ranks],
+        "chain": chain.cells if chain else None,
+        "distance": hamming(K, chain) if chain else None,
+    }
+    return json.dumps(out, sort_keys=True) + "\n"
+
+
+def canonical_state_by_sort(K):
+    """prob_model.canonical_state by one sorted win count per row: a row's
+    skill is the number of rows with at most as many wins, found by bisection."""
+    if not has_chain_property(K):
+        raise NotChainError("canonical states exist only for chain tournaments")
+    wins = sorted(mask.bit_count() for mask in K.row_masks)
+    skill = {mask: bisect.bisect_right(wins, mask.bit_count()) for mask in set(K.row_masks)}
+    y = (min((xa for mask, xa in skill.items() if mask >> b0 & 1), default=K.rows + 1) for b0 in range(K.cols))
+    return StateOfWorld(tuple(map(skill.__getitem__, K.row_masks)), tuple(y))
 
 
 def parse_csv_by_rows(text):

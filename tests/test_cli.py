@@ -35,7 +35,7 @@ from chainrank.errors import AmbiguityError, ContractError, InputError
 from chainrank.rankings import TotalPreorder
 from chainrank.fileio import parse_json, parse_tournament, to_csv, to_json
 from chainrank.match_pref import parse_order_name
-from chainrank.prob_model import k_theta, sample_state
+from chainrank.prob_model import k_theta, sample_state, sample_tournament
 
 from helpers import (
     EX2,
@@ -46,6 +46,10 @@ from helpers import (
     planted_chain,
     preorder,
     random_tournament,
+    rank_json_by_rows,
+    repeated_row_tournaments,
+    str_by_rows,
+    to_csv_by_rows,
     two_patterns,
 )
 
@@ -844,6 +848,56 @@ def listing_inputs(draw):
     if n > 1 and draw(st.booleans()):
         rows = [r & ~2 | (r & 1) << 1 for r in rows]  # column 2 copies column 1
     return Tournament(m, n, tuple(rows))
+
+
+class TestDistinctRowRendering:
+    """A tournament's text renders each distinct row once, and to_csv and
+    rank --json's chain are read off it: each prints what rendering every
+    row printed."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(repeated_row_tournaments(), st.sampled_from(
+        ["count", "ci", "chain-min-lex", "chain-min-dual", "match-pref:row-major"]
+    ))
+    @example(Tournament(1, 5, (22,)), "chain-min-lex")
+    @example(Tournament(7, 1, (1, 0, 1, 1, 0, 0, 1)), "chain-min-dual")
+    @example(Tournament(7, 1, (1, 0, 1, 1, 0, 0, 1)), "count")  # a null chain
+    def test_matches_rendering_every_row(self, K, operator):
+        assert str(K) == str_by_rows(K)
+        assert to_csv(K) == to_csv_by_rows(K)
+        with tempfile.TemporaryDirectory() as tmp:
+            path = os.path.join(tmp, "k.csv")
+            with open(path, "w") as fh:
+                fh.write(to_csv(K))
+            out = io.StringIO()
+            with contextlib.redirect_stdout(out):
+                assert main(["rank", path, "-o", operator, "--json"]) == 0
+        assert out.getvalue() == rank_json_by_rows(K, operator)
+
+    @pytest.fixture(scope="class")
+    def exam(self, tmp_path_factory):
+        path = tmp_path_factory.mktemp("exam") / "exam.csv"
+        path.write_text(to_csv(sample_tournament(sample_state(64000, 8, 1), NoiseParams.symmetric(0.1), 8)))
+        return str(path)
+
+    @pytest.mark.parametrize("args", [
+        ["rank", "-o", "chain-min-lex"],
+        ["rank", "-o", "chain-min-lex", "--json"],
+        ["edit", "--weighted", "row-major"],
+    ])
+    def test_exam_commands_list_no_cells(self, exam, monkeypatch, capsys, args):
+        # a 64,000x8 exam's chosen chain is written from its distinct rows,
+        # never from Tournament.cells, one tuple per row
+        argv = [args[0], exam, *args[1:]]
+        assert main(argv) == 0
+        expected = capsys.readouterr().out
+
+        def cells(K):
+            raise AssertionError("Tournament.cells was read")
+
+        monkeypatch.setattr(Tournament, "cells", property(cells))
+        assert main(argv) == 0
+        assert same_text(capsys.readouterr().out, expected)
 
 
 class TestMemberRendering:

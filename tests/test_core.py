@@ -63,6 +63,28 @@ class TestTournament:
         assert {K, Tournament(2, 2, (1, 2))} == {K}
         assert min_chain_set(K).distance == 1
 
+    def test_row_counts_is_a_view_not_a_field(self):
+        # equality, hashing and repr are those of (rows, cols, row_masks)
+        # whether or not either tournament has built its view
+        masks = (5, 1, 5, 0, 1, 5)
+        K, K2 = Tournament(6, 3, masks), Tournament._unchecked(6, 3, masks)
+        for build in (None, K, K2):
+            if build is not None:
+                assert build.row_counts is build.row_counts
+            assert K == K2 and hash(K) == hash(K2) and repr(K) == repr(K2)
+            assert {K, K2} == {K}
+        assert repr(K) == "Tournament(rows=6, cols=3, row_masks=(5, 1, 5, 0, 1, 5))"
+        assert list(K.row_counts.items()) == [(5, 3), (1, 2), (0, 1)]
+        with pytest.raises(TypeError):
+            K.row_counts[0] = 2  # read-only: every reader shares it
+
+    @settings(max_examples=200, deadline=None)
+    @given(small_tournaments())
+    def test_row_counts_lists_distinct_rows_by_first_appearance(self, K):
+        assert list(K.row_counts) == list(dict.fromkeys(K.row_masks))
+        assert all(K.row_masks.count(mask) == k for mask, k in K.row_counts.items())
+        assert sum(K.row_counts.values()) == K.rows
+
     def test_all_tournaments_in_canonical_order(self):
         for m, n in itertools.product(range(1, 13), repeat=2):
             if m * n <= 12:

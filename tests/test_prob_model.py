@@ -3,6 +3,7 @@ import math
 import random
 
 import pytest
+from hypothesis import example, given, settings
 
 from chainrank import (
     InputError,
@@ -33,9 +34,11 @@ from helpers import (
     EX1,
     EX2,
     brute_force_mle,
+    canonical_state_by_sort,
     cellwise_likelihood,
     chains_by_definition,
     random_tournament,
+    repeated_row_tournaments,
     state_gap_by_pairs,
 )
 
@@ -161,6 +164,20 @@ class TestCanonicalState:
             x = {a: sum(N[a2] <= N[a] for a2 in N) for a in N}
             assert theta.x == tuple(x[a] for a in sorted(N))
             assert theta.y == tuple(min((x[a] for a in coN[b]), default=len(N) + 1) for b in sorted(coN))
+
+    @settings(max_examples=300, deadline=None)
+    @given(repeated_row_tournaments())
+    @example(Tournament(1, 5, (22,)))
+    @example(Tournament(7, 1, (1, 0, 1, 1, 0, 0, 1)))
+    @example(Tournament(6, 3, (3, 1, 3, 7, 1, 3)))
+    def test_matches_one_sorted_win_count_per_row(self, K):
+        # the per-distinct-row sums over row_counts give what bisecting every
+        # row's sorted win count gave
+        if has_chain_property(K):
+            assert canonical_state(K) == canonical_state_by_sort(K)
+        else:
+            with pytest.raises(NotChainError):
+                canonical_state(K)
 
 
 class TestLikelihood:
