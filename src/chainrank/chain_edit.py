@@ -29,8 +29,8 @@ Every problem is solved tall, searching orderings of the smaller side.
 dual(K) transposes and complements K and maps its chain tournaments one to
 one onto those of dual(K), so a wide K is solved as dual(K), with cost[o][r]
 taken as cost[1 - o][1 - r], and the members are mapped back by dual.
-_classes alone applies this rule, and each caller maps its own weights,
-flips and results.
+_classes applies this rule, and each caller maps its own weights, flips and
+results; picks.least_member maps its whole question onto dual(K) at entry.
 
 One solve serves every exact pick of a tournament: _solve keeps the last
 factored optimum it found, keyed on what the search reads, the class table

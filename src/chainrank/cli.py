@@ -76,7 +76,7 @@ def _write_members(blocks, cols: int, head: dict | None = None, key: str = "") -
     """
     sep, between_rows = (", ", "], [") if head else (" ", "\n")
     opening, closing, between = ("[[", "]]", ", ") if head else ("-\n", "\n", "")
-    text = functools.cache(lambda mask: sep.join(str(mask >> b & 1) for b in range(cols)))
+    text = functools.cache(lambda mask: sep.join(format(mask, f"0{cols}b")[::-1]))
     write = sys.stdout.write
     if head:
         write(f'{json.dumps(head, sort_keys=True)[:-1]}, "{key}": [')

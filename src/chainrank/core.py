@@ -190,7 +190,7 @@ class Tournament(_Value):
     @property
     def cells(self) -> tuple[tuple[int, ...], ...]:
         # one tuple per distinct row, shared by the rows that equal it
-        rows = {mask: tuple((mask >> b) & 1 for b in range(self.cols)) for mask in self.row_counts}
+        rows = {mask: tuple(map(int, format(mask, f"0{self.cols}b")[::-1])) for mask in self.row_counts}
         return tuple(map(rows.__getitem__, self.row_masks))
 
     def cell(self, a: int, b: int) -> int:
@@ -234,7 +234,7 @@ class Tournament(_Value):
             raise InputError(f"column label {b} out of range 1..{self.cols}")
 
     def __str__(self) -> str:
-        text = {mask: " ".join(str(mask >> b & 1) for b in range(self.cols)) for mask in self.row_counts}
+        text = {mask: " ".join(format(mask, f"0{self.cols}b")[::-1]) for mask in self.row_counts}
         return "\n".join(map(text.__getitem__, self.row_masks))
 
 

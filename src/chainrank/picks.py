@@ -28,34 +28,35 @@ def least_member(K: Tournament, order, flip: Tournament | None, cap: int | None 
     flip with row-major order gives the canonically least member, flip = K
     with a match-preference order the match-preference selection.
 
-    Nothing is expanded, so MEMBER_CAP does not apply. A wide K is answered
-    on its dual, which chain_edit._classes solves: cell (b, a) of dual(M)
-    XOR dual(flip) is cell (a, b) of M XOR flip, so flip and order are
-    mapped onto the dual here. For a fixed argmin tuple the rows pick their
-    argmin prefixes independently, and every cell belongs to one row, so the
-    least vector of that tuple takes, in every row, the argmin whose own
-    cells are least (see _least_prefix). Rows with the same search class
+    Nothing is expanded, so MEMBER_CAP does not apply. A wide K is mapped
+    onto its dual once, at entry, so all that follows sees a tall K: cell
+    (b, a) of dual(M) XOR dual(flip) is cell (a, b) of M XOR flip, so the
+    order's cells are transposed, which swaps row- and column-major, and no
+    flip becomes an all-ones one. For a fixed argmin tuple the rows pick
+    their argmin prefixes independently, and every cell belongs to one row,
+    so the least vector of that tuple takes, in every row, the argmin whose
+    own cells are least (see _least_prefix). Rows with the same search class
     (equal argmins), the same flip row and the same order of their own cells
     pick alike, so each distinct argmin tuple is read once per class of such
-    rows, and the tuples' picks are compared cell by cell only when they
-    differ.
+    rows. Where the tuples' picks differ, every row of a class holds one
+    value per column, so only the first cell of each (class, column) in the
+    order can decide: tied picks are compared per (class, column), the
+    classes numbered by their first row.
     """
-    rows, cols = K.rows, K.cols
-    table, search_class, K, wide = _classes(K, _EDIT)
+    if K.cols > K.rows:
+        order = COL_MAJOR if order is None else None if order == COL_MAJOR else [(b, a) for a, b in order]
+        flip = Tournament._unchecked(K.cols, K.rows, ((1 << K.rows) - 1,) * K.cols) if flip is None else dual(flip)
+        return dual(least_member(dual(K), order, flip, cap))
+    table, search_class = _classes(K, _EDIT)[:2]
     tuples = _solve(table, cap)[1]
     m, n = K.rows, K.cols
-    full = (1 << n) - 1
-    if flip is None:
-        flips = (full if wide else 0,) * m
-    else:
-        flips = (dual(flip) if wide else flip).row_masks
+    flips = (0,) * m if flip is None else flip.row_masks
     if order is None or order == COL_MAJOR:
         ranked = itertools.repeat(tuple(range(1, n + 1)))
     else:
         # each row's columns in order: a stable sort by row keeps the order of
         # each row's n cells
-        row_at, col_at = map(operator.itemgetter, (1, 0) if wide else (0, 1))
-        by_row = list(map(col_at, sorted(order, key=row_at)))
+        by_row = [b for _, b in sorted(order, key=operator.itemgetter(0))]
         ranked = (tuple(by_row[i : i + n]) for i in range(0, m * n, n))
     classes: dict = {}  # (search class, flip row, columns in order): index
     row_class = [classes.setdefault(key, len(classes)) for key in zip(search_class, flips, ranked)]
@@ -68,17 +69,14 @@ def least_member(K: Tournament, order, flip: Tournament | None, cap: int | None 
     if len(picks) == 1:
         (pick,) = picks
     else:
-        grid = order
-        if order is None:
-            grid = itertools.product(range(1, rows + 1), range(1, cols + 1))
-        elif order == COL_MAJOR:
-            grid = ((a, b) for b in range(1, cols + 1) for a in range(1, rows + 1))
-        if wide:
-            grid = ((b, a) for a, b in grid)
-        cells = [(row_class[a - 1], flips[a - 1], b - 1) for a, b in grid]
-        pick = min(picks, key=lambda p: [(p[i] ^ f) >> b & 1 for i, f, b in cells])
-    M = Tournament._unchecked(m, n, tuple(map(pick.__getitem__, row_class)))
-    return dual(M) if wide else M
+        keys = [(c, b) for c in range(len(classes)) for b in range(n)]
+        if order == COL_MAJOR:
+            keys.sort(key=operator.itemgetter(1))
+        elif order is not None:
+            keys = dict.fromkeys((row_class[a - 1], b - 1) for a, b in order)
+        class_flips = [f for _, f, _ in classes]
+        pick = min(picks, key=lambda p: [(p[c] ^ class_flips[c]) >> b & 1 for c, b in keys])
+    return Tournament._unchecked(m, n, tuple(map(pick.__getitem__, row_class)))
 
 
 def _least_prefix(argmins, flip: int, ranks) -> int:

@@ -392,14 +392,19 @@ def repeated_row_tournaments(draw):
     return Tournament(m, n, tuple(draw(st.lists(st.sampled_from(pool), min_size=m, max_size=m))))
 
 
+def cells_by_shifts(K):
+    """Tournament.cells, shifting every row's mask once per column."""
+    return tuple(tuple(mask >> b & 1 for b in range(K.cols)) for mask in K.row_masks)
+
+
 def str_by_rows(K):
     """str(K) rendering every row, one line of space-separated cells each."""
-    return "\n".join(" ".join(str(v) for v in row) for row in K.cells)
+    return "\n".join(" ".join(str(v) for v in row) for row in cells_by_shifts(K))
 
 
 def to_csv_by_rows(K):
     """fileio.to_csv rendering every row, one line of comma-separated cells each."""
-    return "\n".join(",".join(str(v) for v in row) for row in K.cells) + "\n"
+    return "\n".join(",".join(str(v) for v in row) for row in cells_by_shifts(K)) + "\n"
 
 
 def rank_json_by_rows(K, operator, cap=None):
@@ -412,7 +417,7 @@ def rank_json_by_rows(K, operator, cap=None):
         "operator": spec.name,
         "a_ranks": [sorted(rank) for rank in pair.a_order.ranks],
         "b_ranks": [sorted(rank) for rank in pair.b_order.ranks],
-        "chain": chain.cells if chain else None,
+        "chain": cells_by_shifts(chain) if chain else None,
         "distance": hamming(K, chain) if chain else None,
     }
     return json.dumps(out, sort_keys=True) + "\n"

@@ -862,6 +862,10 @@ class TestDistinctRowRendering:
     @example(Tournament(1, 5, (22,)), "chain-min-lex")
     @example(Tournament(7, 1, (1, 0, 1, 1, 0, 0, 1)), "chain-min-dual")
     @example(Tournament(7, 1, (1, 0, 1, 1, 0, 0, 1)), "count")  # a null chain
+    # rows wider than one machine word
+    @example(Tournament(3, 70, (1 << 69 | 5, 0, (1 << 70) - 1)), "chain-min-lex")
+    @example(Tournament(2, 65, (1 << 64, (1 << 65) - 2)), "chain-min-dual")
+    @example(Tournament(66, 65, tuple((1 << 65) - 1 >> a for a in range(66))), "ci")
     def test_matches_rendering_every_row(self, K, operator):
         assert str(K) == str_by_rows(K)
         assert to_csv(K) == to_csv_by_rows(K)

@@ -34,6 +34,7 @@ from helpers import (
     IMPOSS_K,
     K4,
     TABLE1,
+    cells_by_shifts,
     chain_violation_by_pairs,
     chains_by_definition,
     col_masks_by_bits,
@@ -141,7 +142,7 @@ class TestNeighborhoods:
 
 
 class TestBitMasks:
-    """col_masks, mask_of and labels_of against one-bit-at-a-time loops."""
+    """col_masks, cells, mask_of and labels_of against one-bit-at-a-time loops."""
 
     SHAPES = [(1, 1), (1, 9), (1, 40), (9, 1), (40, 1), (7, 40), (3000, 3)]
 
@@ -164,6 +165,14 @@ class TestBitMasks:
                     assert labels <= frozenset(range(1, size + 1))
                     assert mask_of(labels) == mask_of_by_bits(labels) == mask
                     assert mask_of(iter(sorted(labels))) == mask
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.integers(1, 6), st.integers(1, 150), st.data())
+    def test_cells_against_shifts(self, m, n, data):
+        # rows up to 150 columns, past one machine word as the exam's transpose is
+        masks = data.draw(st.lists(st.integers(0, (1 << n) - 1), min_size=m, max_size=m))
+        K = Tournament(m, n, tuple(masks))
+        assert K.cells == cells_by_shifts(K)
 
     def test_labels_seeded(self):
         rng = random.Random(35)

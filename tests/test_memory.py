@@ -10,7 +10,9 @@ monotone and match-preference picks read each class of equal rows once. On
 2,000 rows alternating between two disjoint patterns of four columns, the
 search finds 4,608 tied optimal orderings with 30 distinct argmin tuples, so
 the optimum it holds must keep each class's argmins once per distinct tuple,
-not once per row or per ordering. On a planted 16x16, searched under a
+not once per row or per ordering, and on 64,000 such rows the picks of
+those tuples are compared once per class of rows and column, not per cell.
+On a planted 16x16, searched under a
 raised cap, the search keeps costs only for the prefixes it reaches, not a
 table of all 2^16 prefixes per class, and stores no state whose sum exceeds
 the cost of an ordering found by a first dive. The axiom lab's
@@ -275,14 +277,27 @@ def test_search_stores_no_state_above_an_ordering_cost():
     assert peak <= 24 * MB, f"peak traced memory {peak / MB:.2f} MB exceeds 24 MB"
 
 
-@pytest.mark.parametrize("pick", ["distance", "least member", "chain-min-dual", "match-pref:col-major"])
-def test_exam_shape_solve_is_sized_by_its_classes(pick):
+@pytest.mark.parametrize(
+    "tied, pick",
+    [
+        pytest.param(tied, pick, id=pick + (", two patterns" if tied else ""))
+        for tied in (False, True)
+        for pick in ("distance", "least member", "chain-min-dual", "match-pref:col-major")
+    ],
+)
+def test_exam_shape_solve_is_sized_by_its_classes(tied, pick):
     # 64,000 rows of 8 columns have at most 256 distinct masks: a cost tuple
     # per row, folded into classes only by the search, peaked at 15.4 MiB
     # here; this K is not canonical, so chain-min-dual picks in column-major
     # order, as match-pref:col-major does, and listing the m*n cells in that
-    # order peaked at 59.7 and 45.4 MiB
-    K = sample_tournament(sample_state(64000, 8, 1), NoiseParams.symmetric(0.1), 8)
+    # order peaked at 59.7 and 45.4 MiB. On 64,000 rows of two patterns the
+    # 30 distinct argmin tuples pick differently: comparing those picks cell
+    # by cell peaked at 44-47 MiB and took 1.1-1.5 s, and once per class and
+    # column at 1.6-2.1 MiB in 0.02 s
+    if tied:
+        K = Tournament.from_cells(two_patterns(64000, 4))
+    else:
+        K = sample_tournament(sample_state(64000, 8, 1), NoiseParams.symmetric(0.1), 8)
     if pick == "distance":
         solve = min_chain_distance
     elif pick == "least member":
