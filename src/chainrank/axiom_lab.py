@@ -111,11 +111,16 @@ class _Memo:
 def _memoized(op):
     """op's evaluate (op itself when it is a bare evaluate) behind a _Memo.
 
-    An evaluate that already is a _Memo is returned as it is, so the seven
-    checks that scope_verdicts runs on one operator share one memo.
+    An evaluate that already is a _Memo is returned as it is, so the checks
+    run on one _with_memo operator share its memo.
     """
     ev = op.evaluate if isinstance(op, OperatorSpec) else op
     return ev if isinstance(ev, _Memo) else _Memo(ev)
+
+
+def _with_memo(op: OperatorSpec) -> OperatorSpec:
+    """op with its evaluate behind one _Memo, shared by every check op is passed to."""
+    return replace(op, evaluate=_memoized(op))
 
 
 def _cells(K: Tournament) -> list[list[int]]:
@@ -293,12 +298,11 @@ def check_dual(op: OperatorSpec, scope: Scope) -> AxiomVerdict:
 def check_iim(op: OperatorSpec, scope: Scope, pairs=()) -> AxiomVerdict:
     """The relative ranking of two rows may depend only on those rows.
 
-    Exhaustive sizes are checked by bucketing the row masks of all
-    tournaments on the contents of the two chosen rows, building each
-    tournament only to evaluate it; within a bucket the verdict for the pair
-    must be constant. Sampled sizes draw a base tournament, a row pair, and a
-    perturbation of the other rows. Explicit (K1, K2, a, a2) quadruples are
-    checked directly.
+    Exhaustive sizes compare each tournament with the first in canonical order
+    that shares its two chosen rows, whose other rows are all 0 as mask 0
+    sorts first: the verdict for the pair must be the same. Sampled sizes draw
+    a base tournament, a row pair, and a perturbation of the other rows.
+    Explicit (K1, K2, a, a2) quadruples are checked directly.
     """
     ev = _memoized(op)
 
@@ -306,13 +310,11 @@ def check_iim(op: OperatorSpec, scope: Scope, pairs=()) -> AxiomVerdict:
         for K1, K2, a, a2 in pairs:
             yield _iim_witness(ev, K1, K2, a, a2)
         for m, n in scope.exhaustive:
-            space = [K.row_masks for K in all_tournaments(m, n)]
             for a, a2 in itertools.combinations(range(1, m + 1), 2):
-                first: dict[tuple[int, int], Tournament] = {}
-                for masks in space:
-                    K = Tournament._unchecked(m, n, masks)
-                    K1 = first.setdefault((masks[a - 1], masks[a2 - 1]), K)
-                    yield _iim_witness(ev, K1, K, a, a2)
+                before, between, after = (0,) * (a - 1), (0,) * (a2 - a - 1), (0,) * (m - a2)
+                for K in all_tournaments(m, n):
+                    masks = (*before, K.row_masks[a - 1], *between, K.row_masks[a2 - 1], *after)
+                    yield _iim_witness(ev, Tournament._unchecked(m, n, masks), K, a, a2)
         rng = random.Random(scope.seed)
         for m, n in scope.random_sizes:
             if m < 2:
@@ -365,7 +367,7 @@ def scope_verdicts(op: OperatorSpec, scope: Scope, cap: int | None = None) -> li
     first: its evaluation of a tournament solves it, and min_chain_distance
     then reuses that solve, which chain_edit keeps for the last tournament only.
     """
-    op = replace(op, evaluate=_memoized(op))
+    op = _with_memo(op)
     chain_min = check_chain_min_scope(op, scope, cap)
     return [
         check_anon(op, scope),
@@ -446,30 +448,34 @@ def impossibility_suite(cap: int | None = None) -> ImpossibilityReport:
     responsiveness on the 4x3 instance with a unique one-edit repair. The win
     counter, which satisfies the other three axioms of the four-way
     impossibility, must fail chain-definability on the 4x2 instance. The
-    cardinality interleaving operator must show its full verdict row.
+    cardinality interleaving operator must show its full verdict row. Each
+    operator's checks share one memo, and each failure's witness re-validates
+    on a freshly resolved operator as its row is recorded.
     """
     rows: list[SuiteRow] = []
 
     def expect(label: str, holds: bool, verdict: AxiomVerdict) -> None:
+        if verdict.witness is not None and not recheck(resolve_operator(verdict.operator, cap), verdict):
+            raise AssertionError(f"witness for {verdict.operator}/{verdict.axiom} failed to re-validate")
         rows.append(SuiteRow(label, verdict.operator, verdict.axiom, holds, verdict))
 
     anon = Scope(tournaments=(ANON_COUNTEREXAMPLE,))
     iim = ((*IIM_PAIR, 1, 2),)
     pos_resp = Scope(tournaments=(POS_RESP_COUNTEREXAMPLE,))
     for name in ("chain-min-lex", "chain-min-mon", "chain-min-dual", "match-pref:row-major"):
-        op = resolve_operator(name, cap)
+        op = _with_memo(resolve_operator(name, cap))
         expect("chain-min-vs-anon", False, check_anon(op, anon))
         expect("chain-min-vs-iim", False, check_iim(op, Scope(), pairs=iim))
         expect("chain-min-vs-pos-resp", False, check_pos_resp(op, pos_resp))
         expect("chain-min-control", True, check_chain_min(op, ANON_COUNTEREXAMPLE, cap))
 
-    count = resolve_operator("count")
+    count = _with_memo(resolve_operator("count"))
     for check in (check_anon, check_dual, check_pos_resp):
         premise = check(count, Scope(tournaments=(CHAIN_DEF_IMPOSSIBILITY,)))
         expect("four-axiom-conflict-premises", True, premise)
     expect("four-axiom-conflict", False, check_chain_def(count, CHAIN_DEF_IMPOSSIBILITY))
 
-    ci = resolve_operator("ci")
+    ci = _with_memo(resolve_operator("ci"))
     small = Scope(exhaustive=((2, 2), (2, 3)))
     for check in (check_chain_def_scope, check_anon, check_dual, check_mon):
         expect("ci-verdict-row", True, check(ci, small))
@@ -477,12 +483,4 @@ def impossibility_suite(cap: int | None = None) -> ImpossibilityReport:
     search = Scope(exhaustive=((2, 2), (3, 2), (2, 3), (4, 2), (3, 3), (4, 3)))
     expect("ci-verdict-row", False, check_pos_resp(ci, search))
 
-    report = ImpossibilityReport(tuple(rows))
-    for row in report.rows:
-        if not row.verdict.holds and row.verdict.witness is not None:
-            op = resolve_operator(row.operator, cap)
-            if not recheck(op, row.verdict):
-                raise AssertionError(
-                    f"witness for {row.operator}/{row.axiom} failed to re-validate"
-                )
-    return report
+    return ImpossibilityReport(tuple(rows))

@@ -2,11 +2,11 @@
 
 Subcommands: rank, edit, axioms, simulate (chainrank.experiment), likelihood, weights.
 Exit codes: 0 ok, 1 standard output closed early (nothing is written to
-stderr), 2 input error, 3 resource cap exceeded, 4 internal assertion.
-The enumeration cap for exact chain editing defaults to 8 on the smaller side
-and can be overridden with the CHAINRANK_ENUM_CAP environment variable.
-main returns the exit code; the process entry, chainrank.__main__.run, exits
-with it.
+stderr), 2 input error, 3 resource cap exceeded or memory ran out under a
+limit, 4 internal assertion. The enumeration cap for exact chain editing
+defaults to 8 on the smaller side and can be overridden with the
+CHAINRANK_ENUM_CAP environment variable. main returns the exit code; the
+process entry, chainrank.__main__.run, exits with it.
 """
 
 from __future__ import annotations
@@ -423,8 +423,8 @@ def main(argv=None) -> int:
     except InputError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except ResourceCapError as exc:
-        print(f"error: {exc}", file=sys.stderr)
+    except (ResourceCapError, MemoryError) as exc:
+        print(f"error: {str(exc) or 'out of memory'}", file=sys.stderr)
         return 3
     except (AmbiguityError, ContractError, AssertionError) as exc:
         print(f"internal error: {exc}", file=sys.stderr)

@@ -30,7 +30,7 @@ class OperatorSpec:
     """A named operator; evaluate is total and deterministic within the size cap.
 
     Unlike the other value types this is still a dataclass:
-    axiom_lab.scope_verdicts and perfbench/tracing.py swap its callables
+    axiom_lab._with_memo and perfbench/tracing.py swap its callables
     with dataclasses.replace.
     """
 

@@ -604,3 +604,23 @@ def obstruction_oracle(K, allowed=(0, 1)):
         if found:
             members = (Tournament(K.rows, K.cols, masks) for masks in found)
             return MinChainSet(distance, tuple(sorted(members, key=canonical_key)))
+
+
+def iim_by_first_seen(evaluate, m, n):
+    """(holds, checked, witness) of the independence check over every m-by-n
+    tournament: for each row pair, each tournament is compared with the first
+    one met in canonical order with the same two rows, kept in a dict of every
+    pair of those rows' masks seen."""
+    space = [K.row_masks for K in all_tournaments(m, n)]
+    checked = 0
+    for a, a2 in itertools.combinations(range(1, m + 1), 2):
+        first = {}
+        for masks in space:
+            K = Tournament(m, n, masks)
+            K1 = first.setdefault((masks[a - 1], masks[a2 - 1]), K)
+            checked += 1
+            p1, p2 = evaluate(K1).a_order, evaluate(K).a_order
+            if p1.le(a, a2) != p2.le(a, a2) or p1.le(a2, a) != p2.le(a2, a):
+                cells = [[list(row) for row in T.cells] for T in (K1, K)]
+                return False, checked, {"tournament": cells[0], "tournament_2": cells[1], "pair": [a, a2]}
+    return True, checked, None

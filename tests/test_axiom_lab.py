@@ -1,9 +1,11 @@
+import collections
 import gc
 import hashlib
 import itertools
 import json
 import random
 import weakref
+from dataclasses import replace
 
 import pytest
 
@@ -21,6 +23,7 @@ from chainrank import (
     rank_count,
     ranks_to_chain,
 )
+from chainrank import axiom_lab
 from chainrank.axiom_lab import (
     ANON_COUNTEREXAMPLE,
     CHAIN_DEF_IMPOSSIBILITY,
@@ -51,7 +54,7 @@ from chainrank.operators import (
     resolve_operator,
 )
 
-from helpers import EX2, TABLE1, random_tournament, two_patterns
+from helpers import EX2, TABLE1, iim_by_first_seen, random_tournament, two_patterns
 
 
 def with_witness(verdict: AxiomVerdict, witness: dict) -> AxiomVerdict:
@@ -148,6 +151,16 @@ class TestIim:
     def test_sampled_scope_skips_single_row_sizes(self):
         scope = Scope(random_sizes=((1, 3),), random_count=10, seed=5)
         assert check_iim(count_operator(), scope).holds
+
+    @pytest.mark.parametrize("name", ["count", "ci", "chain-min-lex", "match-pref:col-major"])
+    def test_exhaustive_buckets_against_first_seen(self, name):
+        # each tournament's bucket first, built with every other row 0, is the
+        # one a dict of first-seen row pairs finds in canonical order
+        op = resolve_operator(name)
+        for m, n in ((2, 2), (3, 2), (2, 3), (3, 3), (4, 2)):
+            verdict = check_iim(op, Scope(exhaustive=((m, n),)))
+            want = iim_by_first_seen(_memoized(resolve_operator(name)), m, n)
+            assert (verdict.holds, verdict.checked, verdict.witness) == want, (m, n)
 
 
 class TestMon:
@@ -396,6 +409,30 @@ class TestImpossibilitySuite:
         for row in report.rows:
             if not row.verdict.holds and row.verdict.witness:
                 assert recheck(resolve_operator(row.operator), row.verdict)
+
+    def test_one_evaluation_per_operator_and_tournament(self, monkeypatch):
+        # every resolved operator, the suite's own and each recheck's, evaluates
+        # a tournament once: 270 evaluations, 661 when each check kept its own memo
+        seen = []
+
+        def resolve(name, cap=None):
+            spec, keys = resolve_operator(name, cap), []
+            seen.append((name, keys))
+
+            def evaluate(K):
+                keys.append((K.cols, K.row_masks))
+                return spec.evaluate(K)
+
+            return replace(spec, evaluate=evaluate)
+
+        monkeypatch.setattr(axiom_lab, "resolve_operator", resolve)
+        assert impossibility_suite().ok
+        calls = collections.Counter()
+        for name, keys in seen:
+            assert len(keys) == len(set(keys)), name
+            calls[name] += len(keys)
+        assert calls == {"chain-min-lex": 12, "chain-min-mon": 12, "chain-min-dual": 12,
+                         "match-pref:row-major": 12, "count": 28, "ci": 194}
 
     def test_unique_one_edit_repairs_behind_the_iim_and_posresp_instances(self):
         from chainrank import min_chain_set

@@ -583,6 +583,16 @@ class TestExitCodes:
             assert main(["--cap", cap, "edit", ex2_file]) == 2
             assert capsys.readouterr().err.count("\n") == 1
 
+    def test_out_of_memory(self, ex2_file, capsys, monkeypatch):
+        # memory running out under a limit exits 3 with one line, not a traceback
+        def exhausted(*args):
+            raise MemoryError
+
+        chain_edit._solve.cache_clear()
+        monkeypatch.setattr(chain_edit, "_search", exhausted)
+        assert main(["edit", ex2_file, "--json"]) == 3
+        assert capsys.readouterr().err == "error: out of memory\n"
+
     def test_member_cap(self, tmp_path, capsys):
         # an uninformative channel makes every 12x2 chain tournament a maximum
         path = tmp_path / "tall.csv"
