@@ -270,7 +270,7 @@ def cmd_simulate(args) -> int:
 
 def cmd_likelihood(args) -> int:
     from . import fileio
-    from .prob_model import closest_chain_cost, likelihood, log_likelihood, mle_optimum
+    from .prob_model import compare_min_chain_set, likelihood, log_likelihood, mle_blocks
 
     cap = _enum_cap(args)
     K = fileio.load_tournament(args.input).tournament
@@ -290,23 +290,14 @@ def cmd_likelihood(args) -> int:
             print(f"likelihood: {prob!r}")
             print(f"log-likelihood: {ll!r}")
         return 0
-    cost, blocks = mle_optimum(K, alpha, cap)
-    blocks = list(blocks)
-    distance, worst = closest_chain_cost(K, alpha, cost, cap)
-    # the sets are equal when no closest chain tournament costs more than the
-    # MLE set, and no block of the MLE set holds one farther than the distance
-    far = (sum(max((c ^ r).bit_count() for c in cs) for cs, r in zip(block, K.row_masks)) for block in blocks)
-    same = worst == cost and max(far) == distance
-    note = (
-        "= minCh(K): MLE set coincides with the closest chain tournaments"
-        if same
-        else "!= minCh(K): MLE set differs from the closest chain tournaments"
-    )
+    blocks = list(mle_blocks(K, alpha, cap))
+    distance, same = compare_min_chain_set(K, alpha, cap)
+    note = "= minCh(K): MLE set coincides with" if same else "!= minCh(K): MLE set differs from"
     if args.json:
         head = {"equals_min_chain_set": same, "min_distance": distance}
         _write_members(blocks, K.cols, head, "mle")
         return 0
-    print(f"MLE tournaments: {_count(blocks)}  [{note}]")
+    print(f"MLE tournaments: {_count(blocks)}  [{note} the closest chain tournaments]")
     _write_members(blocks, K.cols)
     return 0
 

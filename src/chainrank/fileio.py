@@ -120,12 +120,10 @@ def parse_json(text: str) -> TournamentFile:
 
 
 def to_json(K: Tournament, a_labels=None, b_labels=None) -> str:
-    data = {"rows": K.rows, "cols": K.cols, "matrix": [list(row) for row in K.cells]}
-    if a_labels:
-        data["a_labels"] = list(a_labels)
-    if b_labels:
-        data["b_labels"] = list(b_labels)
-    return json.dumps(data, sort_keys=True) + "\n"
+    data = {"rows": K.rows, "cols": K.cols, "matrix": None}
+    data.update((key, list(names)) for key, names in (("a_labels", a_labels), ("b_labels", b_labels)) if names)
+    head, _, tail = json.dumps(data, sort_keys=True).partition('"matrix": null')  # a label escapes its quotes
+    return head + '"matrix": [[' + str(K).replace(" ", ", ").replace("\n", "], [") + "]]" + tail + "\n"
 
 
 def parse_tournament(text: str) -> TournamentFile:

@@ -13,7 +13,10 @@ log-likelihood is a sum of per-cell terms, so maximum likelihood is chain
 editing with the per-cell cost -log P(observed | truth), taken as exact
 integers; a cell value of probability zero is simply not allowed. Symmetric
 noise below one half therefore gives the closest chain tournaments, and a
-zero rate gives completion or deletion.
+zero rate gives completion or deletion. Whether the MLE set is the closest
+chain set is read off both optimum sets factored, listing neither: each set
+holds the other exactly when the other's costliest member, priced with its
+cell costs, costs its optimum.
 """
 
 from __future__ import annotations
@@ -211,31 +214,38 @@ def _mle_costs(alpha: NoiseParams):
     return table
 
 
-def closest_chain_cost(K: Tournament, alpha: NoiseParams, cost: int, cap: int | None = None):
-    """(d, worst): the distance d from K to its closest chain tournaments and
-    their largest total cost -log P(observed | truth), given mle_optimum's cost.
+def _costliest(classes, tuples):
+    """The largest total cost under the class table classes of a member of
+    the factored optimum tuples of a search on the same rows, inf where one
+    takes a forbidden value or tuples is empty: the rows of a class pick
+    among its argmins independently, so it is the largest over argmin tuples
+    of the sum of each class's size times its costliest argmin's cost."""
+    def cost(c0, c1, mask):
+        cells = [c1[b] if mask >> b & 1 else c0[b] for b in range(len(c0))]
+        return math.inf if None in cells else sum(cells)
 
-    Under the unit edit costs that cost is the distance. Otherwise one search
-    under scale * unit - c, with c a cell's cost (more than any allowed total
-    where impossible) and scale above every total, has least value scale * d - worst.
+    totals = (sum(k * max(cost(c0, c1, p) for p in ps) for (c0, c1, k), ps in zip(classes, t)) for t in tuples)
+    return max(totals, default=math.inf)
+
+
+def compare_min_chain_set(K: Tournament, alpha: NoiseParams, cap: int | None = None) -> tuple[int, bool]:
+    """(d, same): the distance d from K to its closest chain tournaments, and
+    whether they are exactly the MLE set, taken as empty where no state gives K.
+
+    Read off the MLE solve, which mle_blocks has just made, and the unit-cost
+    solve of min_chain_set, one solve when the MLE costs are the unit ones:
+    nothing in a set costs less than its optimum, so each holds the other
+    exactly when the other's costliest member costs its optimum.
     """
-    from .chain_edit import _EDIT, _optimum
+    from .chain_edit import _EDIT, _classes, _solve
 
-    table = _mle_costs(alpha)
-    if table is _EDIT:
-        return cost, cost
-    cells = K.rows * K.cols
-    zero = cells * max(c for row in table for c in row if c is not None) + 1
-    scale = cells * zero + 1
-    table = tuple(tuple(scale * u - (zero if c is None else c) for u, c in zip(*p)) for p in zip(_EDIT, table))
-    value = _optimum(K, table, cap)[0]
-    d = -(-value // scale)
-    return d, scale * d - value
+    mle, unit = _classes(K, _mle_costs(alpha))[0], _classes(K, _EDIT)[0]
+    (cost, mle_tuples), (d, unit_tuples) = _solve(mle, cap), _solve(unit, cap)
+    return d, _costliest(unit, mle_tuples) == d and _costliest(mle, unit_tuples) == cost
 
 
-def mle_optimum(K: Tournament, alpha: NoiseParams, cap: int | None = None):
-    """(cost, blocks): the least total cost -log P(observed | truth), in exact
-    integers, and chain_edit._expand's generator of the blocks listing
+def mle_blocks(K: Tournament, alpha: NoiseParams, cap: int | None = None):
+    """chain_edit._expand's generator of the blocks listing
     mle_search(K, alpha, cap) in order."""
     from .chain_edit import _optimum
 
@@ -244,7 +254,7 @@ def mle_optimum(K: Tournament, alpha: NoiseParams, cap: int | None = None):
         raise InputError(
             "noise rates assign probability zero to this observation under every state"
         )
-    return cost, blocks
+    return blocks
 
 
 def mle_search(K: Tournament, alpha: NoiseParams, cap: int | None = None) -> tuple[Tournament, ...]:
@@ -258,7 +268,7 @@ def mle_search(K: Tournament, alpha: NoiseParams, cap: int | None = None) -> tup
     """
     from .chain_edit import _members
 
-    return _members(K, mle_optimum(K, alpha, cap)[1])
+    return _members(K, mle_blocks(K, alpha, cap))
 
 
 def derive_seed(seed: int, *indices: int) -> int:

@@ -398,9 +398,11 @@ class TestSolvesOnce:
         assert main(["likelihood", str(path), "--mle", *noise, "--json"]) == 0
         assert len(search_calls) == searches
 
+    # the MLE set is expanded once; the closest chain set is compared with it
+    # factored, never expanded
     @pytest.mark.parametrize("noise, expansions", [
         (["--beta", "0.1"], 1),
-        (["--alpha-plus", "0.1", "--alpha-minus", "0.3"], 2),
+        (["--alpha-plus", "0.1", "--alpha-minus", "0.3"], 1),
     ])
     def test_likelihood_mle_expands_once_under_unit_costs(
         self, tmp_path, capsys, monkeypatch, noise, expansions

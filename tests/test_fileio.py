@@ -5,7 +5,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from chainrank import InputError, MatchPreference, Tournament
-from chainrank.fileio import load_match_preference, load_state, load_tournament, parse_csv
+from chainrank.fileio import load_match_preference, load_state, load_tournament, parse_csv, to_json
 
 from helpers import parse_csv_by_rows
 
@@ -56,6 +56,28 @@ class TestMatchPreferenceFile:
         path.write_text(text)
         with pytest.raises(InputError, match=r"JSON list of \[row, col\] pairs"):
             load_match_preference(str(path))
+
+
+class TestJsonWriter:
+    @pytest.mark.parametrize("a_labels, b_labels", [
+        (None, None),
+        (["x", "y", "z"], None),
+        (None, ['"matrix": null', 'q", "matrix": null, "r', "\\", "\u00e9"]),
+        ([1, '"matrix": null}', "z"], ["p", "q", "r", "s"]),
+    ])
+    def test_equals_dumping_every_cell(self, a_labels, b_labels):
+        # a label that spells the matrix key is escaped, so the matrix lands on the key
+        K = Tournament.from_cells([[1, 0, 1, 1], [0, 0, 0, 0], [1, 0, 1, 1]])
+        data = {"rows": 3, "cols": 4, "matrix": [list(row) for row in K.cells]}
+        for key, names in (("a_labels", a_labels), ("b_labels", b_labels)):
+            if names:
+                data[key] = list(names)
+        assert to_json(K, a_labels, b_labels) == json.dumps(data, sort_keys=True) + "\n"
+
+    @pytest.mark.parametrize("cells", [[[0]], [[1]], [[1, 0, 1]], [[1], [0], [1]]])
+    def test_single_row_and_column(self, cells):
+        K = Tournament.from_cells(cells)
+        assert json.loads(to_json(K)) == {"rows": K.rows, "cols": K.cols, "matrix": cells}
 
 
 BOM = b"\xef\xbb\xbf"

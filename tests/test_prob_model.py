@@ -28,14 +28,16 @@ from chainrank import (
 )
 from chainrank.chain_edit import all_chain_tournaments
 from chainrank.core import canonical_key
-from chainrank.prob_model import derive_seed
+from chainrank.prob_model import compare_min_chain_set, derive_seed
 
 from helpers import (
     EX1,
     EX2,
+    brute_force_min_chain,
     brute_force_mle,
     canonical_state_by_sort,
     cellwise_likelihood,
+    chain_states,
     chains_by_definition,
     random_tournament,
     repeated_row_tournaments,
@@ -289,6 +291,33 @@ class TestMleOracle:
         # the scan over every 20x2 chain tournament would need about 7e9 tuples
         K = random_tournament(random.Random(2020), 20, 2)
         assert mle_search(K, NoiseParams.symmetric(0.1)) == min_chain_set(K).members
+
+
+class TestCompareMinChainSet:
+    RATES = (0.0, 0.1, 0.3, 0.5, 0.7, 1.0)
+
+    @staticmethod
+    def inputs():
+        for shape in ((1, 1), (1, 2), (1, 3), (2, 1), (2, 2), (2, 3), (3, 2)):
+            yield from all_tournaments(*shape)
+        rng = random.Random(44)
+        for _ in range(20):
+            yield random_tournament(rng, rng.randint(1, 4), rng.randint(1, 4))
+
+    def test_matches_brute_force(self):
+        # the distance, and whether the scanned MLE set is the scanned closest set
+        for K in self.inputs():
+            exact = brute_force_min_chain(K)
+            for ap, am in itertools.product(self.RATES, repeat=2):
+                alpha = NoiseParams(ap, am)
+                try:
+                    mle = brute_force_mle(K, alpha)
+                except InputError:  # no state gives this observation
+                    continue
+                if ap + am == 1.0:  # no information, though 1 - ap may differ from am in the last bit
+                    mle = [C for C, _ in chain_states(K.rows, K.cols)]
+                same = set(mle) == set(exact.members)
+                assert compare_min_chain_set(K, alpha) == (exact.distance, same), (K.cells, ap, am)
 
 
 class TestSampling:
