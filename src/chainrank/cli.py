@@ -137,7 +137,7 @@ def cmd_edit(args) -> int:
 
     cap = _enum_cap(args)
     K = fileio.load_tournament(args.input).tournament
-    if args.weighted:
+    if args.weighted is not None:
         # the unique weighted optimum is the match-preference pick, which needs no weights
         from .match_pref import parse_order_name, select_match_pref
 
@@ -215,7 +215,7 @@ def cmd_simulate(args) -> int:
 
     cap = _enum_cap(args)
     alpha = _noise(args)
-    metrics = tuple(args.metrics.split(",")) if args.metrics else ALL_METRICS
+    metrics = tuple(args.metrics.split(",")) if args.metrics is not None else ALL_METRICS
     config = ExperimentConfig(
         m=args.m,
         n=args.n,
@@ -237,7 +237,7 @@ def cmd_simulate(args) -> int:
         [name, *("" if results[name][m] is None else f"{results[name][m]:.6f}" for m in config.metrics)]
         for name in config.operator_names
     ]
-    if args.csv:
+    if args.csv is not None:
         try:
             with open(args.csv, "w", encoding="utf-8") as fh:
                 fh.write("".join(",".join(row) + "\n" for row in [header, *rows]))
@@ -275,7 +275,7 @@ def cmd_likelihood(args) -> int:
     cap = _enum_cap(args)
     K = fileio.load_tournament(args.input).tournament
     alpha = _noise(args)
-    if args.state:
+    if not args.mle:
         theta = fileio.load_state(args.state)
         prob = likelihood(K, theta, alpha)
         ll = log_likelihood(K, theta, alpha)

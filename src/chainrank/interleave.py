@@ -19,6 +19,7 @@ Selection function contract, enforced per call:
 
 from __future__ import annotations
 
+from functools import partial
 from typing import Callable, Iterable, Mapping
 
 from .core import Tournament, _Value, mask_of
@@ -77,30 +78,31 @@ def interleave(K: Tournament, fg: SelectionFunctionPair) -> RankingPair:
     return RankingPair(TotalPreorder(tuple(reversed(a_ranks))), TotalPreorder(tuple(reversed(b_ranks))))
 
 
+def _ci_rule(side: int, K: Tournament, a_rem: frozenset, b_rem: frozenset) -> frozenset:
+    """ci's selection on the rows (side 0) or on the columns (side 1); see ci_selection."""
+    pool, other = (b_rem, a_rem) if side else (a_rem, b_rem)
+    if not pool:
+        return pool
+    masks = K.col_masks if side else K.row_masks
+    other_mask = mask_of(other)
+    met = {p: (masks[p - 1] & other_mask).bit_count() for p in pool}
+    best = (min if side else max)(met.values())
+    return frozenset(p for p, count in met.items() if count == best)
+
+
+_CI = SelectionFunctionPair("ci", partial(_ci_rule, 0), partial(_ci_rule, 1))
+
+
 def ci_selection() -> SelectionFunctionPair:
-    """Cardinality-based selections: most remaining wins on A, fewest remaining losses on B.
+    """Cardinality-based selections: from each side's pool, every player whose
+    mask meets the other side's pool an extreme number of times. That is most
+    remaining wins on A, and fewest remaining losses on B, which is A's rule on
+    dual(K), read off K's column masks so that no round builds the dual.
 
     Ties are kept in full, never broken; this is what makes the resulting
     operator anonymous.
     """
-
-    def f(K: Tournament, a_rem, b_rem):
-        if not a_rem:
-            return frozenset()
-        b_mask = mask_of(b_rem)
-        wins = {a: (K.row_masks[a - 1] & b_mask).bit_count() for a in a_rem}
-        top = max(wins.values())
-        return frozenset(a for a, w in wins.items() if w == top)
-
-    def g(K: Tournament, a_rem, b_rem):
-        if not b_rem:
-            return frozenset()
-        a_mask = mask_of(a_rem)
-        losses = {b: (K.col_masks[b - 1] & a_mask).bit_count() for b in b_rem}
-        low = min(losses.values())
-        return frozenset(b for b, l in losses.items() if l == low)
-
-    return SelectionFunctionPair("ci", f, g)
+    return _CI
 
 
 def take_everything_selection() -> SelectionFunctionPair:
@@ -178,8 +180,9 @@ def ranks_to_chain(pair: RankingPair) -> Tournament:
 def selection_from_rankings(table: Mapping[Tournament, RankingPair]) -> SelectionFunctionPair:
     """Selection functions that reproduce stored chain-definable rankings.
 
-    For a tournament in the table, each side repeatedly yields its top
-    remaining rank; interleaving with the result reproduces the stored pair.
+    For a tournament in the table, each side yields its top remaining rank
+    until the other side is exhausted, then the rest of its pool (nothing once
+    its own pool is); interleaving with the result reproduces the stored pair.
     Tournaments outside the table fall back to take-everything (flat
     rankings), which keeps the pair total and contract-satisfying.
     """
@@ -192,20 +195,13 @@ def selection_from_rankings(table: Mapping[Tournament, RankingPair]) -> Selectio
             )
     frozen = dict(table)
 
-    def top(order: TotalPreorder, pool: frozenset) -> frozenset:
-        best = max(order.rank_of(p) for p in pool)
-        return frozenset(p for p in pool if order.rank_of(p) == best)
-
-    def f(K: Tournament, a_rem, b_rem):
+    def top(side: int, K: Tournament, a_rem: frozenset, b_rem: frozenset) -> frozenset:
+        pool, other = (b_rem, a_rem) if side else (a_rem, b_rem)
         pair = frozen.get(K)
-        if pair is None or not b_rem:
-            return a_rem
-        return top(pair.a_order, a_rem)
+        if pair is None or not pool or not other:
+            return pool
+        rank_of = (pair.b_order if side else pair.a_order).rank_of
+        best = max(map(rank_of, pool))
+        return frozenset(p for p in pool if rank_of(p) == best)
 
-    def g(K: Tournament, a_rem, b_rem):
-        pair = frozen.get(K)
-        if pair is None or not a_rem:
-            return b_rem
-        return top(pair.b_order, b_rem)
-
-    return SelectionFunctionPair("from-rankings", f, g)
+    return SelectionFunctionPair("from-rankings", partial(top, 0), partial(top, 1))

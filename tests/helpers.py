@@ -451,6 +451,25 @@ def parse_csv_by_rows(text):
     return TournamentFile(Tournament.from_cells(rows))
 
 
+def from_cells_by_cells(cells):
+    """Tournament.from_cells, checking and ORing one cell at a time."""
+    rows = [list(r) for r in cells]
+    if not rows or not rows[0]:
+        raise InputError("a tournament needs at least one row and one column player")
+    masks = []
+    for r in rows:
+        if len(r) != len(rows[0]):
+            raise InputError("matrix rows have unequal lengths")
+        mask = 0
+        for j, v in enumerate(r):
+            if v not in (0, 1):
+                raise InputError(f"cell value {v!r} is not 0 or 1")
+            if v:
+                mask |= 1 << j
+        masks.append(mask)
+    return Tournament(len(rows), len(rows[0]), tuple(masks))
+
+
 def parse_json_by_rows(text):
     """fileio.parse_json, checking the type of every cell of every row, equal
     rows included, then building the tournament from every row."""

@@ -36,7 +36,7 @@ from chainrank.picks import COL_MAJOR, least_member
 from chainrank.core import canonical_key, dual
 from chainrank.match_pref import MatchPreference, weights_for
 from chainrank.match_pref import select_match_pref
-from chainrank.prob_model import NoiseParams, _mle_costs, mle_search, sample_state, sample_tournament
+from chainrank.prob_model import NoiseParams, _mle_costs, derive_seed, mle_search, sample_state, sample_tournament
 
 from helpers import (
     ANON_K,
@@ -581,8 +581,10 @@ def _uniform(m, n, seed):
     return Tournament.from_cells([[int(rng.random() < 0.5) for _ in range(n)] for _ in range(m)])
 
 
-# (heappush, heappop) calls of one search at --cap 16: a change to what the
-# search stores or pops shows here even where no output moves
+# (heappush, heappop) calls of one search at --cap 16, or summed over the
+# searches of every tournament of a tiny size and of simulate's trials: a
+# change to what the search stores or pops shows here even where no output
+# moves, on the sweep's shapes too
 SEARCH_WORK = {
     **{
         f"planted 14x14 seed {seed}": work
@@ -600,7 +602,21 @@ SEARCH_WORK = {
     },
     "uniform 10x10 seed 10": (7257, 4340),
     "uniform 11x11 seed 11": (73923, 38120),
+    "every 2x2": (16, 16),
+    "every 2x3": (64, 64),
+    "every 3x2": (64, 64),
+    "every 3x3": (1400, 1400),
+    "simulate 6x6 beta 0.1 seed 3": (364, 310),
 }
+
+
+def _trials(m, n, beta, seed, trials):
+    """The tournaments simulate samples, one per trial."""
+    alpha = NoiseParams.symmetric(beta)
+    return [
+        sample_tournament(sample_state(m, n, derive_seed(seed, t, 0)), alpha, derive_seed(seed, t, 1))
+        for t in range(trials)
+    ]
 
 
 def test_search_work_is_pinned(monkeypatch):
@@ -608,13 +624,16 @@ def test_search_work_is_pinned(monkeypatch):
     heappush, heappop = heapq.heappush, heapq.heappop
     monkeypatch.setattr(heapq, "heappush", lambda heap, item: counts.update(["push"]) or heappush(heap, item))
     monkeypatch.setattr(heapq, "heappop", lambda heap: counts.update(["pop"]) or heappop(heap))
-    inputs = {f"planted {n}x{n} seed {seed}": _planted(n, n, seed) for n in (14, 16) for seed in range(10)}
-    inputs.update({f"uniform {n}x{n} seed {n}": _uniform(n, n, n) for n in (10, 11)})
+    inputs = {f"planted {n}x{n} seed {seed}": [_planted(n, n, seed)] for n in (14, 16) for seed in range(10)}
+    inputs.update({f"uniform {n}x{n} seed {n}": [_uniform(n, n, n)] for n in (10, 11)})
+    inputs.update({f"every {m}x{n}": all_tournaments(m, n) for m, n in [(2, 2), (2, 3), (3, 2), (3, 3)]})
+    inputs["simulate 6x6 beta 0.1 seed 3"] = _trials(6, 6, 0.1, 3, 20)
     work = {}
-    for name, K in inputs.items():
+    for name, tournaments in inputs.items():
         counts.clear()
-        chain_edit._solve.cache_clear()
-        min_chain_distance(K, 16)
+        for K in tournaments:
+            chain_edit._solve.cache_clear()
+            min_chain_distance(K, 16)
         work[name] = (counts["push"], counts["pop"])
     assert work == SEARCH_WORK
 

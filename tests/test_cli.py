@@ -708,6 +708,17 @@ class TestRefusals:
         for target in (tmp_path, tmp_path / "missing" / "out.csv"):
             self.one_line_error(capsys, 2, TestSimulate.ARGS + ["--csv", str(target)])
 
+    @pytest.mark.parametrize("args, message", [
+        (["edit", "FILE", "--weighted", ""], "unknown match-preference order ''"),
+        (["likelihood", "FILE", "--state", "", "--beta", "0.1"], "cannot read "),
+        (TestSimulate.ARGS + ["--metrics", ""], "unknown metric ''"),
+        (TestSimulate.ARGS + ["--csv", ""], "cannot write "),
+    ])
+    def test_empty_option_value(self, ex2_file, capsys, args, message):
+        # an option given an empty value is refused, not read as an option left out
+        err = self.one_line_error(capsys, 2, [ex2_file if arg == "FILE" else arg for arg in args])
+        assert err.startswith(f"error: {message}")
+
     @pytest.mark.parametrize("workers", ["0", "-3"])
     def test_simulate_workers_below_one(self, capsys, workers):
         self.one_line_error(capsys, 2, TestSimulate.ARGS + ["--workers", workers])

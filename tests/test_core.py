@@ -1,10 +1,11 @@
 import itertools
 import random
+import re
 import subprocess
 import sys
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from chainrank import (
@@ -38,6 +39,7 @@ from helpers import (
     chain_violation_by_pairs,
     chains_by_definition,
     col_masks_by_bits,
+    from_cells_by_cells,
     labels_of_by_bits,
     mask_of_by_bits,
     pair,
@@ -54,6 +56,29 @@ def small_tournaments():
             ).map(lambda rows: Tournament(m, n, tuple(rows)))
         )
     )
+
+
+# cells other than the integers 0 and 1: some equal to them, some bytes that
+# would spell a digit, some not numbers at all
+ODD_CELLS = [True, False, 1.0, 0.0, 2, -1, 48, 49, 255, 256, 1 << 64, "1", None, [1]]
+
+
+@st.composite
+def cell_rows(draw):
+    """Up to four rows of one length, short or long, and up to two faults: an
+    odd cell anywhere, or a row one cell shorter or longer."""
+    n = draw(st.sampled_from([1, 2, 7, 8, 9, 64, 1000]))
+    masks = draw(st.lists(st.integers(0, (1 << n) - 1), max_size=4))
+    rows = [list(map(int, format(mask, f"0{n}b"))) for mask in masks]
+    for _ in range(draw(st.integers(0, 2)) if rows else 0):
+        row = rows[draw(st.integers(0, len(rows) - 1))]
+        if row and draw(st.booleans()):
+            row[draw(st.integers(0, len(row) - 1))] = draw(st.sampled_from(ODD_CELLS))
+        elif not row or draw(st.booleans()):
+            row.append(draw(st.sampled_from([0, 1])))
+        else:
+            row.pop()
+    return [tuple(row) if draw(st.booleans()) else row for row in rows]
 
 
 class TestTournament:
@@ -415,6 +440,21 @@ class TestConstruction:
     def test_rejects_ragged(self):
         with pytest.raises(InputError):
             Tournament.from_cells([[0, 1], [1]])
+
+    @settings(max_examples=300, deadline=None)
+    @given(cell_rows())
+    @example([[48, 49]])  # bytes that spell the digits "0" and "1"
+    @example([[1, 0, 1], [True, 1.0, False], (0, 0, 1)])
+    @example([[0] * 100_000 + [1], [1] + [0] * 100_000])
+    @example([[0, 1], [1, 2], [1]])  # the first fault in row order is reported
+    def test_from_cells_matches_reading_cell_by_cell(self, rows):
+        try:
+            expected = from_cells_by_cells(rows)
+        except InputError as exc:
+            with pytest.raises(InputError, match=f"^{re.escape(str(exc))}$"):
+                Tournament.from_cells(rows)
+        else:
+            assert Tournament.from_cells(rows) == expected
 
     def test_xor_marks_differences(self):
         d = xor(EX2, K4)

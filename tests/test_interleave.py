@@ -290,6 +290,16 @@ class TestSelectionFromRankings:
         result = interleave(EX2, fg)
         assert result == stored
 
+    def test_round_trip_when_either_side_has_one_rank_more(self):
+        # the side with fewer ranks runs out first, and then selects nothing
+        counts = set()
+        for m, n in ((2, 3), (3, 2)):
+            for K in filter(has_chain_property, all_tournaments(m, n)):
+                stored = chain_rankings(K)
+                counts.add(rank_count(stored.b_order) - rank_count(stored.a_order))
+                assert interleave(K, selection_from_rankings({K: stored})) == stored
+        assert counts == {-1, 0, 1}
+
     def test_rejects_non_chain_definable(self):
         bad = RankingPair(preorder("1{23}4"), TotalPreorder.from_ranks([{1, 2}]))
         with pytest.raises(InputError, match="not chain-definable"):
