@@ -12,10 +12,13 @@ first violation found, so verdicts are deterministic.
 
 from __future__ import annotations
 
+import collections
+import contextlib
 import itertools
 import random
 from dataclasses import replace
 
+from . import chain_edit
 from .chain_edit import min_chain_distance
 from .core import Tournament, _Value, all_tournaments, dual, hamming, permute
 from .errors import InputError, ResourceCapError
@@ -90,21 +93,21 @@ class AxiomVerdict(_Value):
 
 
 class _Memo:
-    """An evaluate behind a memo keyed on each tournament's columns and row
+    """An evaluate behind a memo of one table per column count, keyed on row
     masks, so it keeps no tournament alive. Each result passes through one
     intern table, so every distinct total preorder, and every distinct pair
     of them, is one object: the memo grows with the distinct answers."""
 
     def __init__(self, ev):
-        self.ev, self.results, self.interned = ev, {}, {}
+        self.ev, self.results, self.interned = ev, collections.defaultdict(dict), {}
 
     def __call__(self, K: Tournament) -> RankingPair:
-        key = (K.cols, K.row_masks)
-        pair = self.results.get(key)
+        results = self.results[K.cols]
+        pair = results.get(K.row_masks)
         if pair is None:
             pair, intern = self.ev(K), self.interned.setdefault
             pair = RankingPair(intern(pair.a_order, pair.a_order), intern(pair.b_order, pair.b_order))
-            pair = self.results[key] = intern(pair, pair)
+            pair = results[K.row_masks] = intern(pair, pair)
         return pair
 
 
@@ -357,24 +360,56 @@ def check_chain_def_scope(op: OperatorSpec, scope: Scope) -> AxiomVerdict:
     return _check_cases("chain-def", op, scope.describe(), scope.iter_tournaments())
 
 
+@contextlib.contextmanager
+def _one_solve_per_table(size: int):
+    """Within the block, chain_edit's solves share a memo of one entry per
+    distinct class table, at most size and never more than EXHAUSTIVE_CAP,
+    so every row order of one multiset of rows is one search. An entry is
+    keyed on one flat tuple and holds each distinct cost row and argmin
+    tuple once, as every search builds its own. The memo calls
+    chain_edit._search by name, so a patched search is the one it calls.
+    When the block ends, normally or by an exception, the memo it replaced
+    comes back."""
+    solves, intern, size = {}, {}.setdefault, min(size, EXHAUSTIVE_CAP)
+
+    def memo(classes, cap):
+        key = (cap, *itertools.chain.from_iterable(classes))
+        solve = solves.get(key)
+        if solve is None:
+            solve = cost, tuples = chain_edit._search(classes, cap)
+            if len(solves) < size:
+                argmins = [tuple(intern(a, a) for a in t) for t in tuples]
+                solve = cost, {intern(t, t): n for t, n in zip(argmins, tuples.values())}
+                solves[tuple(intern(x, x) for x in key)] = solve
+        return solve
+
+    outer, chain_edit._scope_memo = chain_edit._scope_memo, memo
+    try:
+        yield
+    finally:
+        chain_edit._scope_memo = outer
+
+
 def scope_verdicts(op: OperatorSpec, scope: Scope, cap: int | None = None) -> list[AxiomVerdict]:
     """The seven scoped verdicts in AXIOMS order, each tournament evaluated once.
 
-    The checks share one memo of op.evaluate. The chain-min check runs
-    first: its evaluation of a tournament solves it, and min_chain_distance
-    then reuses that solve, which chain_edit keeps for the last tournament only.
+    The checks share one memo of op.evaluate, and their solves one memo
+    with room for every tournament of the scope's exhaustive sizes (see
+    _one_solve_per_table). The chain-min check runs first: its evaluation
+    of a tournament solves it, and min_chain_distance then reuses that solve.
     """
     op = _with_memo(op)
-    chain_min = check_chain_min_scope(op, scope, cap)
-    return [
-        check_anon(op, scope),
-        check_dual(op, scope),
-        check_iim(op, scope),
-        check_mon(op, scope),
-        check_pos_resp(op, scope),
-        chain_min,
-        check_chain_def_scope(op, scope),
-    ]
+    with _one_solve_per_table(sum(1 << m * n for m, n in scope.exhaustive)):
+        chain_min = check_chain_min_scope(op, scope, cap)
+        return [
+            check_anon(op, scope),
+            check_dual(op, scope),
+            check_iim(op, scope),
+            check_mon(op, scope),
+            check_pos_resp(op, scope),
+            chain_min,
+            check_chain_def_scope(op, scope),
+        ]
 
 
 def recheck(op: OperatorSpec, verdict: AxiomVerdict) -> bool:
@@ -437,6 +472,7 @@ class ImpossibilityReport(_Value):
         return {"ok": self.ok, "rows": [row.to_json() for row in self.rows]}
 
 
+@_one_solve_per_table(EXHAUSTIVE_CAP)
 def impossibility_suite(cap: int | None = None) -> ImpossibilityReport:
     """Replay the known counterexample instances and assert the expected verdicts.
 
@@ -447,7 +483,9 @@ def impossibility_suite(cap: int | None = None) -> ImpossibilityReport:
     impossibility, must fail chain-definability on the 4x2 instance. The
     cardinality interleaving operator must show its full verdict row. Each
     operator's checks share one memo, and each failure's witness re-validates
-    on a freshly resolved operator as its row is recorded.
+    on a freshly resolved operator as its row is recorded. Every solve of the
+    suite, rechecks included, shares one memo of one search per distinct
+    class table (see _one_solve_per_table).
     """
     rows: list[SuiteRow] = []
 

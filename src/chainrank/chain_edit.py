@@ -19,11 +19,11 @@ A listing of the complete optimum set, in canonical order, is read off the
 argmin tuples and class sizes as blocks (see _expand), each standing for
 every member that takes, in each row, one of the block's masks for that
 row: one block for one argmin tuple of a tall or square input, whose
-members are never collected or sorted, else one block per distinct member. min_chain_set and its siblings build
-their members from the blocks, the command line writes a listing from them
-without building any, and MEMBER_CAP bounds the member tuples of every
-listing. The single-member picks, which expand nothing, are read off the
-factored form in picks.
+members are never collected or sorted, else one block per distinct member.
+min_chain_set and its siblings build their members from the blocks, the
+command line writes a listing without building any, and MEMBER_CAP and
+CELL_CAP bound each listing's member tuples and cells. The single-member
+picks, which expand nothing, are read off the factored form in picks.
 
 Every problem is solved tall, searching orderings of the smaller side.
 dual(K) transposes and complements K and maps its chain tournaments one to
@@ -36,11 +36,11 @@ One solve serves every exact pick of a tournament: _solve keeps the last
 factored optimum it found, keyed on what the search reads, the class table
 in the tall orientation and the cap, so the optimum set, the canonical,
 monotone and match-preference picks, and a symmetric-noise MLE of one
-matrix, of its dual or of a reordering of rows that keeps the classes'
-order share one search. The memo holds a single entry, so its memory is
-that of one solve whatever a process goes on to solve, and it is
-functools.lru_cache's, which is safe to call from several threads: a thread
-never reads another input's entry, and a miss only solves again.
+matrix, of its dual or of any order of its rows share one search. It holds
+one entry, so its memory is one solve's, except within an axiom-lab scope,
+whose misses share _scope_memo, one entry per distinct class table. Both
+are safe to call from several threads: a thread never reads another input's
+entry, and a miss only solves again.
 
 Unit costs give chain editing; forbidding removals or additions gives
 completion and deletion; cell weights give the weighted selection; zero
@@ -62,9 +62,13 @@ from .errors import AmbiguityError, InputError, ResourceCapError
 DEFAULT_ENUM_CAP = 8
 # most member tuples _expand walks, over every distinct argmin tuple, before it refuses
 MEMBER_CAP = 1 << 16
+# most cells, member tuples times rows times columns, a listing may write
+CELL_CAP = 1 << 22
 # most states _search stores before it refuses: far from a chain a raised
 # --cap otherwise stores states until memory runs out
 STATE_CAP = 1 << 18
+# while the axiom lab checks a scope, its memo of one solve per class table (see _solve)
+_scope_memo = None
 
 # cost[observed][result] of one cell
 _EDIT = ((0, 1), (1, 0))
@@ -84,18 +88,19 @@ def _classes(K: Tournament, cost):
     cost[observed][result], each of its rows' class, tall, and whether K was
     wide, tall being K or, when K has more columns than rows, dual(K) with
     cost[o][r] taken as cost[1 - o][1 - r]. The table holds one (c0 row, c1
-    row, size) entry per (row mask, size) of tall.row_counts, in its order,
-    c0 and c1 each cell's cost of being 0 and of being 1."""
+    row, size) entry per (row mask, size) of tall.row_counts, in mask order,
+    so every row order of one multiset of rows gives one table, c0 and c1
+    each cell's cost of being 0 and of being 1."""
     (z0, z1), (o0, o1) = cost
     wide = K.cols > K.rows
     if wide:
         K, (z0, z1), (o0, o1) = dual(K), (o1, o0), (z1, z0)
-    cols = range(K.cols)
+    cols, masks = range(K.cols), sorted(K.row_counts)
     classes = tuple(
         (tuple(o0 if mask >> b & 1 else z0 for b in cols), tuple(o1 if mask >> b & 1 else z1 for b in cols), k)
-        for mask, k in K.row_counts.items()
+        for mask, k in zip(masks, map(K.row_counts.__getitem__, masks))
     )
-    return classes, tuple(map(dict(zip(K.row_counts, itertools.count())).__getitem__, K.row_masks)), K, wide
+    return classes, tuple(map(dict(zip(masks, itertools.count())).__getitem__, K.row_masks)), K, wide
 
 
 def _search(classes, cap: int | None):
@@ -248,7 +253,7 @@ def _solve(classes, cap: int | None):
     argument apart and would solve one input twice. The result is shared by
     every caller that solves the same class table, so no caller may change it.
     """
-    return _search(classes, cap)
+    return _search(classes, cap) if _scope_memo is None else _scope_memo(classes, cap)
 
 
 def _expand(classes, row_class, tuples, m: int, n: int, wide: bool):
@@ -261,10 +266,10 @@ def _expand(classes, row_class, tuples, m: int, n: int, wide: bool):
     that take one of them in every row, in itertools.product order (see
     _rows); blocks never share a member. Raises ResourceCapError, on the
     first read and before expanding anything, when the argmin tuples combine
-    to more than MEMBER_CAP member tuples: the sum over argmin tuples of the
-    product over classes of |argmins| to the power of the class's size, an
-    upper bound on the members, as different argmin tuples may give the same
-    tournament.
+    to more than MEMBER_CAP member tuples, or to more than CELL_CAP cells at
+    m times n cells each: the sum over argmin tuples of the product over
+    classes of |argmins| to the power of the class's size, an upper bound on
+    the members, as different argmin tuples may give the same tournament.
 
     With one distinct argmin tuple of a tall or square input, each row's
     argmins are distinct prefixes of one optimal ordering, so distinct
@@ -281,8 +286,11 @@ def _expand(classes, row_class, tuples, m: int, n: int, wide: bool):
     if count > MEMBER_CAP:
         # a count can have more digits than int() converts to a string
         size = f"up to {count}" if count < 10**30 else "more than 10^30"
+        raise ResourceCapError(f"the optimum set has {size} members which exceeds the member cap of {MEMBER_CAP}")
+    if count * m * n > CELL_CAP:
         raise ResourceCapError(
-            f"the optimum set has {size} members which exceeds the member cap of {MEMBER_CAP}"
+            f"the optimum set has up to {count} members of {f'{n}x{m}' if wide else f'{m}x{n}'}, "
+            f"{count * m * n} cells, which exceeds the cell cap of {CELL_CAP}"
         )
     if len(tuples) == 1 and not wide:
         (argmins,) = tuples

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import argparse
 import functools
+import io
 import itertools
 import json
 import math
@@ -230,19 +231,19 @@ def cmd_simulate(args) -> int:
     # operators share the solve of its tournament, so trials run serially
     if args.workers < 1:
         raise InputError(f"workers must be at least 1, not {args.workers}")
-    results = run_simulation(config, cap)
-    header = ["operator", *config.metrics]
-    # each operator's means to six places, empty where a metric does not apply
-    rows = [
-        [name, *("" if results[name][m] is None else f"{results[name][m]:.6f}" for m in config.metrics)]
-        for name in config.operator_names
-    ]
-    if args.csv is not None:
-        try:
-            with open(args.csv, "w", encoding="utf-8") as fh:
-                fh.write("".join(",".join(row) + "\n" for row in [header, *rows]))
-        except OSError as exc:
-            raise InputError(f"cannot write {args.csv}: {exc}") from exc
+    # the table's file is opened before the first trial, so an unwritable path is refused at once
+    try:
+        with io.StringIO() if args.csv is None else open(args.csv, "w", encoding="utf-8") as fh:
+            results = run_simulation(config, cap)
+            header = ["operator", *config.metrics]
+            # each operator's means to six places, empty where a metric does not apply
+            rows = [
+                [name, *("" if results[name][m] is None else f"{results[name][m]:.6f}" for m in config.metrics)]
+                for name in config.operator_names
+            ]
+            fh.write("".join(",".join(row) + "\n" for row in [header, *rows]))
+    except OSError as exc:
+        raise InputError(f"cannot write {args.csv}: {exc}") from exc
     if args.json:
         out = {
             "config": {

@@ -1,4 +1,5 @@
 import contextlib
+import dataclasses
 import hashlib
 import io
 import itertools
@@ -18,6 +19,7 @@ from chainrank import (
     NoiseParams,
     ResourceCapError,
     Tournament,
+    all_tournaments,
     axiom_lab,
     chain_completion,
     chain_deletion,
@@ -25,6 +27,7 @@ from chainrank import (
     cli,
     experiment,
     hamming,
+    min_chain_distance,
     min_chain_set,
     mle_search,
     resolve_operator,
@@ -377,11 +380,46 @@ class TestSolvesOnce:
         assert len(runs) == 20
 
     def test_axioms_scope_once_per_tournament(self, capsys, search_calls):
-        # 16 + 64 + 512 tournaments; the chain-min check reuses each evaluation's
-        # solve, and four pairs of 3x2 tournaments that differ only in the order
-        # of equal rows, such as masks (3, 3, 1) and (3, 1, 3), share one
+        # 16 + 64 + 512 tournaments over 150 distinct class tables: the scope's
+        # solves share one memo entry per multiset of rows in the tall
+        # orientation (588 searches when the memo kept the last solve only)
         assert main(["axioms", "-o", "chain-min-lex", "--scope", "2x2,2x3,3x3"]) == 0
-        assert len(search_calls) == 588
+        assert len(search_calls) == 150
+
+    @pytest.mark.parametrize("args, searches", [
+        (["-o", "chain-min-lex", "--scope", "4x3"], 330),  # 4,096 tournaments; 4,107 searches with one entry
+        (["--paper-suite", "--json"], 5),  # 49 with one entry
+    ])
+    def test_axioms_once_per_class_table(self, capsys, search_calls, args, searches):
+        assert main(["axioms", *args]) == 0
+        assert len(search_calls) == searches
+
+    @pytest.mark.parametrize("fails", [False, True])
+    def test_scope_memo_ends_with_the_scope(self, search_calls, fails):
+        # two class tables the scope solved, each solved again after it: the
+        # one-entry memo is back, whether the scope ended or raised partway
+        scope, spec = axiom_lab.Scope(exhaustive=((2, 3),)), resolve_operator("chain-min-lex")
+        first = [K for K in all_tournaments(2, 3) if K.row_masks in ((1, 2), (3, 4))]
+        evaluated = []
+
+        def evaluate(K):
+            evaluated.append(K)
+            if fails and len(evaluated) == 60:
+                raise RuntimeError("evaluate failed partway")
+            return spec.evaluate(K)
+
+        if fails:
+            with pytest.raises(RuntimeError):
+                axiom_lab.scope_verdicts(dataclasses.replace(spec, evaluate=evaluate), scope)
+            assert set(first) <= set(evaluated)
+        else:
+            axiom_lab.scope_verdicts(spec, scope)
+        assert chain_edit._scope_memo is None and chain_edit._solve.cache_info().currsize == 1
+        min_chain_distance(Tournament(1, 1, (0,)))  # the one entry is neither of them
+        del search_calls[:]
+        for K in first + first:
+            min_chain_distance(K)
+        assert len(search_calls) == 4
 
     @pytest.mark.parametrize("noise, searches", [
         (["--beta", "0.1"], 1),
@@ -707,6 +745,26 @@ class TestRefusals:
     def test_simulate_csv_not_writable(self, tmp_path, capsys):
         for target in (tmp_path, tmp_path / "missing" / "out.csv"):
             self.one_line_error(capsys, 2, TestSimulate.ARGS + ["--csv", str(target)])
+
+    def test_simulate_csv_refused_before_the_first_trial(self, tmp_path, capsys, monkeypatch):
+        def run_simulation(*args):
+            raise AssertionError("a trial ran before the table's file was opened")
+
+        monkeypatch.setattr(experiment, "run_simulation", run_simulation)
+        err = self.one_line_error(capsys, 2, TestSimulate.ARGS + ["--csv", str(tmp_path / "missing" / "out.csv")])
+        assert err.startswith("error: cannot write ")
+
+    @pytest.mark.parametrize("args", [
+        ["edit", "FILE", "--json"], ["edit", "FILE"], ["likelihood", "FILE", "--mle", "--beta", "0.1"],
+    ])
+    def test_listing_cell_cap_boundary(self, ex2_file, capsys, monkeypatch, args):
+        # EX2 is 3x4 with 4 members: 48 cells are listed, 47 are refused
+        args = [ex2_file if arg == "FILE" else arg for arg in args]
+        monkeypatch.setattr(chain_edit, "CELL_CAP", 48)
+        assert main(args) == 0 and capsys.readouterr().out
+        monkeypatch.setattr(chain_edit, "CELL_CAP", 47)
+        err = self.one_line_error(capsys, 3, args)
+        assert err == "error: the optimum set has up to 4 members of 3x4, 48 cells, which exceeds the cell cap of 47\n"
 
     @pytest.mark.parametrize("args, message", [
         (["edit", "FILE", "--weighted", ""], "unknown match-preference order ''"),
