@@ -361,60 +361,58 @@ def check_chain_def_scope(op: OperatorSpec, scope: Scope) -> AxiomVerdict:
 
 
 @contextlib.contextmanager
-def _one_solve_per_table(size: int):
+def _one_solve_per_table():
     """Within the block, chain_edit's solves share a memo of one entry per
-    distinct class table, at most size and never more than EXHAUSTIVE_CAP,
-    so every row order of one multiset of rows is one search. An entry is
-    keyed on one flat tuple and holds each distinct cost row and argmin
-    tuple once, as every search builds its own. The memo calls
-    chain_edit._search by name, so a patched search is the one it calls.
-    When the block ends, normally or by an exception, the memo it replaced
-    comes back."""
-    solves, intern, size = {}, {}.setdefault, min(size, EXHAUSTIVE_CAP)
+    distinct class table, at most EXHAUSTIVE_CAP of them, so every row order
+    of one multiset of rows is one search. An entry is keyed on one flat tuple
+    and holds each distinct cost row and argmin tuple once, as every search
+    builds its own. The memo calls chain_edit._search by name, so a patched
+    search is the one it calls. Only the context that runs the block sees the
+    memo, until the block ends, normally or by an exception."""
+    solves, intern = {}, {}.setdefault
 
     def memo(classes, cap):
         key = (cap, *itertools.chain.from_iterable(classes))
         solve = solves.get(key)
         if solve is None:
             solve = cost, tuples = chain_edit._search(classes, cap)
-            if len(solves) < size:
+            if len(solves) < EXHAUSTIVE_CAP:
                 argmins = [tuple(intern(a, a) for a in t) for t in tuples]
                 solve = cost, {intern(t, t): n for t, n in zip(argmins, tuples.values())}
                 solves[tuple(intern(x, x) for x in key)] = solve
         return solve
 
-    outer, chain_edit._scope_memo = chain_edit._scope_memo, memo
+    token = chain_edit._scope_memo.set(memo)
     try:
         yield
     finally:
-        chain_edit._scope_memo = outer
+        chain_edit._scope_memo.reset(token)
 
 
 def scope_verdicts(op: OperatorSpec, scope: Scope, cap: int | None = None) -> list[AxiomVerdict]:
     """The seven scoped verdicts in AXIOMS order, each tournament evaluated once.
 
-    The checks share one memo of op.evaluate, and their solves one memo
-    with room for every tournament of the scope's exhaustive sizes (see
-    _one_solve_per_table). The chain-min check runs first: its evaluation
-    of a tournament solves it, and min_chain_distance then reuses that solve.
+    The checks share one memo of op.evaluate, and their solves one memo of one
+    search per class table (see _one_solve_per_table), so min_chain_distance
+    reuses the solve behind an exact operator's evaluation of a tournament,
+    whichever check made it.
     """
     op = _with_memo(op)
-    with _one_solve_per_table(sum(1 << m * n for m, n in scope.exhaustive)):
-        chain_min = check_chain_min_scope(op, scope, cap)
+    with _one_solve_per_table():
         return [
             check_anon(op, scope),
             check_dual(op, scope),
             check_iim(op, scope),
             check_mon(op, scope),
             check_pos_resp(op, scope),
-            chain_min,
+            check_chain_min_scope(op, scope, cap),
             check_chain_def_scope(op, scope),
         ]
 
 
 def recheck(op: OperatorSpec, verdict: AxiomVerdict) -> bool:
-    """Re-run a failure verdict's witness standalone; True when its tournament
-    alone yields that same witness again."""
+    """Re-run a failure verdict's witness standalone, searching under the cap
+    of its size; True when its tournament alone yields that witness again."""
     w = verdict.witness
     if w is None:
         raise InputError("verdict carries no witness")
@@ -423,7 +421,7 @@ def recheck(op: OperatorSpec, verdict: AxiomVerdict) -> bool:
         return iim_instance_violates(op, K, Tournament.from_cells(w["tournament_2"]), *w["pair"])
     if verdict.axiom not in _CASES:
         raise InputError(f"unknown axiom {verdict.axiom!r}")
-    return w in _CASES[verdict.axiom](_memoized(op), (K,))
+    return w in _CASES[verdict.axiom](_memoized(op), (K,), min(K.rows, K.cols))
 
 
 # -- the known counterexample instances --
@@ -472,7 +470,7 @@ class ImpossibilityReport(_Value):
         return {"ok": self.ok, "rows": [row.to_json() for row in self.rows]}
 
 
-@_one_solve_per_table(EXHAUSTIVE_CAP)
+@_one_solve_per_table()
 def impossibility_suite(cap: int | None = None) -> ImpossibilityReport:
     """Replay the known counterexample instances and assert the expected verdicts.
 

@@ -38,9 +38,9 @@ in the tall orientation and the cap, so the optimum set, the canonical,
 monotone and match-preference picks, and a symmetric-noise MLE of one
 matrix, of its dual or of any order of its rows share one search. It holds
 one entry, so its memory is one solve's, except within an axiom-lab scope,
-whose misses share _scope_memo, one entry per distinct class table. Both
-are safe to call from several threads: a thread never reads another input's
-entry, and a miss only solves again.
+whose misses share _scope_memo, one entry per distinct class table, seen
+only by the context that opened the scope. A thread never reads another
+input's entry, and a miss only solves again.
 
 Unit costs give chain editing; forbidding removals or additions gives
 completion and deletion; cell weights give the weighted selection; zero
@@ -50,6 +50,7 @@ from the cost -log P(observed | truth). No float ever enters an argmin.
 
 from __future__ import annotations
 
+import contextvars
 import functools
 import heapq
 import itertools
@@ -68,7 +69,7 @@ CELL_CAP = 1 << 22
 # --cap otherwise stores states until memory runs out
 STATE_CAP = 1 << 18
 # while the axiom lab checks a scope, its memo of one solve per class table (see _solve)
-_scope_memo = None
+_scope_memo = contextvars.ContextVar("_scope_memo", default=None)
 
 # cost[observed][result] of one cell
 _EDIT = ((0, 1), (1, 0))
@@ -253,7 +254,7 @@ def _solve(classes, cap: int | None):
     argument apart and would solve one input twice. The result is shared by
     every caller that solves the same class table, so no caller may change it.
     """
-    return _search(classes, cap) if _scope_memo is None else _scope_memo(classes, cap)
+    return (_scope_memo.get() or _search)(classes, cap)
 
 
 def _expand(classes, row_class, tuples, m: int, n: int, wide: bool):

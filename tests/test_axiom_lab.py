@@ -318,6 +318,15 @@ class TestChainMinAndDef:
             with pytest.raises(ResourceCapError):
                 check_chain_min(op, K)
 
+    def test_recheck_searches_under_the_witness_size(self):
+        # a witness found under a raised cap re-validates without one: the
+        # check already admitted a search of the witness's own size
+        rng = random.Random(0)
+        K = Tournament.from_cells([[rng.randint(0, 1) for _ in range(9)] for _ in range(9)])
+        op = resolve_operator("count", 9)
+        verdict = check_chain_min(op, K, 9)
+        assert not verdict.holds and recheck(op, verdict)
+
     def test_memo_shares_equal_pairs(self):
         for name in GOLDEN_VERDICT_DIGESTS:
             ev = _memoized(resolve_operator(name))

@@ -9,6 +9,7 @@ import random
 import subprocess
 import sys
 import tempfile
+import threading
 from unittest import mock
 
 import pytest
@@ -394,6 +395,14 @@ class TestSolvesOnce:
         assert main(["axioms", *args]) == 0
         assert len(search_calls) == searches
 
+    def test_sampled_scope_once_per_class_table(self, search_calls):
+        # sampled tournaments share the scope's memo too, so the chain-min
+        # check, run after the others, re-solves none of them (144 searches
+        # with room for the exhaustive sizes only, 124 with one entry)
+        scope = axiom_lab.Scope(random_sizes=((3, 3), (4, 3)), random_count=10, seed=3)
+        axiom_lab.scope_verdicts(resolve_operator("chain-min-lex"), scope)
+        assert len(search_calls) == 44
+
     @pytest.mark.parametrize("fails", [False, True])
     def test_scope_memo_ends_with_the_scope(self, search_calls, fails):
         # two class tables the scope solved, each solved again after it: the
@@ -404,7 +413,7 @@ class TestSolvesOnce:
 
         def evaluate(K):
             evaluated.append(K)
-            if fails and len(evaluated) == 60:
+            if fails and len(evaluated) == 70:
                 raise RuntimeError("evaluate failed partway")
             return spec.evaluate(K)
 
@@ -414,7 +423,64 @@ class TestSolvesOnce:
             assert set(first) <= set(evaluated)
         else:
             axiom_lab.scope_verdicts(spec, scope)
-        assert chain_edit._scope_memo is None and chain_edit._solve.cache_info().currsize == 1
+        assert chain_edit._scope_memo.get() is None and chain_edit._solve.cache_info().currsize == 1
+        min_chain_distance(Tournament(1, 1, (0,)))  # the one entry is neither of them
+        del search_calls[:]
+        for K in first + first:
+            min_chain_distance(K)
+        assert len(search_calls) == 4
+
+    def test_nested_scope_restores_the_outer_memo(self, search_calls):
+        # a class table the outer scope solved before the inner one opened is
+        # still a hit once the inner one has closed, and the inner one's is not
+        K, other = Tournament(2, 3, (1, 2)), Tournament(2, 3, (3, 4))
+        with axiom_lab._one_solve_per_table():
+            min_chain_distance(K)
+            with axiom_lab._one_solve_per_table():
+                min_chain_distance(other)
+                min_chain_distance(K)
+            assert len(search_calls) == 3
+            min_chain_distance(other)
+            min_chain_distance(K)
+        assert len(search_calls) == 4
+
+    def test_overlapping_scopes_in_two_threads(self, search_calls):
+        # A enters, B enters, A exits, B exits: each scope's memo is its own
+        # thread's, so neither is left behind once both have ended
+        spec = resolve_operator("chain-min-lex")
+        a_in, b_in, a_out = threading.Event(), threading.Event(), threading.Event()
+        errors = []
+
+        def scope_waiting(size, entered, proceed):
+            def evaluate(K):
+                entered.set()
+                if not proceed.wait(timeout=30):
+                    raise TimeoutError("the other scope never reached its turn")
+                return spec.evaluate(K)
+
+            try:
+                scope = axiom_lab.Scope(exhaustive=(size,))
+                axiom_lab.scope_verdicts(dataclasses.replace(spec, evaluate=evaluate), scope)
+            except Exception as exc:
+                errors.append(exc)
+
+        def run_a():
+            try:
+                scope_waiting((2, 3), a_in, b_in)
+            finally:
+                a_out.set()
+
+        a = threading.Thread(target=run_a, daemon=True)
+        b = threading.Thread(target=scope_waiting, args=((2, 2), b_in, a_out), daemon=True)
+        a.start()
+        assert a_in.wait(timeout=30)
+        b.start()
+        a.join(timeout=30)
+        b.join(timeout=30)
+        assert not a.is_alive() and not b.is_alive() and not errors
+        assert chain_edit._scope_memo.get() is None
+        # two class tables of A's scope, each solved twice outside any scope
+        first = [Tournament(2, 3, (1, 2)), Tournament(2, 3, (3, 4))]
         min_chain_distance(Tournament(1, 1, (0,)))  # the one entry is neither of them
         del search_calls[:]
         for K in first + first:

@@ -137,6 +137,10 @@ class TestTournament:
                 check(K, K.with_cell(a, b, 1 - K.cell(a, b)))
                 check(K, random_tournament(rng, 3, n))
 
+    def test_with_cell_wants_a_bit(self):
+        with pytest.raises(InputError, match="^cell value 2 is not 0 or 1$"):
+            Tournament(2, 2, (1, 2)).with_cell(1, 1, 2)
+
 
 class TestNeighborhoods:
     def test_example_row(self):
